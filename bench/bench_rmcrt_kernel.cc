@@ -38,10 +38,6 @@ namespace {
 using namespace rmcrt;
 using namespace rmcrt::core;
 
-/// --packed / --unpacked: which kernel data layout the google-benchmark
-/// suite runs (the JSON baseline always measures both).
-bool g_packedLayout = true;
-
 struct KernelFixture {
   std::shared_ptr<grid::Grid> grid;
   grid::CCVariable<double> abskg, sig;
@@ -56,7 +52,7 @@ struct KernelFixture {
     initializeProperties(grid->fineLevel(), burnsChriston(), abskg, sig, ct);
   }
 
-  Tracer tracer(int rays, bool packed = g_packedLayout) const {
+  Tracer tracer(int rays) const {
     TraceLevel tl{LevelGeom::from(grid->fineLevel()),
                   RadiationFieldsView{FieldView<double>::fromHost(abskg),
                                       FieldView<double>::fromHost(sig),
@@ -64,7 +60,6 @@ struct KernelFixture {
                   grid->fineLevel().cells()};
     TraceConfig cfg;
     cfg.nDivQRays = rays;
-    cfg.usePackedFields = packed;
     return Tracer({tl}, WallProperties{0.0, 1.0}, cfg);
   }
 };
@@ -154,26 +149,10 @@ void BM_BoundaryFlux(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundaryFlux);
 
-/// A/B of the two kernel data layouts on the same fixture, single
-/// thread: the full divQ solve, and a segment microbench that times a
-/// fixed deterministic ray bundle through Tracer::traceRay — the march
-/// loop with everything but cell crossings stripped away. Both layouts
-/// must agree bitwise.
-struct LayoutReport {
-  double packedMsegPerS = 0.0;
-  double unpackedMsegPerS = 0.0;
-  double divqSpeedup = 0.0;
-  bool divqBitwise = true;
-  double segPackedMsegPerS = 0.0;
-  double segUnpackedMsegPerS = 0.0;
-  double segSpeedup = 0.0;
-  bool segBitwise = true;
-};
-
-/// A/B of the scalar packed march against the 8-wide SIMD packet march
-/// (marchPacket8, DESIGN.md §14) on the segment microbench's ray bundle,
-/// through the batched Tracer::traceRays entry point both sides use in
-/// production. The SIMD path agrees with the scalar golden reference
+/// A/B of the scalar packed march against the SIMD packet march
+/// (DESIGN.md §14) on a fixed isotropic ray bundle from the domain
+/// center, through the batched Tracer::traceRays entry point both sides
+/// use in production. The SIMD path agrees with the scalar golden reference
 /// only within a ULP tolerance (vectorized exp), so the report carries
 /// the measured worst-case relative error instead of a bitwise flag.
 struct SimdReport {
@@ -186,69 +165,6 @@ struct SimdReport {
   double speedup = 0.0;
   double maxRelErr = 0.0;  ///< worst per-ray |simd - scalar| / |scalar|
 };
-
-LayoutReport measureLayoutAB(bool smoke) {
-  const int n = smoke ? 16 : 32;
-  const int rays = smoke ? 4 : 16;
-  const int repeats = smoke ? 3 : 5;
-  KernelFixture fx(n);
-  Tracer packed = fx.tracer(rays, /*packed=*/true);
-  Tracer legacy = fx.tracer(rays, /*packed=*/false);
-  const CellRange cells = fx.grid->fineLevel().cells();
-  LayoutReport rep;
-
-  // Full divQ solve, serial, best-of-N per layout.
-  grid::CCVariable<double> divQPacked(cells, 0.0), divQLegacy(cells, 0.0);
-  const auto timeDivQ = [&](Tracer& t, grid::CCVariable<double>& out) {
-    double best = std::numeric_limits<double>::infinity();
-    std::uint64_t segments = 0;
-    for (int r = 0; r < repeats; ++r) {
-      t.resetSegmentCount();
-      Timer timer;
-      t.computeDivQ(cells, MutableFieldView<double>::fromHost(out));
-      best = std::min(best, timer.seconds());
-      segments = t.segmentCount();
-    }
-    return static_cast<double>(segments) / best / 1e6;
-  };
-  rep.packedMsegPerS = timeDivQ(packed, divQPacked);
-  rep.unpackedMsegPerS = timeDivQ(legacy, divQLegacy);
-  rep.divqSpeedup = rep.packedMsegPerS / rep.unpackedMsegPerS;
-  for (const auto& c : cells)
-    if (divQPacked[c] != divQLegacy[c]) rep.divqBitwise = false;
-
-  // Segment microbench: the same deterministic ray bundle (seeded by
-  // (bundle, ray) alone) through both layouts.
-  const int nRays = smoke ? 20000 : 100000;
-  const Vector center = fx.grid->fineLevel().physLow() +
-                        (fx.grid->fineLevel().physHigh() -
-                         fx.grid->fineLevel().physLow()) *
-                            Vector(0.5);
-  const auto timeBundle = [&](Tracer& t, double& sumI) {
-    double best = std::numeric_limits<double>::infinity();
-    std::uint64_t segments = 0;
-    for (int r = 0; r < repeats; ++r) {
-      t.resetSegmentCount();
-      double acc = 0.0;
-      Timer timer;
-      for (int i = 0; i < nRays; ++i) {
-        Rng rng(/*domainSeed=*/97, IntVector(i, 0, 0), /*ray=*/0);
-        const Vector dir = isotropicDirection(rng);
-        acc += t.traceRay(center, dir);
-      }
-      best = std::min(best, timer.seconds());
-      segments = t.segmentCount();
-      sumI = acc;
-    }
-    return static_cast<double>(segments) / best / 1e6;
-  };
-  double sumPacked = 0.0, sumLegacy = 0.0;
-  rep.segPackedMsegPerS = timeBundle(packed, sumPacked);
-  rep.segUnpackedMsegPerS = timeBundle(legacy, sumLegacy);
-  rep.segSpeedup = rep.segPackedMsegPerS / rep.segUnpackedMsegPerS;
-  rep.segBitwise = sumPacked == sumLegacy;
-  return rep;
-}
 
 SimdReport measureSimdAB(bool smoke) {
   // Full mode uses a 128-cell fixture: that matches the paper's
@@ -266,8 +182,8 @@ SimdReport measureSimdAB(bool smoke) {
   rep.isa = Tracer::simdIsa();
   rep.gridN = n;
 
-  // The same deterministic center bundle as the layout segment
-  // microbench, but batched so both paths go through traceRays.
+  // A deterministic isotropic bundle from the domain center, batched so
+  // both paths go through traceRays.
   const Vector center = fx.grid->fineLevel().physLow() +
                         (fx.grid->fineLevel().physHigh() -
                          fx.grid->fineLevel().physLow()) *
@@ -319,8 +235,7 @@ SimdReport measureSimdAB(bool smoke) {
 /// write a machine-readable baseline (BENCH_rmcrt_kernel.json) so later
 /// PRs have a perf trajectory to compare against. Also cross-checks that
 /// every threaded result is bitwise identical to the serial one, and
-/// appends the packed-vs-unpacked layout A/B plus the segment
-/// microbench.
+/// appends the scalar-vs-SIMD packet march A/B.
 void writeThreadSweepJson(const std::string& path, bool smoke) {
   // The sweep fixture is identical in smoke and full mode so a CI smoke
   // run is directly comparable to the committed full-mode baseline (the
@@ -376,7 +291,6 @@ void writeThreadSweepJson(const std::string& path, bool smoke) {
                                  std::thread::hardware_concurrency()});
   }
 
-  const LayoutReport layout = measureLayoutAB(smoke);
   const SimdReport simd = measureSimdAB(smoke);
 
   std::ofstream out(path);
@@ -400,15 +314,6 @@ void writeThreadSweepJson(const std::string& path, bool smoke) {
         << "}" << (i + 1 < samples.size() ? "," : "") << "\n";
   }
   out << "  ],\n"
-      << "  \"layout\": {\"packed_mseg_per_s\": " << layout.packedMsegPerS
-      << ", \"unpacked_mseg_per_s\": " << layout.unpackedMsegPerS
-      << ", \"speedup\": " << layout.divqSpeedup << ", \"bitwise_match\": "
-      << (layout.divqBitwise ? "true" : "false") << "},\n"
-      << "  \"segment_microbench\": {\"packed_mseg_per_s\": "
-      << layout.segPackedMsegPerS << ", \"unpacked_mseg_per_s\": "
-      << layout.segUnpackedMsegPerS << ", \"speedup\": "
-      << layout.segSpeedup << ", \"bitwise_match\": "
-      << (layout.segBitwise ? "true" : "false") << "},\n"
       << "  \"simd_microbench\": {\"supported\": "
       << (simd.supported ? "true" : "false") << ", \"isa\": \"" << simd.isa
       << "\", \"grid_n\": " << simd.gridN << ", \"scalar_mseg_per_s\": "
@@ -423,16 +328,7 @@ void writeThreadSweepJson(const std::string& path, bool smoke) {
               << s.seconds * 1e3 << " ms  speedup=" << std::setprecision(2)
               << s.speedup << std::setprecision(6)
               << (s.bitwise ? "" : "  [BITWISE MISMATCH]") << "\n";
-  std::cout << "  layout A/B (1 thread): packed " << std::setprecision(2)
-            << layout.packedMsegPerS << " Mseg/s vs unpacked "
-            << layout.unpackedMsegPerS << " Mseg/s ("
-            << layout.divqSpeedup << "x)"
-            << (layout.divqBitwise ? "" : "  [BITWISE MISMATCH]") << "\n"
-            << "  segment microbench: packed " << layout.segPackedMsegPerS
-            << " Mseg/s vs unpacked " << layout.segUnpackedMsegPerS
-            << " Mseg/s (" << layout.segSpeedup << "x)"
-            << (layout.segBitwise ? "" : "  [BITWISE MISMATCH]") << "\n"
-            << "  simd microbench: ";
+  std::cout << std::setprecision(2) << "  simd microbench: ";
   if (simd.supported)
     std::cout << simd.isa << " " << simd.simdMsegPerS << " Mseg/s vs scalar "
               << simd.scalarMsegPerS << " Mseg/s (" << simd.speedup
@@ -916,8 +812,6 @@ void printCalibrationTable() {
 int main(int argc, char** argv) {
   // Our flags, consumed before google-benchmark sees the command line:
   //   --smoke        quick thread sweep + JSON only (CI smoke mode)
-  //   --packed / --unpacked  kernel data layout for the google-benchmark
-  //       suite (the JSON baseline always measures both; default packed)
   //   --json=<path>  baseline output path (default BENCH_rmcrt_kernel.json)
   //   --trace-out/--metrics-out  observability outputs (runs a dedicated
   //       mini distributed pipeline instead of the benchmark suite)
@@ -945,10 +839,6 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (std::strcmp(argv[i], "--packed") == 0) {
-      g_packedLayout = true;
-    } else if (std::strcmp(argv[i], "--unpacked") == 0) {
-      g_packedLayout = false;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       jsonPath = argv[i] + 7;
       jsonPathSet = true;

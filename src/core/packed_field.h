@@ -21,9 +21,8 @@
 ///                      pipeline: repacks only coarse regions whose fine
 ///                      coverage changed across a regrid
 ///
-/// Packing copies double bit patterns verbatim and the kernel performs
-/// the exact same FP operations in the exact same order as the legacy
-/// three-view path, so results are bitwise identical (packed_field_test).
+/// Packing copies double bit patterns verbatim, so a record carries
+/// exactly the values of its source fields (packed_field_test).
 
 #include <cassert>
 #include <cstddef>

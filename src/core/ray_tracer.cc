@@ -133,19 +133,13 @@ Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
           std::to_string(m_cfg.nMaxRays) +
           "): 0 means cap budgets at nDivQRays");
   }
-  if (!m_cfg.usePackedFields) {
-    // Legacy layout requested: drop packed views wherever the separate
-    // property views can serve instead. Packed-only levels (the GPU
-    // kernel's device records) keep marching packed.
-    for (TraceLevel& L : m_levels)
-      if (L.fields.abskg.valid()) L.packed = PackedFieldView();
-    return;
-  }
   m_ownedPacked.reserve(m_levels.size());
   for (TraceLevel& L : m_levels) {
-    if (L.packed.valid() || !L.fields.abskg.valid()) continue;
-    m_ownedPacked.emplace_back(L.fields);
-    L.packed = m_ownedPacked.back().view();
+    if (!L.packed.valid() && L.fields.abskg.valid()) {
+      m_ownedPacked.emplace_back(L.fields);
+      L.packed = m_ownedPacked.back().view();
+    }
+    assert(L.packed.valid() && "a level needs packed records or fields");
   }
   if (m_cfg.useSimd && !m_levels.empty() && m_levels.front().packed.valid()) {
     // One pass over level 0's records so the packet march can skip the
@@ -158,14 +152,6 @@ Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
       walls = rec[i].cellType == PackedCell::kWall;
     m_level0HasWalls = walls;
   }
-}
-
-bool Tracer::marchLevel(std::size_t li, Vector& pos, const Vector& dir,
-                        double& sumI, double& transmissivity,
-                        std::uint64_t& segments) const {
-  return m_levels[li].packed.valid()
-             ? marchLevelPacked(li, pos, dir, sumI, transmissivity, segments)
-             : marchLevelLegacy(li, pos, dir, sumI, transmissivity, segments);
 }
 
 bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
@@ -223,9 +209,8 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
     // Branchless min-axis selection. The stepped axis is data-dependent
     // and close to uniformly random, so the naive two-compare `if` chain
     // mispredicts on most crossings — selecting via conditional moves
-    // costs a couple of cmovs instead of a ~15-cycle flush. The
-    // tie-breaking (x wins over y wins over z) and every FP value are
-    // identical to the legacy march.
+    // costs a couple of cmovs instead of a ~15-cycle flush. Ties break
+    // x over y over z.
     const double t0 = tMax[0], t1 = tMax[1], t2 = tMax[2];
     const int yBeforeX = t1 < t0;
     const double m01 = t1 < t0 ? t1 : t0;    // minsd
@@ -237,8 +222,7 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
     const double segLen = tNext - tCur;
 
     // Absorb + emit along the segment (paper Eq. 2 without scattering):
-    // one cache-line-local record load instead of three strided array
-    // reads; the FP sequence matches the legacy path exactly.
+    // one cache-line-local record load per crossing.
     const double expSeg = std::exp(-(rec.abskg * kappaScale) * segLen);
     sumI += rec.sigmaT4OverPi * (1.0 - expSeg) * transmissivity;
     transmissivity *= expSeg;
@@ -252,8 +236,7 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
 
     if (transmissivity < threshold) return true;  // extinguished
 
-    // Advance to the next cell: tMax[axis] == tNext here, so the += of
-    // the legacy path is the same value as this store.
+    // Advance to the next cell (tMax[axis] == tNext here).
     tCur = tNext;
     const int stepped = cur[axis] + step[axis];
     cur[axis] = stepped;
@@ -281,96 +264,14 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
   }
 }
 
-bool Tracer::marchLevelLegacy(std::size_t li, Vector& pos, const Vector& dir,
-                              double& sumI, double& transmissivity,
-                              std::uint64_t& segments) const {
-  const TraceLevel& L = m_levels[li];
-  const LevelGeom& g = L.geom;
-
-  IntVector cur = g.cellAt(pos);
-  // Clamp marginal float error at the handoff point.
-  cur = max(min(cur, L.allowed.high() - IntVector(1)), L.allowed.low());
-
-  // Amanatides-Woo setup: distance along the ray to the next cell face in
-  // each axis (tMax) and per-cell crossing distances (tDelta).
-  IntVector step;
-  Vector tMax, tDelta;
-  for (int i = 0; i < 3; ++i) {
-    step[i] = dir[i] >= 0.0 ? 1 : -1;
-    tDelta[i] = safeDiv(g.dx[i], std::abs(dir[i]));
-    const double planeCoord =
-        g.physLow[i] +
-        (cur[i] - g.cells.low()[i] + (dir[i] >= 0.0 ? 1 : 0)) * g.dx[i];
-    tMax[i] = safeDiv(planeCoord - pos[i], dir[i]);
-    if (tMax[i] < 0.0) tMax[i] = 0.0;  // float slop at the boundary
-  }
-
-  double tCur = 0.0;
-  const double threshold = m_cfg.threshold;
-  const double kappaScale = m_cfg.kappaScale;
-
-  for (;;) {
-    // A wall cell absorbs the ray: add its emission seen through the
-    // accumulated transmissivity.
-    if (L.fields.cellType.valid() &&
-        L.fields.cellType[cur] == grid::CellType::Wall) {
-      sumI += m_walls.emissivity * L.fields.sigmaT4OverPi[cur] *
-              transmissivity;
-      return true;
-    }
-
-    // Segment length inside the current cell.
-    int axis = 0;
-    if (tMax.y() < tMax[axis]) axis = 1;
-    if (tMax.z() < tMax[axis]) axis = 2;
-    const double segLen = tMax[axis] - tCur;
-
-    // Absorb + emit along the segment (paper Eq. 2 without scattering):
-    // contribution = sigmaT4/pi * (1 - e^{-kappa ds}) attenuated by the
-    // transmissivity accumulated so far.
-    const double kappa = L.fields.abskg[cur] * kappaScale;
-    const double expSeg = std::exp(-kappa * segLen);
-    sumI += L.fields.sigmaT4OverPi[cur] * (1.0 - expSeg) * transmissivity;
-    transmissivity *= expSeg;
-    // Skip zero-length crossings in the count (see the packed march);
-    // scalar, legacy and SIMD paths all apply the same rule.
-    segments += (segLen != 0.0);
-
-    if (transmissivity < threshold) return true;  // extinguished
-
-    // Advance to the next cell.
-    tCur = tMax[axis];
-    cur[axis] += step[axis];
-    tMax[axis] += tDelta[axis];
-
-    if (!L.allowed.contains(cur)) {
-      if (!g.cells.contains(cur)) {
-        // Left the physical domain: the boundary is a wall.
-        sumI += m_walls.emissivity * m_walls.sigmaT4OverPi * transmissivity;
-        return true;
-      }
-      // Left the region of interest but not the domain: continue on the
-      // next coarser level from the crossing position.
-      if (li + 1 >= m_levels.size()) {
-        // No coarser level (single-level tracer whose allowed box is the
-        // whole level never reaches here; a restricted single-level ROI
-        // treats the ROI edge as domain exit).
-        sumI += m_walls.emissivity * m_walls.sigmaT4OverPi * transmissivity;
-        return true;
-      }
-      pos = pos + dir * tCur;
-      return false;
-    }
-  }
-}
-
 double Tracer::traceRay(Vector origin, Vector dir, std::size_t startLevel,
                         std::uint64_t& segments) const {
   double sumI = 0.0;
   double transmissivity = 1.0;
   Vector pos = origin;
   for (std::size_t li = startLevel; li < m_levels.size(); ++li) {
-    if (marchLevel(li, pos, dir, sumI, transmissivity, segments)) break;
+    if (marchLevelPacked(li, pos, dir, sumI, transmissivity, segments))
+      break;
   }
   return sumI;
 }
@@ -387,7 +288,8 @@ void Tracer::finishRayCoarse(Vector pos, const Vector& dir, double& sumI,
                              double& transmissivity,
                              std::uint64_t& segments) const {
   for (std::size_t li = 1; li < m_levels.size(); ++li) {
-    if (marchLevel(li, pos, dir, sumI, transmissivity, segments)) break;
+    if (marchLevelPacked(li, pos, dir, sumI, transmissivity, segments))
+      break;
   }
 }
 
@@ -415,126 +317,15 @@ void Tracer::flushSegments(std::uint64_t n) const {
   tracerSegmentsCounter().add(n);
 }
 
-double Tracer::meanIncomingIntensity(const IntVector& cell,
-                                     std::uint64_t& segments) const {
-  const LevelGeom& g = m_levels.front().geom;
-  double sum = 0.0;
-  for (int r = 0; r < m_cfg.nDivQRays; ++r) {
-    Rng rng(m_cfg.seed, cell, static_cast<std::uint32_t>(r));
-    Vector origin;
-    if (m_cfg.jitterRayOrigin) {
-      const Vector lo = g.cellLowCorner(cell);
-      origin = lo + Vector(rng.nextDouble(), rng.nextDouble(),
-                           rng.nextDouble()) *
-                        g.dx;
-    } else {
-      origin = g.cellCenter(cell);
-    }
-    const Vector dir = isotropicDirection(rng);
-    sum += traceRay(origin, dir, 0, segments);
-  }
-  return sum / static_cast<double>(m_cfg.nDivQRays);
-}
-
-double Tracer::meanIncomingIntensitySimd(const IntVector& cell,
-                                         std::vector<Vector>& origins,
-                                         std::vector<Vector>& dirs,
-                                         std::vector<double>& intensities,
-                                         std::uint64_t& segments) const {
-  const LevelGeom& g = m_levels.front().geom;
-  const int n = m_cfg.nDivQRays;
-  origins.resize(static_cast<std::size_t>(n));
-  dirs.resize(static_cast<std::size_t>(n));
-  intensities.resize(static_cast<std::size_t>(n));
-  // Identical RNG consumption to the scalar loop: the ray geometry is
-  // bitwise the same, only the march arithmetic differs.
-  for (int r = 0; r < n; ++r) {
-    Rng rng(m_cfg.seed, cell, static_cast<std::uint32_t>(r));
-    Vector origin;
-    if (m_cfg.jitterRayOrigin) {
-      const Vector lo = g.cellLowCorner(cell);
-      origin = lo + Vector(rng.nextDouble(), rng.nextDouble(),
-                           rng.nextDouble()) *
-                        g.dx;
-    } else {
-      origin = g.cellCenter(cell);
-    }
-    origins[static_cast<std::size_t>(r)] = origin;
-    dirs[static_cast<std::size_t>(r)] = isotropicDirection(rng);
-  }
-  traceRaysSimd(n, origins.data(), dirs.data(), intensities.data(),
-                segments);
-  // Sum in ray order — the same reduction order as the scalar loop.
-  double sum = 0.0;
-  for (int r = 0; r < n; ++r) sum += intensities[static_cast<std::size_t>(r)];
-  return sum / static_cast<double>(m_cfg.nDivQRays);
-}
-
 double Tracer::meanIncomingIntensity(const IntVector& cell) const {
   std::uint64_t segments = 0;
-  double meanI;
-  if (simdActive()) {
-    std::vector<Vector> origins, dirs;
-    std::vector<double> intensities;
-    meanI = meanIncomingIntensitySimd(cell, origins, dirs, intensities,
-                                      segments);
-  } else {
-    meanI = meanIncomingIntensity(cell, segments);
-  }
+  double sum = 0.0;
+  std::vector<Vector> origins, dirs;
+  std::vector<double> intensities;
+  traceCellRays(cell, 0, m_cfg.nDivQRays, sum, origins, dirs, intensities,
+                segments);
   flushSegments(segments);
-  return meanI;
-}
-
-void Tracer::computeDivQTile(const CellRange& tile,
-                             MutableFieldView<double> divQ) const {
-  RMCRT_TRACE_SPAN("tracer", "divQ_tile");
-  if (m_cfg.adaptiveRays) {
-    computeDivQTileAdaptive(tile, divQ);
-    return;
-  }
-  const TraceLevel& L0 = m_levels.front();
-  const double kappaScale = m_cfg.kappaScale;
-  std::uint64_t segments = 0;
-  if (simdActive()) {
-    // Packet path: per-cell ray bundles through marchPacket8. Scratch is
-    // reused across the tile so the march loop performs no allocation
-    // after the first cell.
-    std::vector<Vector> origins, dirs;
-    std::vector<double> intensities;
-    for (const IntVector& c : tile) {
-      const double meanI = meanIncomingIntensitySimd(c, origins, dirs,
-                                                     intensities, segments);
-      const PackedCell& rec = L0.packed[c];
-      divQ[c] = 4.0 * M_PI * (rec.abskg * kappaScale) *
-                (rec.sigmaT4OverPi - meanI);
-    }
-  } else if (L0.packed.valid()) {
-    for (const IntVector& c : tile) {
-      const double meanI = meanIncomingIntensity(c, segments);
-      const PackedCell& rec = L0.packed[c];
-      divQ[c] = 4.0 * M_PI * (rec.abskg * kappaScale) *
-                (rec.sigmaT4OverPi - meanI);
-    }
-  } else {
-    const RadiationFieldsView& f = L0.fields;
-    for (const IntVector& c : tile) {
-      const double meanI = meanIncomingIntensity(c, segments);
-      divQ[c] = 4.0 * M_PI * (f.abskg[c] * kappaScale) *
-                (f.sigmaT4OverPi[c] - meanI);
-    }
-  }
-  flushSegments(segments);
-  const std::uint64_t nCells = static_cast<std::uint64_t>(tile.volume());
-  const std::uint64_t rays =
-      nCells * static_cast<std::uint64_t>(m_cfg.nDivQRays);
-  tracerRaysCounter().add(rays);
-  m_raysTraced.fetch_add(rays, std::memory_order_relaxed);
-  m_cellsTraced.fetch_add(nCells, std::memory_order_relaxed);
-  const std::uint64_t fan = static_cast<std::uint64_t>(m_cfg.nDivQRays);
-  std::uint64_t prev = m_maxBudget.load(std::memory_order_relaxed);
-  while (fan > prev && !m_maxBudget.compare_exchange_weak(
-                           prev, fan, std::memory_order_relaxed)) {
-  }
+  return sum / static_cast<double>(m_cfg.nDivQRays);
 }
 
 int Tracer::adaptiveBudget(double pilotMean, double pilotStddev,
@@ -604,17 +395,22 @@ void Tracer::traceCellRays(const IntVector& cell, int rBegin, int rEnd,
   for (int i = 0; i < n; ++i) sum += intensities[static_cast<std::size_t>(i)];
 }
 
-void Tracer::computeDivQTileAdaptive(const CellRange& tile,
-                                     MutableFieldView<double> divQ) const {
-  const TraceLevel& L0 = m_levels.front();
-  const int cap = m_cfg.nMaxRays > 0 ? m_cfg.nMaxRays : m_cfg.nDivQRays;
-  const int pilot = std::min(m_cfg.nPilotRays, cap);
+void Tracer::computeDivQTile(const CellRange& tile,
+                             MutableFieldView<double> divQ) const {
+  RMCRT_TRACE_SPAN("tracer", "divQ_tile");
+  const PackedFieldView& records = m_levels.front().packed;
+  // The fixed fan is the budget == nDivQRays case of the adaptive
+  // controller: its first pass traces the whole fan and the top-up pass
+  // traces nothing. Adaptive cells trace a pilot prefix first, then top
+  // up to a budget that is a pure function of (seed, cell).
+  const bool adaptive = m_cfg.adaptiveRays;
+  const int cap = adaptive && m_cfg.nMaxRays > 0 ? m_cfg.nMaxRays
+                                                 : m_cfg.nDivQRays;
+  const int first = adaptive ? std::min(m_cfg.nPilotRays, cap) : cap;
 
   struct CellState {
     double sum = 0.0;  // intensity sum over the rays traced so far
     int budget = 0;    // total rays granted to this cell
-    double abskg = 0.0;
-    double sigmaT4OverPi = 0.0;
   };
   std::vector<CellState> states;
   states.reserve(static_cast<std::size_t>(tile.volume()));
@@ -622,52 +418,55 @@ void Tracer::computeDivQTileAdaptive(const CellRange& tile,
   std::uint64_t segments = 0;
   std::vector<Vector> origins, dirs;
   std::vector<double> intensities;
-
-  {
-    // Pass 1: pilot fan + streaming variance -> deterministic budget.
-    // The budget is a function of (seed, cell) alone, so any tiling or
-    // thread schedule grants identical budgets.
-    RMCRT_TRACE_SPAN("tracer", "adaptive_pilot");
-    for (const IntVector& c : tile) {
-      CellState cs;
-      if (L0.packed.valid()) {
-        const PackedCell& rec = L0.packed[c];
-        cs.abskg = rec.abskg;
-        cs.sigmaT4OverPi = rec.sigmaT4OverPi;
-      } else {
-        cs.abskg = L0.fields.abskg[c];
-        cs.sigmaT4OverPi = L0.fields.sigmaT4OverPi[c];
-      }
-      traceCellRays(c, 0, pilot, cs.sum, origins, dirs, intensities,
-                    segments);
-      RunningStats stats;
-      for (const double I : intensities) stats.add(I);
-      cs.budget = adaptiveBudget(stats.mean(), stats.stddev(),
-                                 cs.sigmaT4OverPi);
-      states.push_back(cs);
-    }
-  }
-
   std::uint64_t raysTraced = 0;
   std::uint64_t tileMaxBudget = 0;
-  {
-    // Pass 2: top up only where the pilot missed the error target,
-    // appending to the same running sum so a cell whose budget reaches
-    // nDivQRays reproduces the fixed fan's reduction bitwise.
-    RMCRT_TRACE_SPAN("tracer", "adaptive_topup");
+
+  // Pass 1: rays [0, first) of every cell; an adaptive cell sizes its
+  // budget from the pilot's streaming variance.
+  const auto firstPass = [&] {
+    for (const IntVector& c : tile) {
+      CellState cs;
+      traceCellRays(c, 0, first, cs.sum, origins, dirs, intensities,
+                    segments);
+      cs.budget = first;
+      if (adaptive) {
+        RunningStats stats;
+        for (const double I : intensities) stats.add(I);
+        cs.budget = adaptiveBudget(stats.mean(), stats.stddev(),
+                                   records[c].sigmaT4OverPi);
+      }
+      states.push_back(cs);
+    }
+  };
+  // Pass 2: top up where the budget exceeds the first pass, appending to
+  // the same running sum so a cell whose budget reaches nDivQRays
+  // reproduces the fixed fan's reduction bitwise.
+  const auto topUpPass = [&] {
     std::size_t i = 0;
     for (const IntVector& c : tile) {
       CellState& cs = states[i++];
-      if (cs.budget > pilot)
-        traceCellRays(c, pilot, cs.budget, cs.sum, origins, dirs,
+      if (cs.budget > first)
+        traceCellRays(c, first, cs.budget, cs.sum, origins, dirs,
                       intensities, segments);
       const double meanI = cs.sum / static_cast<double>(cs.budget);
-      divQ[c] = 4.0 * M_PI * (cs.abskg * m_cfg.kappaScale) *
-                (cs.sigmaT4OverPi - meanI);
+      const PackedCell& rec = records[c];
+      divQ[c] = 4.0 * M_PI * (rec.abskg * m_cfg.kappaScale) *
+                (rec.sigmaT4OverPi - meanI);
       raysTraced += static_cast<std::uint64_t>(cs.budget);
       tileMaxBudget =
           std::max(tileMaxBudget, static_cast<std::uint64_t>(cs.budget));
     }
+  };
+  if (adaptive) {
+    {
+      RMCRT_TRACE_SPAN("tracer", "adaptive_pilot");
+      firstPass();
+    }
+    RMCRT_TRACE_SPAN("tracer", "adaptive_topup");
+    topUpPass();
+  } else {
+    firstPass();
+    topUpPass();
   }
 
   flushSegments(segments);

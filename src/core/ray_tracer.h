@@ -33,10 +33,10 @@ namespace rmcrt {
 class ThreadPool;
 }
 
-/// Whether this build carries the AVX2 packet-march path at all (the
-/// function-level `target("avx2,fma")` attribute keeps the rest of the
-/// binary baseline-ISA, so carrying the path never requires -mavx2).
-/// Runtime dispatch (Tracer::simdSupported) decides whether to call it.
+/// Whether this build carries the packet-march kernels at all (their
+/// `#pragma GCC target` regions keep the rest of the binary baseline-ISA,
+/// so carrying them never requires -mavx2). Runtime dispatch
+/// (Tracer::simdSupported) decides whether to call them.
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define RMCRT_SIMD_X86 1
 #else
@@ -96,15 +96,9 @@ struct TraceConfig {
   /// aggregation: one atomic add per tile, none in the march loop. The
   /// default keeps a tile's field data within L1/L2 reach.
   IntVector tileSize = IntVector(8, 8, 8);
-  /// March over fused PackedCell records with an incremental-stride DDA
-  /// (the default; bitwise identical to the legacy three-view path) or
-  /// over the separate property views (the pre-packing layout, kept for
-  /// the bench_rmcrt_kernel --packed/--unpacked A/B and for regression
-  /// hunting). Levels that only supply packed records (the simulated-GPU
-  /// kernel) march packed regardless.
-  bool usePackedFields = true;
-  /// March 8 rays in lockstep with AVX2 (marchPacket8, DESIGN.md §14)
-  /// when the host supports it and the first level carries packed
+  /// March rays in lockstep, one per SIMD lane (the packet march,
+  /// DESIGN.md §14), when the host supports it and the first level carries
+  /// packed
   /// records; rays retire from lanes on wall hit / extinction / ROI exit
   /// and lanes refill from the pending bundle. Off by default: the SIMD
   /// path uses a vectorized exp and agrees with the scalar golden march
@@ -201,8 +195,7 @@ class Tracer {
  public:
   /// Levels whose `packed` view is unset are fused into Tracer-owned
   /// PackedCell arrays here (and the owned storage lives as long as the
-  /// Tracer), unless cfg.usePackedFields is off — then legacy-capable
-  /// levels march the separate views instead.
+  /// Tracer); every level marches PackedCell records.
   /// \throws std::invalid_argument when cfg.nDivQRays <= 0: the divQ
   /// estimator divides by nDivQRays, so a non-positive count would
   /// silently fill divQ with NaN/inf.
@@ -218,14 +211,14 @@ class Tracer {
   static bool simdSupported();
 
   /// Name of the instruction set the packet march would use on this
-  /// host: "avx512" (AVX-512 F/DQ/VL/BW kernel, 8 lanes per register),
-  /// "avx2" (two 4-lane halves), or "none" when simdSupported() is
-  /// false. RMCRT_FORCE_AVX2=1 pins an AVX-512 host to the AVX2 kernel
+  /// host: "avx512" (AVX-512 F/DQ/VL/BW instance, 8 lanes per register),
+  /// "avx2" (4 lanes per register), or "none" when simdSupported() is
+  /// false. RMCRT_FORCE_AVX2=1 pins an AVX-512 host to the AVX2 instance
   /// (the CI fallback matrix uses it); RMCRT_NO_SIMD=1 yields "none".
   /// Recorded in the benchmark JSON so speedups compare like for like.
   static const char* simdIsa();
 
-  /// True when traceRays will take the 8-wide packet path: useSimd is
+  /// True when traceRays will take the packet path: useSimd is
   /// set, the host qualifies, and level 0 carries packed records.
   bool simdActive() const {
     return m_cfg.useSimd && m_levels.front().packed.valid() &&
@@ -242,7 +235,7 @@ class Tracer {
 
   /// Trace \p n independent rays (origins[i], dirs[i]) starting on level
   /// 0, writing each ray's incoming intensity to out[i]. Dispatches to
-  /// the 8-wide AVX2 packet march when simdActive(); otherwise loops the
+  /// the SIMD packet march when simdActive(); otherwise loops the
   /// scalar march, in which case out[i] is bitwise identical to
   /// traceRay(origins[i], dirs[i]). The SIMD path marches the exact same
   /// cell sequence per ray but evaluates the per-segment exp with a
@@ -252,7 +245,7 @@ class Tracer {
                  double* out) const;
 
   /// Mean incoming intensity over nDivQRays rays for \p cell (a cell of
-  /// levels[0]).
+  /// levels[0]): the fixed fan through traceCellRays.
   double meanIncomingIntensity(const IntVector& cell) const;
 
   /// Compute divQ for every cell in \p cells (cells of levels[0]).
@@ -286,7 +279,9 @@ class Tracer {
     const SpectralTracer* spectral = nullptr;
   };
 
-  /// Serial divQ over one tile — the batch work-unit entry point. Every
+  /// Serial divQ over one tile — the batch work-unit entry point. Each
+  /// cell traces its ray budget: nDivQRays (the fixed fan) or, with
+  /// adaptiveRays, a pilot fan plus a variance-sized top-up. Every
   /// cell's rays are fixed by (seed, cell, ray), so any partition of a
   /// region into tile calls produces results bitwise identical to one
   /// computeDivQ over the whole region. Flushes the tile's segment count
@@ -345,22 +340,19 @@ class Tracer {
   }
 
  private:
-  /// March within level \p li from physical position \p pos; accumulates
-  /// into sumI/transmissivity and counts cell crossings into the caller's
-  /// local \p segments; returns true if the ray is finished (wall,
-  /// threshold or domain exit), false if it left `allowed` and should
-  /// continue on level li+1 at the updated \p pos. Dispatches to the
-  /// packed incremental-stride DDA when the level carries packed records,
-  /// else to the legacy three-view march; both perform the exact same FP
-  /// operations in the exact same order, so results are bitwise
-  /// identical.
-  bool marchLevel(std::size_t li, Vector& pos, const Vector& dir,
-                  double& sumI, double& transmissivity,
-                  std::uint64_t& segments) const;
+  /// The packet kernels' view of this tracer (ray_tracer_simd.cc): reads
+  /// the level-0 records and config, and finishes handed-off rays through
+  /// finishRayCoarse.
+  friend struct PacketMarch;
+
+  /// March within level \p li from physical position \p pos through its
+  /// PackedCell records (the incremental-stride DDA, DESIGN.md §12) — the
+  /// scalar golden reference; accumulates into sumI/transmissivity and
+  /// counts cell crossings into the caller's local \p segments; returns
+  /// true if the ray is finished (wall, threshold or domain exit), false
+  /// if it left `allowed` and should continue on level li+1 at the
+  /// updated \p pos.
   bool marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
-                        double& sumI, double& transmissivity,
-                        std::uint64_t& segments) const;
-  bool marchLevelLegacy(std::size_t li, Vector& pos, const Vector& dir,
                         double& sumI, double& transmissivity,
                         std::uint64_t& segments) const;
 
@@ -379,38 +371,21 @@ class Tracer {
   void traceRaysScalar(int n, const Vector* origins, const Vector* dirs,
                        double* out, std::uint64_t& segments) const;
 
-  /// The 8-wide AVX2 packet march (marchPacket8; ray_tracer_simd.cc,
-  /// DESIGN.md §14). SoA lane state, branchless min-axis selection via
-  /// vector compares/blends, masked lane retirement on wall hit /
-  /// extinction / `allowed` exit, with retired lanes refilled from the
-  /// pending bundle. Rays that exit level 0's allowed box retire from
-  /// the packet and finish on the coarser levels via the scalar march.
-  /// Callers must check simdActive() first.
+  /// The SIMD packet march (ray_tracer_simd.cc, DESIGN.md §14): one
+  /// kernel template, instantiated for AVX-512 and AVX2 and picked at
+  /// runtime. SoA lane state, branchless min-axis selection via vector
+  /// compares, masked lane retirement on wall hit / extinction /
+  /// `allowed` exit, with retired lanes refilled from the pending
+  /// bundle. Rays that exit level 0's allowed box retire from the packet
+  /// and finish on the coarser levels via the scalar march. Callers must
+  /// check simdActive() first.
   void traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
                      double* out, std::uint64_t& segments) const;
-
-#if RMCRT_SIMD_X86
-  /// The two ISA-specific packet kernels behind traceRaysSimd's runtime
-  /// dispatch. Both march the bitwise-identical cell sequence; they
-  /// differ only in packet shape (AVX2: one packet as two 4-lane
-  /// halves; AVX-512: two independent 8-lane packets interleaved to
-  /// hide gather/exp latency) and in the vector exp kernel's rounding,
-  /// so each agrees with the scalar reference within the same
-  /// documented ULP tolerance.
-  void traceRaysAvx2(int n, const Vector* origins, const Vector* dirs,
-                     double* out, std::uint64_t& segments) const;
-  void traceRaysAvx512(int n, const Vector* origins, const Vector* dirs,
-                       double* out, std::uint64_t& segments) const;
-#endif
 
   /// Finish a ray that left level 0's allowed box at \p pos: the coarse
   /// continuation loop shared by the scalar and packet paths.
   void finishRayCoarse(Vector pos, const Vector& dir, double& sumI,
                        double& transmissivity, std::uint64_t& segments) const;
-
-  /// meanIncomingIntensity with a caller-owned segment counter.
-  double meanIncomingIntensity(const IntVector& cell,
-                               std::uint64_t& segments) const;
 
   /// Deterministic per-cell ray budget from the pilot statistics alone —
   /// a pure function of (seed, cell), never of threads or tiles:
@@ -420,40 +395,23 @@ class Tracer {
   int adaptiveBudget(double pilotMean, double pilotStddev,
                      double sigmaT4OverPi) const;
 
-  /// Trace rays [rBegin, rEnd) of \p cell's (seed, cell, ray) streams —
-  /// identical RNG consumption to the fixed fan's prefix — appending
-  /// per-ray intensities to \p sum in ray order. Dispatches to the
-  /// packet march (via the reusable bundle scratch) when simdActive(),
-  /// else the scalar loop; intensities[] holds the per-ray values of
-  /// this range on return (pilot pass reads them for the variance).
+  /// The one cell-fan routine: trace rays [rBegin, rEnd) of \p cell's
+  /// (seed, cell, ray) streams — ray r always draws from Rng(seed, cell,
+  /// r), so any range is a slice of the fixed fan — appending per-ray
+  /// intensities to \p sum in ray order. Dispatches to the packet march
+  /// (via the reusable bundle scratch) when simdActive(), else the
+  /// scalar loop; intensities[] holds the per-ray values of this range
+  /// on return (the adaptive pilot pass reads them for the variance).
   void traceCellRays(const IntVector& cell, int rBegin, int rEnd,
                      double& sum, std::vector<Vector>& origins,
                      std::vector<Vector>& dirs,
                      std::vector<double>& intensities,
                      std::uint64_t& segments) const;
 
-  /// The two-pass adaptive tile: pilot fan + variance-sized top-up per
-  /// cell, both passes consuming the same (seed, cell, ray) streams as
-  /// the fixed fan (pilot = rays 0..nPilot-1; the top-up continues the
-  /// prefix) and summed in ray order, so a cell whose budget reaches
-  /// nDivQRays reproduces its fixed-fan divQ bitwise.
-  void computeDivQTileAdaptive(const CellRange& tile,
-                               MutableFieldView<double> divQ) const;
-
   /// Publish tracer.rays_per_cell_{mean,max} from the ray statistics —
   /// called at the end of computeDivQ / computeDivQBatch (not per tile,
   /// so concurrent tiles never race on the gauges).
   void publishRayGauges() const;
-
-  /// Packet-path meanIncomingIntensity: generates the exact same
-  /// (origin, dir) bundle as the scalar loop (identical RNG consumption),
-  /// traces it through traceRaysSimd into \p scratch, and sums per-ray
-  /// intensities in ray order.
-  double meanIncomingIntensitySimd(const IntVector& cell,
-                                   std::vector<Vector>& origins,
-                                   std::vector<Vector>& dirs,
-                                   std::vector<double>& intensities,
-                                   std::uint64_t& segments) const;
 
   std::vector<TraceLevel> m_levels;
   WallProperties m_walls;

@@ -387,8 +387,8 @@ void runGpuTraceAttempt(const TaskContext& ctx, const PipelineState& st,
   const TraceConfig cfg = st.trace;
   const BandModel bands = st.bands;
   stream->enqueueKernel([=, &dPackedF, &dPackedC, &dDivQ] {
-    // Packed-only levels: `fields` stays invalid, so the Tracer neither
-    // re-packs nor falls back to the legacy march.
+    // Packed-only levels: `fields` stays invalid, so the Tracer marches
+    // the device records without re-packing.
     TraceLevel fineTL{fineGeom, RadiationFieldsView{}, dPackedF.window,
                       PackedFieldView::fromDevice(dPackedF)};
     TraceLevel coarseTL{coarseGeom, RadiationFieldsView{}, coarseGeom.cells,

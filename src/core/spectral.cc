@@ -19,13 +19,11 @@ SpectralTracer::SpectralTracer(const std::vector<TraceLevel>& levels,
   // (TraceConfig::kappaScale), so bands share the same PackedCell
   // records — and, for GPU-staged levels, the same single device upload
   // — instead of the per-band scaled field copies the old driver built.
-  if (cfg.usePackedFields) {
-    m_sharedPacked.reserve(m_levels.size());
-    for (TraceLevel& L : m_levels) {
-      if (L.packed.valid() || !L.fields.abskg.valid()) continue;
-      m_sharedPacked.emplace_back(L.fields);
-      L.packed = m_sharedPacked.back().view();
-    }
+  m_sharedPacked.reserve(m_levels.size());
+  for (TraceLevel& L : m_levels) {
+    if (L.packed.valid() || !L.fields.abskg.valid()) continue;
+    m_sharedPacked.emplace_back(L.fields);
+    L.packed = m_sharedPacked.back().view();
   }
   m_tracers.reserve(m_bands.size());
   for (std::size_t b = 0; b < m_bands.size(); ++b) {

@@ -203,15 +203,6 @@ TEST(AdaptiveSampling, BudgetIsPureFunctionOfSeedAndCell) {
   expectBitwiseEqual(whole, assembled);
 }
 
-TEST(AdaptiveSampling, PackedAndLegacyLayoutsAgreeBitwise) {
-  Harness h(burnsChriston());
-  TraceConfig packed = adaptiveCfg();
-  TraceConfig legacy = adaptiveCfg();
-  packed.usePackedFields = true;
-  legacy.usePackedFields = false;
-  expectBitwiseEqual(h.solve(packed), h.solve(legacy));
-}
-
 TEST(AdaptiveSampling, SavesRaysAtBoundedError) {
   Harness h(burnsChriston());
   Tracer fixed = h.makeTracer(fixedCfg());

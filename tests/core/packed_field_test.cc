@@ -1,10 +1,9 @@
 /// The packed kernel data layout (DESIGN.md §12): record fusion
 /// semantics, the incremental-stride invariants the DDA relies on, the
-/// PackedLevelCache repack bookkeeping, and — the load-bearing claim —
-/// bitwise identity of divQ and boundaryFlux between the packed
-/// incremental-stride march and the legacy three-view march on a
-/// two-level ROI configuration that exercises wall-cell absorption,
-/// coarse-level handoff, and domain-exit paths, serial and threaded.
+/// PackedLevelCache repack bookkeeping, and that a shared pre-packed
+/// level marches bitwise like Tracer-owned packing on a two-level ROI
+/// configuration that exercises wall-cell absorption, coarse-level
+/// handoff, and domain-exit paths.
 /// Built standalone so the TSan and ASan+UBSan CI jobs run it too.
 
 #include <gtest/gtest.h>
@@ -16,7 +15,6 @@
 #include "core/ray_tracer.h"
 #include "grid/grid.h"
 #include "grid/operators.h"
-#include "util/thread_pool.h"
 
 namespace rmcrt::core {
 namespace {
@@ -175,7 +173,7 @@ struct TwoLevelFixture {
               .intersect(grid->fineLevel().cells());
   }
 
-  Tracer tracer(bool packed, int rays = 12) const {
+  Tracer tracer(int rays = 12) const {
     TraceLevel fineTL{LevelGeom::from(grid->fineLevel()),
                       RadiationFieldsView{FieldView<double>::fromHost(fAbs),
                                           FieldView<double>::fromHost(fSig),
@@ -190,64 +188,15 @@ struct TwoLevelFixture {
     TraceConfig cfg;
     cfg.nDivQRays = rays;
     cfg.seed = 33;
-    cfg.usePackedFields = packed;
     return Tracer({fineTL, coarseTL}, WallProperties{0.25, 0.9}, cfg);
   }
 };
-
-TEST(PackedVsLegacy, DivQBitwiseIdenticalOnTwoLevelRoi) {
-  const TwoLevelFixture fx;
-  Tracer packed = fx.tracer(true);
-  Tracer legacy = fx.tracer(false);
-
-  CCVariable<double> divQPacked(fx.patch, 0.0), divQLegacy(fx.patch, 0.0);
-  packed.computeDivQ(fx.patch, MutableFieldView<double>::fromHost(divQPacked));
-  legacy.computeDivQ(fx.patch, MutableFieldView<double>::fromHost(divQLegacy));
-  for (const IntVector& c : fx.patch)
-    ASSERT_EQ(divQPacked[c], divQLegacy[c]) << "cell " << c;
-  // Identical FP ops in identical order also means identical marching
-  // work: the segment counters must agree exactly.
-  EXPECT_EQ(packed.segmentCount(), legacy.segmentCount());
-}
-
-TEST(PackedVsLegacy, DivQBitwiseIdenticalThreaded) {
-  const TwoLevelFixture fx;
-  Tracer packed = fx.tracer(true);
-  Tracer legacy = fx.tracer(false);
-  ThreadPool pool(4);
-
-  CCVariable<double> divQPacked(fx.patch, 0.0), divQLegacy(fx.patch, 0.0);
-  packed.computeDivQ(fx.patch, MutableFieldView<double>::fromHost(divQPacked),
-                     &pool);
-  legacy.computeDivQ(fx.patch, MutableFieldView<double>::fromHost(divQLegacy),
-                     &pool);
-  for (const IntVector& c : fx.patch)
-    ASSERT_EQ(divQPacked[c], divQLegacy[c]) << "cell " << c;
-}
-
-TEST(PackedVsLegacy, BoundaryFluxBitwiseIdentical) {
-  const TwoLevelFixture fx;
-  Tracer packed = fx.tracer(true);
-  Tracer legacy = fx.tracer(false);
-  ThreadPool pool(4);
-
-  // A boundary face of the ROI patch: rays sweep the inward hemisphere,
-  // crossing fine cells, coarse cells, the wall block, and the far
-  // domain boundary.
-  const IntVector cell(0, 2, 2);
-  const IntVector face(-1, 0, 0);
-  const double serialPacked = packed.boundaryFlux(cell, face, 64);
-  const double serialLegacy = legacy.boundaryFlux(cell, face, 64);
-  EXPECT_EQ(serialPacked, serialLegacy);
-  const double pooledPacked = packed.boundaryFlux(cell, face, 64, &pool);
-  EXPECT_EQ(pooledPacked, serialLegacy);
-}
 
 TEST(PackedVsLegacy, SharedPackedViewMatchesTracerOwnedPacking) {
   // Supplying a pre-packed coarse view (the PackedLevelCache path) must
   // be indistinguishable from letting the Tracer pack it itself.
   const TwoLevelFixture fx;
-  Tracer owned = fx.tracer(true);
+  Tracer owned = fx.tracer();
 
   const PackedLevelField coarsePacked(
       RadiationFieldsView{FieldView<double>::fromHost(fx.cAbs),

@@ -20,7 +20,9 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/problems.h"
@@ -102,9 +104,11 @@ struct SingleLevelSetup {
 /// Deterministic ray bundle spanning the direction sphere plus the
 /// degenerate cases: axis-aligned (two exactly-zero components, both
 /// signs of zero), axis-plane diagonals, the corner diagonal, and
-/// near-axis directions. Sized to leave a partial final packet.
+/// near-axis directions, with origins uniform in [lo, lo + span]^3.
+/// Sized to leave a partial final packet.
 void makeRayBundle(int n, std::vector<Vector>& origins,
-                   std::vector<Vector>& dirs) {
+                   std::vector<Vector>& dirs, double lo = 0.05,
+                   double span = 0.9) {
   origins.clear();
   dirs.clear();
   const Vector special[] = {
@@ -120,10 +124,9 @@ void makeRayBundle(int n, std::vector<Vector>& origins,
   for (int i = 0; i < n; ++i) {
     Rng rng(/*seed=*/1234, IntVector(i, 2 * i, 3 * i),
             static_cast<std::uint32_t>(i));
-    origins.push_back(Vector(0.05, 0.05, 0.05) +
-                      Vector(rng.nextDouble(), rng.nextDouble(),
-                             rng.nextDouble()) *
-                          0.9);
+    origins.push_back(Vector(lo) + Vector(rng.nextDouble(), rng.nextDouble(),
+                                          rng.nextDouble()) *
+                                       span);
     if (i < static_cast<int>(std::size(special)))
       dirs.push_back(special[static_cast<std::size_t>(i)]);
     else
@@ -266,53 +269,184 @@ TEST(SimdMarch, SegmentCountsAgreeWithScalar) {
   EXPECT_GT(a, 0);
 }
 
-TEST(SimdMarch, TwoLevelHandoffParity) {
-  // Fine ROI + coarse continuation: rays leaving the fine allowed box
-  // retire from the packet and finish on the coarse level through the
-  // scalar march — intensities must still match the all-scalar result
-  // within the ULP budget.
-  auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
-                                 IntVector(4), IntVector(16), IntVector(4));
-  const grid::Level& fine = grid->fineLevel();
-  const grid::Level& coarse = grid->coarseLevel();
+/// Burns-Christon on a 16^3 fine level over a 4^3 coarse level, marching
+/// the fine level only inside a cubic ROI.
+struct TwoLevelSetup {
+  std::shared_ptr<Grid> grid = Grid::makeTwoLevel(
+      Vector(0.0), Vector(1.0), IntVector(16), IntVector(4), IntVector(16),
+      IntVector(4));
   RadiationProblem prob = burnsChriston();
-  CCVariable<double> fAbs(fine.cells(), 0.0), fSig(fine.cells(), 0.0);
-  CCVariable<CellType> fCt(fine.cells(), CellType::Flow);
-  initializeProperties(fine, prob, fAbs, fSig, fCt);
-  CCVariable<double> cAbs(coarse.cells(), 0.0), cSig(coarse.cells(), 0.0);
-  CCVariable<CellType> cCt(coarse.cells(), CellType::Flow);
-  grid::coarsenAverage(fAbs, fine.refinementRatio(), cAbs, coarse.cells());
-  grid::coarsenAverage(fSig, fine.refinementRatio(), cSig, coarse.cells());
-  grid::coarsenCellType(fCt, fine.refinementRatio(), cCt, coarse.cells());
+  CCVariable<double> fAbs{grid->fineLevel().cells(), 0.0};
+  CCVariable<double> fSig{grid->fineLevel().cells(), 0.0};
+  CCVariable<CellType> fCt{grid->fineLevel().cells(), CellType::Flow};
+  CCVariable<double> cAbs{grid->coarseLevel().cells(), 0.0};
+  CCVariable<double> cSig{grid->coarseLevel().cells(), 0.0};
+  CCVariable<CellType> cCt{grid->coarseLevel().cells(), CellType::Flow};
+  CellRange roi;
 
-  // Small ROI in the middle of the fine level so most rays hand off.
-  const CellRange roi(IntVector(5, 5, 5), IntVector(11, 11, 11));
-  const WallProperties walls{prob.wallSigmaT4OverPi, prob.wallEmissivity};
-  auto makeTracer = [&](bool simdOn) {
+  explicit TwoLevelSetup(int roiLow, int roiHigh)
+      : roi(IntVector(roiLow), IntVector(roiHigh)) {
+    const grid::Level& fine = grid->fineLevel();
+    const grid::Level& coarse = grid->coarseLevel();
+    initializeProperties(fine, prob, fAbs, fSig, fCt);
+    grid::coarsenAverage(fAbs, fine.refinementRatio(), cAbs, coarse.cells());
+    grid::coarsenAverage(fSig, fine.refinementRatio(), cSig, coarse.cells());
+    grid::coarsenCellType(fCt, fine.refinementRatio(), cCt, coarse.cells());
+  }
+
+  Tracer makeTracer(bool simd) const {
     TraceConfig cfg;
     cfg.nDivQRays = 32;
     cfg.seed = 5;
-    cfg.useSimd = simdOn;
-    TraceLevel fineTL{LevelGeom::from(fine),
+    cfg.useSimd = simd;
+    TraceLevel fineTL{LevelGeom::from(grid->fineLevel()),
                       RadiationFieldsView{FieldView<double>::fromHost(fAbs),
                                           FieldView<double>::fromHost(fSig),
                                           FieldView<CellType>::fromHost(fCt)},
                       roi};
     TraceLevel coarseTL{
-        LevelGeom::from(coarse),
+        LevelGeom::from(grid->coarseLevel()),
         RadiationFieldsView{FieldView<double>::fromHost(cAbs),
                             FieldView<double>::fromHost(cSig),
                             FieldView<CellType>::fromHost(cCt)},
-        coarse.cells()};
-    return Tracer({fineTL, coarseTL}, walls, cfg);
-  };
-  const Tracer simd = makeTracer(true);
-  const Tracer scalar = makeTracer(false);
+        grid->coarseLevel().cells()};
+    return Tracer({fineTL, coarseTL},
+                  WallProperties{prob.wallSigmaT4OverPi, prob.wallEmissivity},
+                  cfg);
+  }
+
+  /// A bundle whose origins lie inside the ROI.
+  void bundle(int n, std::vector<Vector>& origins,
+              std::vector<Vector>& dirs) const {
+    makeRayBundle(n, origins, dirs, roi.low().x() / 16.0 + 1e-3,
+                  roi.size().x() / 16.0 - 2e-3);
+  }
+};
+
+TEST(SimdMarch, TwoLevelHandoffParity) {
+  // Fine ROI + coarse continuation: rays leaving the fine allowed box
+  // retire from the packet and finish on the coarse level through the
+  // scalar march — intensities must still match the all-scalar result
+  // within the ULP budget. A small central ROI makes most rays hand off.
+  const TwoLevelSetup setup(5, 11);
+  const Tracer simd = setup.makeTracer(true);
+  const Tracer scalar = setup.makeTracer(false);
   for (const IntVector& c :
        {IntVector(8, 8, 8), IntVector(6, 9, 10), IntVector(10, 5, 7)}) {
     const double a = simd.meanIncomingIntensity(c);
     const double b = scalar.meanIncomingIntensity(c);
     EXPECT_LE(ulpDistance(a, b), kUlpTolerance) << "cell " << c;
+  }
+}
+
+TEST(SimdMarch, TwoLevelSegmentCountsMatchScalarExactly) {
+  // The packet march walks the scalar march's exact cell sequence, and no
+  // Burns-Christon ray reaches the 1e-4 extinction threshold, so the
+  // segment count is pure geometry: it must match with no slack, across
+  // the fine-to-coarse handoff too. (A fused multiply-add in the packet
+  // kernels' setup or handoff position moves rays onto other cells.)
+  const TwoLevelSetup setup(4, 12);
+  Tracer simd = setup.makeTracer(true);
+  Tracer scalar = setup.makeTracer(false);
+  std::vector<Vector> origins, dirs;
+  const int n = 5003;
+  setup.bundle(n, origins, dirs);
+  std::vector<double> out(static_cast<std::size_t>(n));
+  simd.traceRays(n, origins.data(), dirs.data(), out.data());
+  scalar.traceRays(n, origins.data(), dirs.data(), out.data());
+  EXPECT_EQ(simd.segmentCount(), scalar.segmentCount());
+  EXPECT_GT(scalar.segmentCount(), static_cast<std::uint64_t>(n));
+}
+
+/// Sets RMCRT_FORCE_AVX2 for one scope and restores the previous value;
+/// the dispatch reads the variable on every call.
+class ForceAvx2 {
+ public:
+  explicit ForceAvx2(bool on) {
+    if (const char* e = std::getenv(kVar)) m_saved = e, m_had = true;
+    if (on)
+      setenv(kVar, "1", 1);
+    else
+      unsetenv(kVar);
+  }
+  ~ForceAvx2() {
+    if (m_had)
+      setenv(kVar, m_saved.c_str(), 1);
+    else
+      unsetenv(kVar);
+  }
+
+ private:
+  static constexpr const char* kVar = "RMCRT_FORCE_AVX2";
+  std::string m_saved;
+  bool m_had = false;
+};
+
+/// Traces the bundle through the AVX-512 and then the AVX2 instance and
+/// requires bitwise-identical per-ray intensities and equal segment
+/// counts: the two instances run one kernel source over the same IEEE
+/// operations, so the lane width must not change a single bit.
+void expectInstancesBitwiseEqual(Tracer& t, const std::vector<Vector>& origins,
+                                 const std::vector<Vector>& dirs) {
+  const int n = static_cast<int>(origins.size());
+  std::vector<double> wide(origins.size()), narrow(origins.size());
+  std::uint64_t wideSegs = 0, narrowSegs = 0;
+  {
+    const ForceAvx2 env(false);
+    ASSERT_STREQ(Tracer::simdIsa(), "avx512");
+    t.resetSegmentCount();
+    t.traceRays(n, origins.data(), dirs.data(), wide.data());
+    wideSegs = t.segmentCount();
+  }
+  {
+    const ForceAvx2 env(true);
+    ASSERT_STREQ(Tracer::simdIsa(), "avx2");
+    t.resetSegmentCount();
+    t.traceRays(n, origins.data(), dirs.data(), narrow.data());
+    narrowSegs = t.segmentCount();
+  }
+  EXPECT_EQ(wideSegs, narrowSegs);
+  int mismatched = 0, first = -1;
+  for (int i = 0; i < n; ++i) {
+    const std::size_t s = static_cast<std::size_t>(i);
+    if (std::memcmp(&wide[s], &narrow[s], sizeof(double)) != 0) {
+      if (first < 0) first = i;
+      ++mismatched;
+    }
+  }
+  EXPECT_EQ(mismatched, 0)
+      << "rays differ between instances; first is ray " << first;
+}
+
+TEST(SimdMarch, Avx2AndAvx512InstancesAgreeBitwise) {
+  if (std::string(Tracer::simdIsa()) != "avx512")
+    GTEST_SKIP() << "needs an AVX-512 host to run both instances";
+  std::vector<Vector> origins, dirs;
+  const int n = 5003;
+  {
+    SCOPED_TRACE("single level");
+    SingleLevelSetup setup(burnsChriston(), IntVector(16));
+    Tracer t = setup.makeTracer(true);
+    makeRayBundle(n, origins, dirs);
+    expectInstancesBitwiseEqual(t, origins, dirs);
+  }
+  {
+    SCOPED_TRACE("interior wall");
+    SingleLevelSetup setup(uniformMedium(0.5, 1.0), IntVector(16));
+    for (const auto& c : setup.ct.window())
+      if (c.x() == 11) setup.ct[c] = CellType::Wall;
+    TraceConfig cfg;
+    cfg.threshold = 1e-10;
+    Tracer t = setup.makeTracer(true, cfg);
+    makeRayBundle(n, origins, dirs);
+    expectInstancesBitwiseEqual(t, origins, dirs);
+  }
+  {
+    SCOPED_TRACE("two level");
+    const TwoLevelSetup setup(4, 12);
+    Tracer t = setup.makeTracer(true);
+    setup.bundle(n, origins, dirs);
+    expectInstancesBitwiseEqual(t, origins, dirs);
   }
 }
 

@@ -187,7 +187,6 @@ TEST(SpectralTracer, SharedPackAcrossBands) {
   SpectralHarness h(burnsChriston());
   TraceConfig cfg;
   cfg.nDivQRays = 4;
-  cfg.usePackedFields = true;
   SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
   const PackedCell* base =
       spectral.bandTracer(0).levels()[0].packed.data();

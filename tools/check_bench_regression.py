@@ -12,20 +12,13 @@ throughput collapse:
 
     check_bench_regression.py --current ci.json --baseline BENCH_rmcrt_kernel.json
 
-  1. Every bitwise_match flag in the current run is true (thread sweep,
-     layout A/B, segment microbench) — a perf number from a wrong answer
-     is meaningless.
+  1. Every thread-sweep bitwise_match flag in the current run is true —
+     a perf number from a wrong answer is meaningless.
   2. Single-thread sweep Mseg/s >= tolerance * the baseline's. The
-     default tolerance of 0.5 only catches collapses (an accidental
-     debug-layout revert, an O(N) regression in the march loop), not
-     machine-to-machine noise: CI runners and the baseline host differ,
-     so tighter bounds would flake.
-  3. The packed layout has not collapsed against unpacked. The segment
-     microbench (a fixed ray bundle through the bare march loop) is the
-     stable signal and must show speedup >= 1.0; the end-to-end divQ A/B
-     shares its timing with per-ray sampling overhead and inherits
-     single-core runner jitter, so it only fails below 0.75.
-  4. The SIMD packet march has not collapsed against the scalar golden
+     default tolerance of 0.5 only catches collapses (an O(N) regression
+     in the march loop), not machine-to-machine noise: CI runners and
+     the baseline host differ, so tighter bounds would flake.
+  3. The SIMD packet march has not collapsed against the scalar golden
      reference, with an ISA-dependent floor, and its worst per-ray
      deviation stays inside the documented ULP envelope. Hosts where
      Tracer::simdSupported() is false skip the perf floor but still must
@@ -103,17 +96,10 @@ import sys
 # thresholds.
 SCHEMA = {
     "kernel": {
-        # Sections whose bitwise_match flag must be true when present.
-        "bitwise_sections": ("layout", "segment_microbench"),
-        # (section, floor, label): packed-vs-unpacked speedup floors.
-        "speedup_floors": (
-            ("segment_microbench", 1.0, "segment microbench"),
-            ("layout", 0.75, "divQ layout A/B"),
-        ),
-        # Within-run SIMD-vs-scalar floor per reported ISA. The AVX-512
-        # kernel marches two interleaved 8-lane packets and measures ~3x
-        # on the committed baseline host, so 1.5 only catches collapses;
-        # the AVX2 kernel is roughly at scalar parity on wide cores.
+        # Within-run SIMD-vs-scalar floor per reported ISA. On the
+        # baseline host the AVX-512 instance measures ~3x at 128^3 and
+        # ~2-3x at the 16^3 smoke size, the AVX2 instance ~2x and ~1.4x,
+        # so both floors only catch collapses.
         "simd_speedup_floor": {"avx512": 1.5, "avx2": 0.6},
         # Loose ceiling on worst per-ray |simd-scalar|/|scalar|; the
         # simd_march_test harness enforces the real 4096-ULP bound.
@@ -199,16 +185,10 @@ def single_thread_mseg(doc, path):
                         "wrong or incomplete bench JSON?")
 
 
-def check_kernel_bitwise(doc, path):
-    bad = []
-    for sample in doc.get("sweep", []):
-        if sample.get("bitwise_match") is not True:
-            bad.append(f"sweep threads={sample.get('threads')}")
-    for section in SCHEMA["kernel"]["bitwise_sections"]:
-        entry = doc.get(section)
-        if entry is not None and entry.get("bitwise_match") is not True:
-            bad.append(section)
-    return bad
+def check_kernel_bitwise(doc):
+    return [f"sweep threads={sample.get('threads')}"
+            for sample in doc.get("sweep", [])
+            if sample.get("bitwise_match") is not True]
 
 
 def check_simd(current, baseline, cur_path, base_path):
@@ -252,7 +232,7 @@ def check_simd(current, baseline, cur_path, base_path):
 
 def check_kernel(current, baseline, cur_path, base_path, tolerance):
     failures = []
-    bad_bitwise = check_kernel_bitwise(current, cur_path)
+    bad_bitwise = check_kernel_bitwise(current)
     if bad_bitwise:
         failures.append("bitwise mismatch in: " + ", ".join(bad_bitwise))
 
@@ -266,23 +246,6 @@ def check_kernel(current, baseline, cur_path, base_path, tolerance):
     if cur < floor:
         failures.append(
             f"single-thread Mseg/s collapsed: {cur:.2f} < {floor:.2f}")
-
-    for key, spd_floor, label in SCHEMA["kernel"]["speedup_floors"]:
-        entry = current.get(key)
-        if entry is None:
-            continue
-        where = f"{cur_path} {key}"
-        speedup = require_number(entry, "speedup", where)
-        packed = require_number(entry, "packed_mseg_per_s", where)
-        unpacked = require_number(entry, "unpacked_mseg_per_s", where)
-        verdict = "OK" if speedup >= spd_floor else "FAIL"
-        print(f"{label}: packed {packed:.2f} "
-              f"vs unpacked {unpacked:.2f} Mseg/s "
-              f"({speedup:.2f}x, floor {spd_floor}) [{verdict}]")
-        if speedup < spd_floor:
-            failures.append(
-                f"{label}: packed vs unpacked collapsed ({speedup:.2f}x "
-                f"< {spd_floor}x)")
 
     failures.extend(check_simd(current, baseline, cur_path, base_path))
     return failures

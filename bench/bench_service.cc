@@ -1,14 +1,12 @@
 /// \file bench_service.cc
 /// Radiation-as-a-service load generator (DESIGN.md §16): N tenant
 /// threads flood one registered scene with a mixed divQ / boundary-flux /
-/// radiometer query stream, once against the batched service (cross-
-/// request tile coalescing, one shared coarse upload per generation) and
-/// once against the naive one-solve-per-request baseline (same pool,
-/// same queries — every request re-packs its own records and stages its
-/// own coarse copy). Emits BENCH_service.json with queries/s and the
-/// streaming p50/p99 latency for both modes plus a bitwise accuracy
-/// verdict (every response compared element-wise across modes), gated in
-/// CI by tools/check_bench_regression.py --mode service.
+/// radiometer query stream against the batched service (cross-request
+/// tile coalescing, one shared coarse upload per generation). Emits
+/// BENCH_service.json with queries/s and the streaming p50/p99 latency
+/// plus a bitwise accuracy verdict (every response compared element-wise
+/// against Service::solve*OneShot on the same query), gated in CI by
+/// tools/check_bench_regression.py --mode service.
 ///
 ///   --smoke        small scene + short stream (CI smoke / soak mode)
 ///   --json=<path>  output path (default BENCH_service.json)
@@ -68,8 +66,8 @@ core::RmcrtSetup makeSetup(int nRays) {
 }
 
 /// Deterministic query mix for tenant t, sequence j. Every response is
-/// stored at slot t*Q+j so the two modes compare element-wise no matter
-/// what order the service drained them in.
+/// stored at slot t*Q+j so it compares element-wise against the one-shot
+/// answer to the same plan no matter what order the service drained it in.
 struct QueryPlan {
   enum class Kind { DivQ, Flux, Radiometer };
   Kind kind = Kind::DivQ;
@@ -89,7 +87,7 @@ QueryPlan planQuery(const grid::Grid& grid, const LoadShape& shape, int t,
   // reads (radiometer cones, wall-flux probes) punctuated by field
   // queries (divQ slabs). Small per-request trace work against a large
   // shared scene is exactly the regime cross-request batching exists
-  // for: the naive baseline re-packs the whole scene per probe.
+  // for: one shared pack and upload instead of one per probe.
   const int phase = j % 8;
   if (phase == 0 || phase == 4) {
     // Thin x-slab of divQ marching across the domain.
@@ -116,7 +114,7 @@ QueryPlan planQuery(const grid::Grid& grid, const LoadShape& shape, int t,
   return q;
 }
 
-struct ModeRun {
+struct LoadRun {
   double wallSeconds = 0.0;
   ServiceStats stats;
   /// One slot per (tenant, sequence): divQ vector, flux vector, or the
@@ -125,19 +123,17 @@ struct ModeRun {
   bool allOk = true;
 };
 
-ModeRun runMode(const grid::Grid& grid, std::shared_ptr<const grid::Grid> gp,
-                const core::RmcrtSetup& setup, const LoadShape& shape,
-                bool batching) {
+LoadRun runLoad(const grid::Grid& grid, std::shared_ptr<const grid::Grid> gp,
+                const core::RmcrtSetup& setup, const LoadShape& shape) {
   ServiceConfig cfg;
   cfg.workers = std::max(2u, std::thread::hardware_concurrency() / 2);
-  cfg.batching = batching;
-  cfg.admission.maxQueueDepth = 1 << 14;  // baseline runs shed-free
+  cfg.admission.maxQueueDepth = 1 << 14;  // the gate load runs shed-free
   cfg.admission.maxPerTenant = 1 << 12;
   Service svc(cfg);
   const SceneHandle h = svc.registerScene(gp, setup);
 
   const int T = shape.tenants, Q = shape.queriesPerTenant;
-  ModeRun run;
+  LoadRun run;
   run.responses.assign(static_cast<std::size_t>(T) * Q, {});
 
   Timer wall;
@@ -148,8 +144,7 @@ ModeRun runMode(const grid::Grid& grid, std::shared_ptr<const grid::Grid> gp,
       const std::string tenant = "tenant-" + std::to_string(t);
       // Pipelined client: every query in flight before the first drain,
       // the open-loop pattern a real service front-end produces and the
-      // regime cross-request coalescing exists for. Both modes see the
-      // identical stream.
+      // regime cross-request coalescing exists for.
       std::vector<std::future<Outcome<DivQResult>>> divq(Q);
       std::vector<std::future<Outcome<FluxResult>>> flux(Q);
       std::vector<std::future<Outcome<RadiometerResult>>> radio(Q);
@@ -204,17 +199,40 @@ ModeRun runMode(const grid::Grid& grid, std::shared_ptr<const grid::Grid> gp,
   return run;
 }
 
-bool bitwiseMatch(const ModeRun& a, const ModeRun& b) {
-  if (a.responses.size() != b.responses.size()) return false;
-  for (std::size_t i = 0; i < a.responses.size(); ++i) {
-    if (a.responses[i].size() != b.responses[i].size()) return false;
-    for (std::size_t k = 0; k < a.responses[i].size(); ++k)
-      if (a.responses[i][k] != b.responses[i][k]) return false;
+/// The serial reference answer to one plan, laid out like a response slot.
+std::vector<double> oneShotResponse(const grid::Grid& grid,
+                                    const core::RmcrtSetup& setup,
+                                    const LoadShape& shape,
+                                    const QueryPlan& plan) {
+  switch (plan.kind) {
+    case QueryPlan::Kind::DivQ:
+      return Service::solveDivQOneShot(grid, setup, plan.cells).divQ;
+    case QueryPlan::Kind::Flux:
+      return Service::solveFluxOneShot(grid, setup, plan.faces,
+                                       shape.fluxRays)
+          .fluxes;
+    case QueryPlan::Kind::Radiometer: {
+      const auto reading =
+          Service::solveRadiometerOneShot(grid, setup, plan.spec).reading;
+      return {reading.meanIntensity, reading.flux};
+    }
   }
+  return {};
+}
+
+/// Every response bitwise equal to the one-shot solve of its plan.
+bool matchesOneShot(const grid::Grid& grid, const core::RmcrtSetup& setup,
+                    const LoadShape& shape, const LoadRun& run) {
+  const int Q = shape.queriesPerTenant;
+  for (int t = 0; t < shape.tenants; ++t)
+    for (int j = 0; j < Q; ++j)
+      if (run.responses[static_cast<std::size_t>(t) * Q + j] !=
+          oneShotResponse(grid, setup, shape, planQuery(grid, shape, t, j)))
+        return false;
   return true;
 }
 
-double qps(const ModeRun& r) {
+double qps(const LoadRun& r) {
   return r.wallSeconds > 0.0
              ? static_cast<double>(r.stats.completed) / r.wallSeconds
              : 0.0;
@@ -228,7 +246,6 @@ bool runChaos(const grid::Grid& grid, std::shared_ptr<const grid::Grid> gp,
               std::ostream& json) {
   ServiceConfig cfg;
   cfg.workers = 4;
-  cfg.batching = true;
   cfg.admission.maxQueueDepth = 12;
   cfg.admission.maxPerTenant = 3;
   cfg.injector = std::make_shared<comm::FaultInjector>(0xC4A05u);
@@ -303,8 +320,8 @@ bool runChaos(const grid::Grid& grid, std::shared_ptr<const grid::Grid> gp,
   return reconciled;
 }
 
-void writeModeJson(std::ostream& out, const char* name, const ModeRun& r) {
-  out << "  \"" << name << "\": {\n"
+void writeLoadJson(std::ostream& out, const LoadRun& r) {
+  out << "  \"batched\": {\n"
       << "    \"queries_per_s\": " << qps(r) << ",\n"
       << "    \"p50_ms\": " << r.stats.p50Ms << ",\n"
       << "    \"p99_ms\": " << r.stats.p99Ms << ",\n"
@@ -355,24 +372,18 @@ int main(int argc, char** argv) {
             << shape.queriesPerTenant << " queries, fine "
             << shape.fineEdge << "^3, " << shape.nRays << " rays/cell\n";
 
-  const ModeRun batched = runMode(*gp, gp, setup, shape, /*batching=*/true);
-  const ModeRun naive = runMode(*gp, gp, setup, shape, /*batching=*/false);
-
-  const bool match = bitwiseMatch(batched, naive) && batched.allOk &&
-                     naive.allOk;
-  const double speedup = qps(naive) > 0.0 ? qps(batched) / qps(naive) : 0.0;
+  const LoadRun batched = runLoad(*gp, gp, setup, shape);
+  const bool match =
+      batched.allOk && matchesOneShot(*gp, setup, shape, batched);
 
   std::cout << std::fixed << std::setprecision(2)
-            << "  batched:     " << qps(batched) << " q/s, p50 "
+            << "  batched: " << qps(batched) << " q/s, p50 "
             << batched.stats.p50Ms << " ms, p99 " << batched.stats.p99Ms
             << " ms, " << batched.stats.coarseUploads << " coarse upload(s), "
             << batched.stats.batches << " batches / "
             << batched.stats.tileJobs << " tile jobs\n"
-            << "  per-request: " << qps(naive) << " q/s, p50 "
-            << naive.stats.p50Ms << " ms, p99 " << naive.stats.p99Ms
-            << " ms, " << naive.stats.coarseUploads << " coarse upload(s)\n"
-            << "  speedup " << speedup << "x, bitwise "
-            << (match ? "MATCH" : "MISMATCH") << "\n";
+            << "  bitwise vs one-shot: " << (match ? "MATCH" : "MISMATCH")
+            << "\n";
 
   std::ofstream out(jsonPath);
   out << std::setprecision(6) << std::fixed;
@@ -383,11 +394,8 @@ int main(int argc, char** argv) {
       << "  \"tenants\": " << shape.tenants << ",\n"
       << "  \"queries_per_tenant\": " << shape.queriesPerTenant << ",\n"
       << "  \"rays_per_query\": " << shape.nRays << ",\n"
-      << "  \"bitwise_match\": " << (match ? "true" : "false") << ",\n"
-      << "  \"speedup\": " << speedup << ",\n";
-  writeModeJson(out, "batched", batched);
-  out << ",\n";
-  writeModeJson(out, "per_request", naive);
+      << "  \"bitwise_match\": " << (match ? "true" : "false") << ",\n";
+  writeLoadJson(out, batched);
 
   bool chaosOk = true;
   if (chaos) chaosOk = runChaos(*gp, gp, setup, shape, out);
@@ -397,7 +405,7 @@ int main(int argc, char** argv) {
 
   if (!match) {
     std::cerr << "bench_service: batched responses are not bitwise "
-                 "identical to the per-request baseline\n";
+                 "identical to the one-shot solvers\n";
     return 1;
   }
   if (!chaosOk) {

@@ -89,11 +89,6 @@ class LockedRequestQueue {
     return n;
   }
 
-  std::size_t sizeIncludingProcessed() const {
-    std::shared_lock<std::shared_mutex> lk(m_lock);
-    return m_nodes.size();
-  }
-
  private:
   struct Entry {
     CommNode node;

@@ -13,8 +13,8 @@
 ///   }
 ///
 /// Both containers satisfy the same informal concept (add / processReady /
-/// pending), so the scheduler and the Figure-1 benchmark are templated
-/// over the container choice.
+/// pending), so the Figure-1 benchmark and the scaling-model calibration
+/// are templated over the container choice. The scheduler uses this one.
 
 #include <cstddef>
 
@@ -45,17 +45,6 @@ class WaitFreeRequestPool {
       ++completed;
     }
     return completed;
-  }
-
-  /// Complete at most one ready request (the per-iteration form the
-  /// scheduler's polling loop uses).
-  bool processOne() {
-    auto ready_request = [](CommNode const& n) -> bool { return n.test(); };
-    auto it = m_list.find_any(ready_request);
-    if (!it) return false;
-    it->finishCommunication();
-    m_list.erase(it);
-    return true;
   }
 
   std::size_t pending() const { return m_list.size(); }

@@ -66,7 +66,7 @@ struct Scheduler::PendingTask {
 Scheduler::Scheduler(std::shared_ptr<const grid::Grid> grid,
                      std::shared_ptr<const grid::LoadBalancer> lb,
                      comm::Communicator& world, int rank,
-                     RequestContainer container, SchedulerConfig config)
+                     SchedulerConfig config)
     : m_grid(std::move(grid)),
       m_lb(std::move(lb)),
       m_world(world),
@@ -74,34 +74,17 @@ Scheduler::Scheduler(std::shared_ptr<const grid::Grid> grid,
       m_config(config),
       m_oldDW(std::make_unique<DataWarehouse>()),
       m_newDW(std::make_unique<DataWarehouse>()),
-      m_containerKind(container),
-      m_lockedQueue(container == RequestContainer::LockedRacy
-                        ? comm::LockedRequestQueue::Mode::Racy
-                        : comm::LockedRequestQueue::Mode::Serialized) {
-  if (m_config.reliableComm)
-    m_channel = std::make_unique<comm::ReliableChannel>(m_world, m_rank,
-                                                        m_config.channel);
-}
+      m_channel(m_world, m_rank, m_config.channel) {}
 
 Scheduler::~Scheduler() = default;
 
-void Scheduler::containerAdd(comm::CommNode node) {
-  if (m_containerKind == RequestContainer::WaitFreePool)
-    m_pool.add(std::move(node));
-  else
-    m_lockedQueue.add(std::move(node));
-}
-
-int Scheduler::containerProcessReady() {
-  return m_containerKind == RequestContainer::WaitFreePool
-             ? m_pool.processReady()
-             : m_lockedQueue.processReady();
-}
-
-std::size_t Scheduler::containerPending() const {
-  return m_containerKind == RequestContainer::WaitFreePool
-             ? m_pool.pending()
-             : m_lockedQueue.pending();
+void Scheduler::addTask(Task task) {
+  if (task.requiresList().size() > kMaxRequiresPerTask)
+    throw std::length_error(
+        "task '" + task.name() + "' has " +
+        std::to_string(task.requiresList().size()) + " requires; at most " +
+        std::to_string(kMaxRequiresPerTask) + " fit in a message tag");
+  m_tasks.push_back(std::move(task));
 }
 
 grid::CellRange Scheduler::requiredRegion(const Task& task,
@@ -142,14 +125,18 @@ void Scheduler::preallocateComputes(const Task& task,
 }
 
 std::int64_t Scheduler::messageTag(std::size_t phaseIdx, std::size_t reqIdx,
-                                   int /*srcPatch*/, int seqIdx) const {
-  // (phase, requirement, transfer-sequence) uniquely identifies a message
-  // between a given rank pair; sequence indices come from the shared
-  // deterministic transfer list.
-  return (static_cast<std::int64_t>(phaseIdx) * 64 +
-          static_cast<std::int64_t>(reqIdx)) *
-             4000000 +
-         seqIdx;
+                                   std::size_t seqIdx) {
+  // Sequence indices come from the shared deterministic transfer list;
+  // addTask bounds reqIdx, so only the sequence slot can overflow here.
+  if (seqIdx >= kMaxTransfersPerRequirement)
+    throw std::length_error(
+        "requirement " + std::to_string(reqIdx) + " of phase " +
+        std::to_string(phaseIdx) + " needs more than " +
+        std::to_string(kMaxTransfersPerRequirement) +
+        " transfers; message tags would alias");
+  return static_cast<std::int64_t>(
+      (phaseIdx * kMaxRequiresPerTask + reqIdx) * kMaxTransfersPerRequirement +
+      seqIdx);
 }
 
 void Scheduler::stageRequirement(
@@ -157,7 +144,6 @@ void Scheduler::stageRequirement(
     const Requires& req, const std::vector<int>& localPatches,
     std::vector<std::shared_ptr<PendingTask>>& pending) {
   DataWarehouse& dw = dwFor(req);
-  const grid::Level& srcLevel = m_grid->level(req.level);
 
   // 1. Collect the distinct staged windows and which pending tasks wait on
   //    each.
@@ -213,17 +199,13 @@ void Scheduler::stageRequirement(
         const std::size_t bytes =
             static_cast<std::size_t>(e.overlap.volume()) * sizeof(T);
         auto buf = std::make_shared<comm::Buffer>(bytes);
-        const std::int64_t tag = messageTag(phaseIdx, reqIdx, e.srcPatchId,
-                                            static_cast<int>(seq));
-        comm::Request r =
-            m_channel
-                ? m_channel->postRecv(owner, tag, buf->data(), bytes)
-                : m_world.irecv(m_rank, owner, tag, buf->data(), bytes);
+        comm::Request r = m_channel.postRecv(
+            owner, messageTag(phaseIdx, reqIdx, seq), buf->data(), bytes);
         auto* stagedPtr = &staged;
         auto remaining = s->remainingMsgs;
         auto waiters = s->waiters;  // copy: Stage dies before callbacks run
         grid::CellRange overlap = e.overlap;
-        containerAdd(comm::CommNode(
+        m_pool.add(comm::CommNode(
             std::move(r),
             [this, stagedPtr, buf, overlap, remaining,
              waiters](const comm::Request& req2) {
@@ -266,12 +248,8 @@ void Scheduler::postSendsFor(std::size_t phaseIdx, std::size_t reqIdx,
         comm::Buffer buf(n * sizeof(T));
         src.storage().packRegion(e.overlap,
                                  reinterpret_cast<T*>(buf.data()));
-        const std::int64_t tag = messageTag(phaseIdx, reqIdx, e.srcPatchId,
-                                            static_cast<int>(seq));
-        if (m_channel)
-          m_channel->send(r, tag, buf.data(), buf.size());
-        else
-          m_world.isend(m_rank, r, tag, buf.data(), buf.size());
+        m_channel.send(r, messageTag(phaseIdx, reqIdx, seq), buf.data(),
+                       buf.size());
         m_stats.messagesSent++;
         m_stats.bytesSent += buf.size();
       });
@@ -281,9 +259,8 @@ void Scheduler::postSendsFor(std::size_t phaseIdx, std::size_t reqIdx,
 
 std::vector<TimestepStalled::Suspect> Scheduler::stallSuspects() const {
   std::vector<TimestepStalled::Suspect> suspects;
-  if (!m_channel) return suspects;
   std::map<int, std::size_t> bySource;
-  for (const auto& [src, tag] : m_channel->pendingRecvs()) ++bySource[src];
+  for (const auto& [src, tag] : m_channel.pendingRecvs()) ++bySource[src];
   suspects.reserve(bySource.size());
   for (const auto& [src, count] : bySource) {
     TimestepStalled::Suspect s;
@@ -291,7 +268,7 @@ std::vector<TimestepStalled::Suspect> Scheduler::stallSuspects() const {
     s.pendingRecvs = count;
     // If our own frames to that rank died after the full retry budget it
     // is not merely late with its sends — nothing reaches it at all.
-    s.dead = m_channel->linkDead(src);
+    s.dead = m_channel.linkDead(src);
     suspects.push_back(s);
   }
   return suspects;
@@ -304,32 +281,30 @@ std::string Scheduler::stallDiagnostic(std::size_t phaseIdx,
   std::ostringstream os;
   os << "rank " << m_rank << " stalled in phase " << phaseIdx << " ('"
      << m_tasks[phaseIdx].name() << "'): " << ranCount << "/" << totalTasks
-     << " patch tasks run, " << containerPending()
+     << " patch tasks run, " << m_pool.pending()
      << " requests outstanding, strike " << strikes << "/"
      << m_config.watchdogMaxStrikes;
-  if (m_channel) {
-    os << "; channel unacked=" << m_channel->unackedCount();
-    const auto pendingRecvs = m_channel->pendingRecvs();
-    os << ", pending recvs=" << pendingRecvs.size() << " [";
-    std::size_t shown = 0;
-    for (const auto& [src, tag] : pendingRecvs) {
-      if (shown++ == 8) {
-        os << " ...";
-        break;
-      }
-      os << " (src " << src << ", tag " << tag << ")";
+  os << "; channel unacked=" << m_channel.unackedCount();
+  const auto pendingRecvs = m_channel.pendingRecvs();
+  os << ", pending recvs=" << pendingRecvs.size() << " [";
+  std::size_t shown = 0;
+  for (const auto& [src, tag] : pendingRecvs) {
+    if (shown++ == 8) {
+      os << " ...";
+      break;
     }
-    os << " ]";
-    const auto cs = m_channel->stats();
-    os << "; retransmits=" << cs.retransmits
-       << " dupsDiscarded=" << cs.duplicatesDiscarded
-       << " deadLinks=" << cs.deadLinks;
-    for (const auto& s : stallSuspects()) {
-      os << "; suspect rank " << s.rank << ": "
-         << (s.dead ? "DEAD (send link exhausted retries)"
-                    : "SLOW (inputs outstanding, link alive)")
-         << ", " << s.pendingRecvs << " pending recvs";
-    }
+    os << " (src " << src << ", tag " << tag << ")";
+  }
+  os << " ]";
+  const auto cs = m_channel.stats();
+  os << "; retransmits=" << cs.retransmits
+     << " dupsDiscarded=" << cs.duplicatesDiscarded
+     << " deadLinks=" << cs.deadLinks;
+  for (const auto& s : stallSuspects()) {
+    os << "; suspect rank " << s.rank << ": "
+       << (s.dead ? "DEAD (send link exhausted retries)"
+                  : "SLOW (inputs outstanding, link alive)")
+       << ", " << s.pendingRecvs << " pending recvs";
   }
   return os.str();
 }
@@ -374,11 +349,11 @@ void Scheduler::runPhase(std::size_t phaseIdx) {
   std::size_t ranCount = 0;
   while (ranCount < pending.size()) {
     if (m_world.aborted()) throw comm::CommAborted(m_world.abortReason());
-    if (m_channel) m_channel->progress();
+    m_channel.progress();
     int processed;
     {
       ScopedTimer timer(m_localCommAcc);
-      processed = containerProcessReady();
+      processed = m_pool.processReady();
     }
     bool progress = processed > 0;
     for (auto& pt : pending) {
@@ -415,7 +390,7 @@ void Scheduler::runPhase(std::size_t phaseIdx) {
         throw TimestepStalled(diag, stallSuspects());
       }
       // Kick the recovery path before the next strike window.
-      if (m_channel) m_channel->forceRetransmit();
+      m_channel.forceRetransmit();
       lastProgress = std::chrono::steady_clock::now();
       continue;
     }
@@ -443,12 +418,10 @@ void Scheduler::executeTimestep() {
   m_stats.localCommSeconds = m_localCommAcc.seconds();
   m_stats.taskExecSeconds = m_taskExecAcc.seconds();
   m_stats.waitSeconds = m_waitAcc.seconds();
-  if (m_channel) {
-    const auto cs = m_channel->stats();
-    m_stats.retransmits = cs.retransmits;
-    m_stats.duplicatesDiscarded = cs.duplicatesDiscarded;
-    m_stats.maxBackoffMs = cs.maxBackoffMs;
-  }
+  const auto cs = m_channel.stats();
+  m_stats.retransmits = cs.retransmits;
+  m_stats.duplicatesDiscarded = cs.duplicatesDiscarded;
+  m_stats.maxBackoffMs = cs.maxBackoffMs;
 }
 
 void Scheduler::exportMetrics(MetricsRegistry& reg,
@@ -468,8 +441,7 @@ void Scheduler::exportMetrics(MetricsRegistry& reg,
                static_cast<double>(m_stats.tasksExecuted));
   reg.setGauge(prefix + "watchdog_strikes",
                static_cast<double>(m_stats.watchdogStrikes));
-  if (m_channel)
-    comm::exportMetrics(m_channel->stats(), reg, prefix + "channel.");
+  comm::exportMetrics(m_channel.stats(), reg, prefix + "channel.");
 }
 
 void Scheduler::advanceDataWarehouses() {

@@ -8,9 +8,11 @@
 /// the quantity Figure 1 / Table I of the paper measures.
 ///
 /// Faithfulness notes versus Uintah:
-///  * Requests are managed by a pluggable container — the wait-free pool
-///    (paper Algorithm 1) or the legacy locked queue — so the paper's
-///    before/after comparison runs through the production code path.
+///  * Outstanding receives live in the wait-free request pool (paper
+///    Algorithm 1), the design that replaced Uintah's locked request
+///    vector. The locked "before" container survives only where the
+///    before/after comparison is measured (bench_comm_pool and
+///    sim/calibration).
 ///  * Within a phase, a patch's task runs as soon as its own messages have
 ///    arrived (asynchronous, out-of-order across patches). Distinct task
 ///    declarations execute as ordered phases: a simplification of
@@ -20,8 +22,8 @@
 ///    variables, mirroring Uintah's getRegion "memory it does not own".
 ///
 /// Resilience: dependency messages route through a ReliableChannel
-/// (sequence numbers + acks + retransmit) by default, so injected or real
-/// message loss is recovered transparently; a watchdog in the execute loop
+/// (sequence numbers + acks + retransmit), so injected or real message
+/// loss is recovered transparently; a watchdog in the execute loop
 /// dumps a diagnostic snapshot, forces retransmission, and — after a
 /// configurable number of strikes — fails the timestep with a structured
 /// TimestepStalled error instead of hanging forever.
@@ -34,7 +36,6 @@
 #include <vector>
 
 #include "comm/communicator.h"
-#include "comm/locked_queue.h"
 #include "comm/reliable_channel.h"
 #include "comm/request_pool.h"
 #include "grid/grid.h"
@@ -49,13 +50,6 @@ class ThreadPool;
 }
 
 namespace rmcrt::runtime {
-
-/// Which outstanding-request container the scheduler uses (paper §IV-A).
-enum class RequestContainer {
-  WaitFreePool,      ///< Algorithm 1 (the paper's "after")
-  LockedSerialized,  ///< coarse-grained critical section ("before", safe)
-  LockedRacy,        ///< original defective design (leaks under threads)
-};
 
 /// Thrown by executeTimestep() when the watchdog declares the timestep
 /// dead: no request completed and no task became runnable within the
@@ -83,9 +77,6 @@ class TimestepStalled : public std::runtime_error {
 
 /// Resilience knobs for one scheduler.
 struct SchedulerConfig {
-  /// Route dependency messages through the ReliableChannel. When false,
-  /// messages go straight to the communicator (the pre-resilience path).
-  bool reliableComm = true;
   comm::ReliableChannel::Config channel{};
   /// Seconds without progress before a watchdog strike (diagnostic dump +
   /// forced retransmission). <= 0 disables the watchdog.
@@ -111,7 +102,7 @@ struct SchedulerStats {
   std::uint64_t messagesReceived = 0;
   std::uint64_t bytesReceived = 0;
   std::uint64_t tasksExecuted = 0;
-  // Resilience counters (nonzero only with reliableComm):
+  // Resilience counters, from the reliable channel:
   std::uint64_t retransmits = 0;
   std::uint64_t duplicatesDiscarded = 0;
   double maxBackoffMs = 0.0;
@@ -126,7 +117,6 @@ class Scheduler {
   Scheduler(std::shared_ptr<const grid::Grid> grid,
             std::shared_ptr<const grid::LoadBalancer> lb,
             comm::Communicator& world, int rank,
-            RequestContainer container = RequestContainer::WaitFreePool,
             SchedulerConfig config = SchedulerConfig{});
 
   ~Scheduler();
@@ -140,7 +130,9 @@ class Scheduler {
   DataWarehouse& newDW() { return *m_newDW; }
 
   /// Append a task phase. Must be called identically on every rank.
-  void addTask(Task task) { m_tasks.push_back(std::move(task)); }
+  /// Throws std::length_error for a task with more than 64 requires:
+  /// message tags have 64 requirement slots.
+  void addTask(Task task);
   void clearTasks() { m_tasks.clear(); }
   /// The registered task phases, in declaration order — exposed so the
   /// regrid path can recompile a TaskGraph over the re-registered
@@ -170,8 +162,8 @@ class Scheduler {
 
   const SchedulerStats& stats() const { return m_stats; }
 
-  /// Publish this rank's stats (plus its reliable channel's, when
-  /// enabled) into \p reg as gauges under \p prefix — e.g.
+  /// Publish this rank's stats (plus its reliable channel's) into \p reg
+  /// as gauges under \p prefix — e.g.
   /// "scheduler.rank0.messages_sent". Gauges, not counters: resetStats()
   /// restarts the underlying totals each timestep, so callers wanting a
   /// monotone series accumulate snapshots across recordTimestep() calls.
@@ -184,9 +176,9 @@ class Scheduler {
     m_waitAcc.reset();
   }
 
-  /// The reliability endpoint, when reliableComm is enabled.
-  const comm::ReliableChannel* channel() const { return m_channel.get(); }
-  comm::ReliableChannel* channel() { return m_channel.get(); }
+  /// The reliability endpoint; never null.
+  const comm::ReliableChannel* channel() const { return &m_channel; }
+  comm::ReliableChannel* channel() { return &m_channel; }
 
   /// Classify the ranks this scheduler is currently blocked on by
   /// aggregating its pending receives per source and checking whether the
@@ -215,8 +207,14 @@ class Scheduler {
   void preallocateComputes(const Task& task,
                            const std::vector<int>& localPatches);
 
-  std::int64_t messageTag(std::size_t phaseIdx, std::size_t reqIdx,
-                          int srcPatch, int dstPatch) const;
+  /// Requirement and transfer-sequence slots in a message tag.
+  static constexpr std::size_t kMaxRequiresPerTask = 64;
+  static constexpr std::size_t kMaxTransfersPerRequirement = 4'000'000;
+
+  /// Unique per (phase, requirement, transfer sequence) between a rank
+  /// pair. Throws std::length_error when \p seqIdx overflows its slot.
+  static std::int64_t messageTag(std::size_t phaseIdx, std::size_t reqIdx,
+                                 std::size_t seqIdx);
 
   /// Describe the stalled phase for the watchdog log / TimestepStalled.
   std::string stallDiagnostic(std::size_t phaseIdx, std::size_t ranCount,
@@ -236,15 +234,8 @@ class Scheduler {
   std::unique_ptr<DataWarehouse> m_newDW;
   std::vector<Task> m_tasks;
 
-  RequestContainer m_containerKind;
   comm::WaitFreeRequestPool m_pool;
-  comm::LockedRequestQueue m_lockedQueue;
-  std::unique_ptr<comm::ReliableChannel> m_channel;
-
-  /// Uniform view over the two container kinds.
-  void containerAdd(comm::CommNode node);
-  int containerProcessReady();
-  std::size_t containerPending() const;
+  comm::ReliableChannel m_channel;
 
   SchedulerStats m_stats;
   AtomicTimeAccumulator m_localCommAcc;

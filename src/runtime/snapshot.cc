@@ -634,9 +634,8 @@ void WorldHarness::buildWorld(int numRanks, bool attachInjector) {
 
   m_rngs.clear();
   for (int r = 0; r < numRanks; ++r) {
-    m_scheds.push_back(std::make_unique<Scheduler>(
-        m_grid, m_lb, *m_world, r, RequestContainer::WaitFreePool,
-        m_cfg.sched));
+    m_scheds.push_back(
+        std::make_unique<Scheduler>(m_grid, m_lb, *m_world, r, m_cfg.sched));
     m_rngs.emplace_back(m_cfg.domainSeed +
                         0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(r) + 1));
   }

@@ -81,6 +81,7 @@ const char* toString(RejectReason r) {
     case RejectReason::StaleGeneration: return "stale_generation";
     case RejectReason::QueueFull: return "queue_full";
     case RejectReason::TenantBacklog: return "tenant_backlog";
+    case RejectReason::InvalidQuery: return "invalid_query";
     case RejectReason::ShuttingDown: return "shutting_down";
   }
   return "unknown";
@@ -95,7 +96,6 @@ struct Service::SceneState {
   std::shared_ptr<const grid::Grid> grid;
   core::RmcrtSetup setup;
   Generation generation = 1;
-  bool fieldsReady = false;
   bool sharedReady = false;
   CCVariable<double> fAbs, fSig;
   CCVariable<CellType> fCt;
@@ -175,7 +175,6 @@ Outcome<SceneHandle> Service::updateProperties(
   std::lock_guard<std::mutex> lk(s->mu);
   s->setup.problem = problem;
   ++s->generation;
-  s->fieldsReady = false;
   s->sharedReady = false;
   s->coarseDev = nullptr;
   m_gdw->invalidateLevel(id);
@@ -194,7 +193,6 @@ Outcome<SceneHandle> Service::regrid(SceneId id,
   std::lock_guard<std::mutex> lk(s->mu);
   s->grid = std::move(grid);
   ++s->generation;
-  s->fieldsReady = false;
   s->sharedReady = false;
   s->coarseDev = nullptr;
   m_gdw->invalidateLevel(id);
@@ -212,8 +210,8 @@ std::shared_ptr<Service::SceneState> Service::findScene(SceneId id) const {
   return it == m_scenes.end() ? nullptr : it->second;
 }
 
-void Service::ensureFieldsLocked(SceneState& s) const {
-  if (s.fieldsReady) return;
+void Service::ensureSharedLocked(SceneState& s, SceneId id) {
+  if (s.sharedReady) return;
   HostFields hf = buildHostFields(*s.grid, s.setup.problem);
   s.fAbs = std::move(hf.fAbs);
   s.fSig = std::move(hf.fSig);
@@ -221,12 +219,6 @@ void Service::ensureFieldsLocked(SceneState& s) const {
   s.cAbs = std::move(hf.cAbs);
   s.cSig = std::move(hf.cSig);
   s.cCt = std::move(hf.cCt);
-  s.fieldsReady = true;
-}
-
-void Service::ensureSharedLocked(SceneState& s, SceneId id) {
-  ensureFieldsLocked(s);
-  if (s.sharedReady) return;
   RMCRT_TRACE_SPAN("service", "build_shared_scene_state");
   s.finePacked.pack(viewsOf(s.fAbs, s.fSig, s.fCt));
   s.coarsePacked.pack(viewsOf(s.cAbs, s.cSig, s.cCt));
@@ -444,20 +436,6 @@ void Service::batcherLoop() {
   }
 }
 
-void Service::processBatch(std::deque<std::unique_ptr<PendingRequest>> batch) {
-  RMCRT_TRACE_SPAN("service", "batch_drain");
-  {
-    std::lock_guard<std::mutex> slk(m_statsMutex);
-    ++m_batches;
-  }
-  auto ordered = interleaveByTenant(std::move(batch));
-  if (m_cfg.batching) {
-    processBatched(ordered);
-  } else {
-    for (auto& r : ordered) processNaive(*r);
-  }
-}
-
 std::vector<std::unique_ptr<Service::PendingRequest>>
 Service::interleaveByTenant(
     std::deque<std::unique_ptr<PendingRequest>> batch) {
@@ -485,8 +463,41 @@ Service::interleaveByTenant(
   return out;
 }
 
-void Service::processBatched(
-    std::vector<std::unique_ptr<PendingRequest>>& reqs) {
+bool Service::answerable(const PendingRequest& req, const grid::Grid& grid) {
+  const CellRange fineCells = grid.fineLevel().cells();
+  switch (req.kind) {
+    case PendingRequest::Kind::DivQ:
+      return !req.cells.empty() && fineCells.contains(req.cells);
+    case PendingRequest::Kind::Flux:
+      for (const auto& [cell, face] : req.faces) {
+        if (!fineCells.contains(cell)) return false;
+        int axes = 0;
+        for (int i = 0; i < 3; ++i) {
+          if (face[i] < -1 || face[i] > 1) return false;
+          axes += face[i] != 0;
+        }
+        if (axes != 1) return false;
+      }
+      return true;
+    case PendingRequest::Kind::Radiometer: {
+      if (req.spec.nRays <= 0) return false;
+      for (int i = 0; i < 3; ++i)
+        if (!(req.spec.position[i] >= grid.physLow()[i] &&
+              req.spec.position[i] <= grid.physHigh()[i]))
+          return false;
+      return true;
+    }
+  }
+  return false;
+}
+
+void Service::processBatch(std::deque<std::unique_ptr<PendingRequest>> batch) {
+  RMCRT_TRACE_SPAN("service", "batch_drain");
+  {
+    std::lock_guard<std::mutex> slk(m_statsMutex);
+    ++m_batches;
+  }
+  const auto reqs = interleaveByTenant(std::move(batch));
   // Resolve scenes first; then lock every distinct scene in ascending id
   // order (deadlock-free: clients hold at most one scene mutex and never
   // m_mutex while acquiring it) and hold the locks across the drain so a
@@ -513,6 +524,12 @@ void Service::processBatched(
     SceneState& s = *scenes[i];
     if (req.generation != 0 && req.generation != s.generation) {
       rejectRequest(req, RejectReason::StaleGeneration);
+      continue;
+    }
+    // Validated here, under the lock, against the grid that will serve
+    // the query: a regrid() since submit may have shrunk the fine level.
+    if (!answerable(req, *s.grid)) {
+      rejectRequest(req, RejectReason::InvalidQuery);
       continue;
     }
     ensureSharedLocked(s, req.scene);
@@ -574,83 +591,6 @@ void Service::processBatched(
 
   locks.clear();  // updates may proceed; results are already materialized
   for (auto& exec : execs) completeRequest(*exec->req, *exec);
-}
-
-void Service::processNaive(PendingRequest& req) {
-  auto scene = findScene(req.scene);
-  if (!scene) {
-    rejectRequest(req, RejectReason::UnknownScene);
-    return;
-  }
-  RequestExec exec;
-  {
-    std::unique_lock<std::mutex> lk(scene->mu);
-    SceneState& s = *scene;
-    if (req.generation != 0 && req.generation != s.generation) {
-      rejectRequest(req, RejectReason::StaleGeneration);
-      return;
-    }
-    ensureFieldsLocked(s);
-
-    // The one-solve-per-request baseline: every request re-fuses its own
-    // records and stages its own private coarse copy — the redundant
-    // pack + PCIe traffic cross-request batching eliminates.
-    const PackedLevelField finePacked(viewsOf(s.fAbs, s.fSig, s.fCt));
-    const PackedLevelField coarsePacked(viewsOf(s.cAbs, s.cSig, s.cCt));
-    const int uploadId = m_naiveSeq.fetch_add(1, std::memory_order_relaxed);
-    gpu::DeviceVar& dv = m_gdw->putPatchVarRaw(
-        "svc.naive.packedRad", uploadId, coarsePacked.data(),
-        coarsePacked.window(), sizeof(PackedCell));
-    {
-      std::lock_guard<std::mutex> slk(m_statsMutex);
-      ++m_coarseUploads;
-    }
-
-    const grid::Level& fine = s.grid->fineLevel();
-    const grid::Level& coarse = s.grid->coarseLevel();
-    const CellRange roi =
-        req.kind == PendingRequest::Kind::DivQ
-            ? req.cells.grown(s.setup.roiHalo).intersect(fine.cells())
-            : fine.cells();
-    TraceLevel fineTL{LevelGeom::from(fine), viewsOf(s.fAbs, s.fSig, s.fCt),
-                      roi, finePacked.view()};
-    TraceLevel coarseTL{LevelGeom::from(coarse), RadiationFieldsView{},
-                        coarse.cells(), PackedFieldView::fromDevice(dv)};
-    Tracer tracer({fineTL, coarseTL}, wallsOf(s.setup.problem), s.setup.trace);
-
-    exec.req = &req;
-    exec.scene = scene;
-    exec.servedGeneration = s.generation;
-    switch (req.kind) {
-      case PendingRequest::Kind::DivQ: {
-        exec.out.assign(static_cast<std::size_t>(req.cells.volume()), 0.0);
-        const core::MutableFieldView<double> sink(exec.out.data(), req.cells);
-        if (s.setup.bands.empty()) {
-          tracer.computeDivQ(req.cells, sink, m_pool);
-        } else {
-          // Naive-mode band loop over this request's private records —
-          // bitwise the batched answer, at per-request pack/upload cost.
-          SpectralTracer spectral({fineTL, coarseTL}, wallsOf(s.setup.problem),
-                                  s.setup.trace, s.setup.bands);
-          spectral.computeDivQ(req.cells, sink, m_pool);
-        }
-        break;
-      }
-      case PendingRequest::Kind::Flux: {
-        exec.fluxOut.reserve(req.faces.size());
-        for (const auto& [cell, face] : req.faces)
-          exec.fluxOut.push_back(
-              tracer.boundaryFlux(cell, face, req.fluxRays, m_pool));
-        break;
-      }
-      case PendingRequest::Kind::Radiometer: {
-        exec.reading = core::evaluateRadiometer(tracer, req.spec);
-        break;
-      }
-    }
-    m_gdw->removePatchVar("svc.naive.packedRad", uploadId);
-  }
-  completeRequest(req, exec);
 }
 
 void Service::rejectRequest(PendingRequest& req, RejectReason why) {

@@ -5,11 +5,10 @@
 /// Service that owns scenes (grid + radiative properties + RmcrtSetup,
 /// versioned by a monotonically increasing *scene generation*) and
 /// answers concurrent divQ / boundary-flux / radiometer queries from many
-/// client threads ("tenants"). Instead of one solve per request, the
-/// service coalesces rays from *different* requests into tile-sized work
-/// units (Tracer::DivQTileJob) and drains them across one shared
-/// ThreadPool — so one PackedLevelCache-style fused record set and ONE
-/// simulated-GPU coarse-level upload serve every tenant on a scene
+/// client threads ("tenants"). Every drain coalesces rays from *different*
+/// requests into tile-sized work units (Tracer::DivQTileJob) across one
+/// shared ThreadPool — so one PackedLevelCache-style fused record set and
+/// ONE simulated-GPU coarse-level upload serve every tenant on a scene
 /// generation. The coarse upload is invalidated only when the scene
 /// changes: updateProperties()/regrid() bump the generation, evict the
 /// shared packed records, and invalidate the scene's slot in the GPU
@@ -18,14 +17,15 @@
 /// Determinism contract: every ray is fixed by (seed, cell, ray), and
 /// each request's tiles scatter only into that request's own sink, so a
 /// query's result is bitwise identical to the serial one-shot solve over
-/// the same cells (solveDivQOneShot) regardless of which other tenants'
-/// tiles share the batch, the pool size, or the arrival order.
+/// the same cells (solveDivQOneShot, likewise solveFluxOneShot and
+/// solveRadiometerOneShot) regardless of which other tenants' tiles share
+/// the batch, the pool size, or the arrival order.
 ///
 /// Admission control (runtime/admission.h): a bounded in-flight depth and
 /// a per-tenant fairness cap shed overload with *typed* rejections
 /// (Outcome::reject) — clients receive QueueFull/TenantBacklog/
-/// StaleGeneration/UnknownScene/ShuttingDown, never silent drops and
-/// never stale data. Reconciliation invariant, checked by the soak CI
+/// StaleGeneration/UnknownScene/InvalidQuery/ShuttingDown, never silent
+/// drops and never stale data. Reconciliation invariant, checked by the soak CI
 /// job: submitted == completed + rejected once the queue drains.
 ///
 /// Latency SLOs: per-request latency feeds a streaming P² estimator
@@ -39,7 +39,6 @@
 /// backoff), delayed, duplicated (deduplicated on arrival), or reordered
 /// — the accounting stays exact either way.
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -78,6 +77,10 @@ enum class RejectReason : std::uint8_t {
                     ///< never silently-served stale data)
   QueueFull,        ///< global admission depth reached — back off, retry
   TenantBacklog,    ///< per-tenant fairness cap reached
+  InvalidQuery,     ///< not answerable on the serving generation's grid:
+                    ///< divQ cells empty or outside the fine level, a flux
+                    ///< cell outside it or a face not a unit axis vector,
+                    ///< a radiometer outside the domain or with nRays <= 0
   ShuttingDown,     ///< service stopped accepting work
 };
 
@@ -164,11 +167,6 @@ struct ServiceConfig {
   /// Optional external pool (non-owning; must outlive the Service).
   ThreadPool* pool = nullptr;
   runtime::AdmissionConfig admission;
-  /// Cross-request tile batching (the point of the service). false = the
-  /// naive one-solve-per-request baseline the benchmark contrasts:
-  /// every request re-packs its own records and re-uploads its own
-  /// coarse copy, with no coalescing across requests.
-  bool batching = true;
   /// Completions slower than this count as service.slo_breaches [ms].
   double sloP99Ms = 1000.0;
   /// Optional fault model on the client->service submit path.
@@ -180,8 +178,8 @@ struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t rejected = 0;
-  /// H2D uploads of a fused coarse record array. Batched mode: exactly
-  /// one per (scene, generation) touched; naive mode: one per request.
+  /// H2D uploads of a fused coarse record array: exactly one per
+  /// (scene, generation) touched.
   std::uint64_t coarseUploads = 0;
   /// Generation bumps that evicted shared packed state + device slots.
   std::uint64_t generationEvictions = 0;
@@ -259,10 +257,9 @@ class Service {
   struct RequestExec;
 
   std::shared_ptr<SceneState> findScene(SceneId id) const;
-  /// Build (once) the scene's host property fields. Caller holds scene.mu.
-  void ensureFieldsLocked(SceneState& s) const;
-  /// Build (once per generation) the shared packed records and the single
-  /// coarse-level device upload. Caller holds scene.mu.
+  /// Build (once per generation) the host property fields, the shared
+  /// packed records and the single coarse-level device upload. Caller
+  /// holds scene.mu.
   void ensureSharedLocked(SceneState& s, SceneId id);
   /// Per-request Tracer against the scene's shared packed state. `roi`
   /// is the fine-level allowed box. Caller holds scene.mu.
@@ -280,9 +277,12 @@ class Service {
   void enqueue(std::unique_ptr<PendingRequest> req);
 
   void batcherLoop();
+  /// Drain one batch: every admitted query's tiles and probes share one
+  /// pass over the pool under the locks of the scenes they touch.
   void processBatch(std::deque<std::unique_ptr<PendingRequest>> batch);
-  void processBatched(std::vector<std::unique_ptr<PendingRequest>>& reqs);
-  void processNaive(PendingRequest& req);
+  /// Whether \p grid (the serving generation's) can answer \p req; the
+  /// InvalidQuery conditions. Caller holds the scene's mu.
+  static bool answerable(const PendingRequest& req, const grid::Grid& grid);
   /// Fairness: interleave same-arrival-order requests across tenants.
   static std::vector<std::unique_ptr<PendingRequest>> interleaveByTenant(
       std::deque<std::unique_ptr<PendingRequest>> batch);
@@ -311,8 +311,6 @@ class Service {
   SceneId m_nextScene = 0;
   bool m_paused = false;
   bool m_stop = false;
-  /// Distinct per-request device-copy ids for the naive baseline.
-  std::atomic<int> m_naiveSeq{0};
 
   mutable std::mutex m_statsMutex;
   RunningStats m_latencyMs;  ///< streaming p50/p99 (P² markers)

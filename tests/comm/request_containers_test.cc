@@ -104,23 +104,6 @@ TEST(WaitFreeRequestPool, NoLeakUnderHeavyContention) {
   EXPECT_EQ(ledger.allocated.load(), 4000);
 }
 
-TEST(WaitFreeRequestPool, ProcessOneCompletesSingleRequest) {
-  WaitFreeRequestPool pool;
-  Communicator world(2);
-  int out1 = 0, out2 = 0;
-  std::atomic<int> done{0};
-  Request r1 = world.irecv(1, 0, 1, &out1, sizeof out1);
-  Request r2 = world.irecv(1, 0, 2, &out2, sizeof out2);
-  pool.add(CommNode(std::move(r1), [&](const Request&) { done++; }));
-  pool.add(CommNode(std::move(r2), [&](const Request&) { done++; }));
-  EXPECT_FALSE(pool.processOne());  // nothing ready yet
-  const int v = 9;
-  world.isend(0, 1, 1, &v, sizeof v);
-  EXPECT_TRUE(pool.processOne());
-  EXPECT_EQ(done.load(), 1);
-  EXPECT_EQ(pool.pending(), 1u);
-}
-
 TEST(LockedRequestQueue, SerializedModeIsCorrect) {
   LockedRequestQueue q(LockedRequestQueue::Mode::Serialized);
   BufferLedger ledger;

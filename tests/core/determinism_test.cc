@@ -225,9 +225,8 @@ TEST(Determinism, ScheduledPipelineWithPoolMatchesSerialExactly) {
   schedCfg.taskPool = &pool;
   std::vector<std::unique_ptr<runtime::Scheduler>> scheds;
   for (int r = 0; r < numRanks; ++r)
-    scheds.push_back(std::make_unique<runtime::Scheduler>(
-        grid, lb, world, r, runtime::RequestContainer::WaitFreePool,
-        schedCfg));
+    scheds.push_back(
+        std::make_unique<runtime::Scheduler>(grid, lb, world, r, schedCfg));
   std::vector<std::thread> threads;
   for (int r = 0; r < numRanks; ++r) {
     threads.emplace_back([&, r] {

@@ -21,7 +21,6 @@ namespace {
 using grid::CCVariable;
 using grid::Grid;
 using grid::LoadBalancer;
-using runtime::RequestContainer;
 using runtime::Scheduler;
 
 RmcrtSetup smallSetup() {

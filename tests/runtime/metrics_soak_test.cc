@@ -59,8 +59,7 @@ TEST(MetricsSoak, ChaosTimestepsReconcileInRegistry) {
 
   std::vector<std::unique_ptr<Scheduler>> scheds;
   for (int r = 0; r < kRanks; ++r)
-    scheds.push_back(std::make_unique<Scheduler>(
-        grid, lb, world, r, RequestContainer::WaitFreePool, cfg));
+    scheds.push_back(std::make_unique<Scheduler>(grid, lb, world, r, cfg));
 
   MetricsRegistry reg;  // private registry: no cross-test contamination
   std::vector<std::vector<TimestepRecord>> records(kRanks);

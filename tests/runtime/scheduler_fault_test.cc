@@ -88,9 +88,8 @@ TEST(SchedulerFault, ChaosTimestepMatchesSerialBitwise) {
 
   std::vector<std::unique_ptr<Scheduler>> scheds;
   for (int r = 0; r < numRanks; ++r)
-    scheds.push_back(std::make_unique<Scheduler>(
-        grid, lb, world, r, RequestContainer::WaitFreePool,
-        fastReliableConfig()));
+    scheds.push_back(std::make_unique<Scheduler>(grid, lb, world, r,
+                                                 fastReliableConfig()));
 
   // Two timesteps: the second reuses the first's message tags, so any
   // stale duplicate or late retransmit parked in the unexpected queue
@@ -156,8 +155,7 @@ TEST(SchedulerFault, WatchdogRaisesTimestepStalledOnPermanentLoss) {
 
   std::vector<std::unique_ptr<Scheduler>> scheds;
   for (int r = 0; r < numRanks; ++r)
-    scheds.push_back(std::make_unique<Scheduler>(
-        grid, lb, world, r, RequestContainer::WaitFreePool, cfg));
+    scheds.push_back(std::make_unique<Scheduler>(grid, lb, world, r, cfg));
 
   enum class Outcome { Completed, Stalled, Aborted, Other };
   std::vector<Outcome> outcome(numRanks, Outcome::Other);
@@ -243,8 +241,7 @@ TEST(SchedulerFault, KillRankClassifiedDeadInStallDiagnostic) {
   std::vector<std::unique_ptr<Scheduler>> scheds;
   for (int r = 0; r < numRanks; ++r) {
     cfg.watchdogDeadlineSeconds = r == 1 ? 0.3 : 30.0;
-    scheds.push_back(std::make_unique<Scheduler>(
-        grid, lb, world, r, RequestContainer::WaitFreePool, cfg));
+    scheds.push_back(std::make_unique<Scheduler>(grid, lb, world, r, cfg));
   }
 
   std::vector<std::vector<TimestepStalled::Suspect>> suspects(numRanks);
@@ -279,48 +276,6 @@ TEST(SchedulerFault, KillRankClassifiedDeadInStallDiagnostic) {
       << what[1];
   EXPECT_TRUE(scheds[1]->channel()->linkDead(0));
   EXPECT_GT(inj->stats().dropped, 0u);
-}
-
-TEST(SchedulerFault, LegacyDirectPathStillWorks) {
-  // reliableComm=false routes messages straight to the communicator — the
-  // pre-resilience path must keep working (and carry no channel stats).
-  auto grid = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(16),
-                                    IntVector(4));
-  const int numRanks = 4;
-  auto lb = std::make_shared<LoadBalancer>(*grid, numRanks);
-  comm::Communicator world(numRanks);
-
-  SchedulerConfig cfg;
-  cfg.reliableComm = false;
-
-  std::vector<std::unique_ptr<Scheduler>> scheds;
-  for (int r = 0; r < numRanks; ++r)
-    scheds.push_back(std::make_unique<Scheduler>(
-        grid, lb, world, r, RequestContainer::WaitFreePool, cfg));
-
-  std::vector<std::thread> threads;
-  for (int r = 0; r < numRanks; ++r) {
-    threads.emplace_back([&, r] {
-      Scheduler& s = *scheds[r];
-      s.addTask(makeFillTask("phi", 0));
-      Task consume("consume", 0, [](const TaskContext& ctx) {
-        const auto& g = ctx.getGhosted<double>("phi", 2);
-        for (const auto& c : g.window())
-          if (g[c] != fingerprint(c, 0))
-            ADD_FAILURE() << "bad ghost at " << c;
-      });
-      consume.addRequires(Requires{"phi", VarType::Double, 0, 2, false});
-      s.addTask(std::move(consume));
-      s.executeTimestep();
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  for (auto& s : scheds) {
-    EXPECT_EQ(s->channel(), nullptr);
-    EXPECT_EQ(s->stats().retransmits, 0u);
-    EXPECT_GT(s->stats().tasksExecuted, 0u);
-  }
 }
 
 }  // namespace

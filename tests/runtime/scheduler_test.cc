@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -32,14 +33,12 @@ double fingerprint(const IntVector& c, int level) {
 void runRanks(std::shared_ptr<const Grid> grid, int numRanks,
               const std::function<void(Scheduler&)>& configure,
               const std::function<void(Scheduler&)>& verify,
-              RequestContainer container = RequestContainer::WaitFreePool,
               grid::LbStrategy strategy = grid::LbStrategy::Block) {
   auto lb = std::make_shared<LoadBalancer>(*grid, numRanks, strategy);
   comm::Communicator world(numRanks);
   std::vector<std::unique_ptr<Scheduler>> scheds;
   for (int r = 0; r < numRanks; ++r)
-    scheds.push_back(
-        std::make_unique<Scheduler>(grid, lb, world, r, container));
+    scheds.push_back(std::make_unique<Scheduler>(grid, lb, world, r));
 
   std::vector<std::thread> threads;
   for (int r = 0; r < numRanks; ++r) {
@@ -78,10 +77,7 @@ TEST(Scheduler, LocalComputeNoCommunication) {
       });
 }
 
-class SchedulerContainers
-    : public ::testing::TestWithParam<RequestContainer> {};
-
-TEST_P(SchedulerContainers, GhostExchangeAcrossRanks) {
+TEST(Scheduler, GhostExchangeAcrossRanks) {
   auto grid = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                     IntVector(4));  // 64 patches
   const int ng = 2;
@@ -100,18 +96,8 @@ TEST_P(SchedulerContainers, GhostExchangeAcrossRanks) {
         consume.addRequires(Requires{"phi", VarType::Double, 0, ng, false});
         s.addTask(std::move(consume));
       },
-      [](Scheduler& s) { EXPECT_GT(s.stats().tasksExecuted, 0u); },
-      GetParam());
+      [](Scheduler& s) { EXPECT_GT(s.stats().tasksExecuted, 0u); });
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Containers, SchedulerContainers,
-    ::testing::Values(RequestContainer::WaitFreePool,
-                      RequestContainer::LockedSerialized),
-    [](const auto& info) {
-      return info.param == RequestContainer::WaitFreePool ? "WaitFree"
-                                                          : "LockedSerial";
-    });
 
 TEST(Scheduler, WholeLevelReplication) {
   // The paper's "infinite ghost cells": every rank needs the whole coarse
@@ -273,8 +259,24 @@ TEST(Scheduler, MortonLoadBalancedExchangeMatches) {
         consume.addRequires(Requires{"phi", VarType::Double, 0, 2, false});
         s.addTask(std::move(consume));
       },
-      [](Scheduler&) {}, RequestContainer::WaitFreePool,
-      grid::LbStrategy::Morton);
+      [](Scheduler&) {}, grid::LbStrategy::Morton);
+}
+
+TEST(Scheduler, AddTaskRejectsMoreRequiresThanTagSlots) {
+  // A message tag has 64 requirement slots; a 65th requires would alias
+  // the next phase's tags, so registration must refuse it.
+  auto grid = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(8),
+                                    IntVector(4));
+  auto lb = std::make_shared<LoadBalancer>(*grid, 1);
+  comm::Communicator world(1);
+  Scheduler sched(grid, lb, world, 0);
+  Task wide("wide", 0, [](const TaskContext&) {});
+  for (int i = 0; i < 64; ++i)
+    wide.addRequires(Requires{"phi", VarType::Double, 0, 1, false});
+  sched.addTask(wide);
+  wide.addRequires(Requires{"phi", VarType::Double, 0, 1, false});
+  EXPECT_THROW(sched.addTask(std::move(wide)), std::length_error);
+  EXPECT_EQ(sched.tasks().size(), 1u);
 }
 
 }  // namespace

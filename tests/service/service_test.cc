@@ -3,8 +3,9 @@
 /// tenants, exactly one shared coarse upload per scene generation,
 /// scene-generation invalidation (property update and regrid bump the
 /// generation, evict the shared packed cache, and turn pinned stale
-/// queries into typed errors — never stale data), typed admission
-/// shedding with no deadlocks (this suite also runs under TSan in CI),
+/// queries into typed errors — never stale data), banded scenes matching
+/// the one-shot band loop, typed admission shedding and InvalidQuery
+/// rejections with no deadlocks (this suite also runs under TSan in CI),
 /// per-tenant metrics views, and the submitted == completed + rejected
 /// reconciliation invariant.
 
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <string>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "comm/fault_injector.h"
+#include "core/spectral.h"
 #include "grid/grid.h"
 
 namespace rmcrt::service {
@@ -331,28 +334,124 @@ TEST(ServiceTest, FluxAndRadiometerMatchOneShotAndShareTheBatch) {
   (void)fine;
 }
 
-TEST(ServiceTest, NaiveModeMatchesBatchedBitwiseButUploadsPerRequest) {
+TEST(ServiceTest, ThreeBandSceneMatchesOneShotBitwise) {
   auto g = makeScene();
-  const RmcrtSetup setup = makeSetup(2);
+  RmcrtSetup setup = makeSetup(2);
+  setup.bands = core::threeband();
+  Service svc;
+  const SceneHandle h = svc.registerScene(g, setup);
   const auto slabs = tenantSlabs(*g, 4);
 
-  ServiceConfig naiveCfg;
-  naiveCfg.batching = false;
-  Service naive(naiveCfg);
-  const SceneHandle nh = naive.registerScene(g, setup);
   std::vector<std::future<Outcome<DivQResult>>> futs;
+  svc.pause();  // every band tile of every tenant rides one drain
   for (int t = 0; t < 4; ++t)
-    futs.push_back(naive.submitDivQ(
-        DivQQuery{"t" + std::to_string(t), nh.id, 0, slabs[t]}));
+    futs.push_back(
+        svc.submitDivQ(DivQQuery{"t" + std::to_string(t), h.id, 0, slabs[t]}));
+  svc.resume();
+
+  RmcrtSetup gray = setup;
+  gray.bands = {};
   for (int t = 0; t < 4; ++t) {
     Outcome<DivQResult> o = futs[t].get();
-    ASSERT_TRUE(o.ok());
+    ASSERT_TRUE(o.ok()) << toString(o.reject);
     const DivQResult ref = Service::solveDivQOneShot(*g, setup, slabs[t]);
+    ASSERT_EQ(o.value.divQ.size(), ref.divQ.size());
     for (std::size_t i = 0; i < ref.divQ.size(); ++i)
-      ASSERT_EQ(o.value.divQ[i], ref.divQ[i]);
+      ASSERT_EQ(o.value.divQ[i], ref.divQ[i])
+          << "tenant " << t << " element " << i;
+    EXPECT_NE(o.value.divQ, Service::solveDivQOneShot(*g, gray, slabs[t]).divQ)
+        << "the band model must change the answer";
   }
-  EXPECT_EQ(naive.stats().coarseUploads, 4u)
-      << "the baseline re-uploads per request — the cost batching removes";
+  EXPECT_EQ(svc.stats().coarseUploads, 1u)
+      << "bands alias the scene's one coarse upload";
+}
+
+/// The pending outcome \p f must be a typed InvalidQuery rejection.
+template <typename Fut>
+void expectInvalid(Fut&& f, const std::string& what) {
+  EXPECT_EQ(f.get().reject, RejectReason::InvalidQuery) << what;
+}
+
+/// The rejections reconcile and release every admission slot.
+void expectReconciled(const Service& svc, std::uint64_t rejected) {
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.rejected, rejected);
+  EXPECT_EQ(st.submitted, st.completed + st.rejected);
+  EXPECT_EQ(st.admission.inFlight, 0u);
+}
+
+TEST(ServiceTest, InvalidDivQCellsAreTypedRejections) {
+  auto g = makeScene(16);
+  Service svc;
+  const SceneHandle h = svc.registerScene(g, makeSetup(2));
+  const CellRange inside(IntVector(8, 0, 0), IntVector(12, 16, 16));
+
+  svc.pause();  // the bad queries share a drain with a good one
+  auto empty = svc.submitDivQ(
+      DivQQuery{"a", h.id, 0, CellRange(IntVector(4), IntVector(4))});
+  auto inverted = svc.submitDivQ(
+      DivQQuery{"a", h.id, 0, CellRange(IntVector(8), IntVector(4))});
+  auto pastEdge = svc.submitDivQ(DivQQuery{
+      "a", h.id, 0, CellRange(IntVector(12, 0, 0), IntVector(20, 16, 16))});
+  auto good = svc.submitDivQ(DivQQuery{"b", h.id, 0, inside});
+  svc.resume();
+  expectInvalid(empty, "empty range");
+  expectInvalid(inverted, "inverted range");
+  expectInvalid(pastEdge, "range past the fine level");
+  ASSERT_TRUE(good.get().ok()) << "one bad tenant must not sink the batch";
+
+  // Valid at submit, invalid once a regrid shrinks the fine level before
+  // the drain: the check runs against the serving generation's grid.
+  svc.pause();
+  auto shrunk = svc.submitDivQ(DivQQuery{"a", h.id, 0, inside});
+  ASSERT_TRUE(svc.regrid(h.id, makeScene(8)).ok());
+  svc.resume();
+  expectInvalid(shrunk, "range outside the regridded fine level");
+
+  expectReconciled(svc, 4);
+  EXPECT_STREQ(toString(RejectReason::InvalidQuery), "invalid_query");
+}
+
+TEST(ServiceTest, InvalidFluxFacesAreTypedRejections) {
+  auto g = makeScene(16);
+  Service svc;
+  const SceneHandle h = svc.registerScene(g, makeSetup(2));
+  const auto flux = [&](IntVector cell, IntVector face) {
+    return svc.submitBoundaryFlux(FluxQuery{"a", h.id, 0, {{cell, face}}, 8});
+  };
+  expectInvalid(flux(IntVector(16, 8, 8), IntVector(1, 0, 0)),
+                "cell outside the fine level");
+  expectInvalid(flux(IntVector(0, 8, 8), IntVector(0, 0, 0)), "zero face");
+  expectInvalid(flux(IntVector(0, 8, 8), IntVector(-1, 1, 0)),
+                "diagonal face");
+  expectInvalid(flux(IntVector(0, 8, 8), IntVector(-2, 0, 0)),
+                "non-unit face");
+  Outcome<FluxResult> good =
+      flux(IntVector(0, 8, 8), IntVector(-1, 0, 0)).get();
+  ASSERT_TRUE(good.ok());
+  EXPECT_GT(good.value.fluxes.at(0), 0.0);
+  expectReconciled(svc, 4);
+}
+
+TEST(ServiceTest, InvalidRadiometersAreTypedRejections) {
+  auto g = makeScene(16);
+  Service svc;
+  const SceneHandle h = svc.registerScene(g, makeSetup(2));
+  const auto radiometer = [&](Vector position, int nRays) {
+    RadiometerQuery q{"a", h.id, 0, {}};
+    q.spec.position = position;
+    q.spec.viewDirection = Vector(0.0, 0.0, 1.0);
+    q.spec.nRays = nRays;
+    return svc.submitRadiometer(q);
+  };
+  const Vector inside(0.5, 0.5, 0.1);
+  expectInvalid(radiometer(inside, 0), "no rays");
+  expectInvalid(radiometer(inside, -3), "negative rays");
+  expectInvalid(radiometer(Vector(0.5, 1.5, 0.1), 16), "outside the domain");
+  expectInvalid(radiometer(Vector(0.5, std::nan(""), 0.1), 16),
+                "NaN position");
+  ASSERT_TRUE(radiometer(inside, 16).get().ok());
+  expectReconciled(svc, 4);
 }
 
 TEST(ServiceTest, PerTenantMetricsViewsCarryTheSplit) {

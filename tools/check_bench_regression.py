@@ -42,18 +42,15 @@ service — gates the radiation-as-a-service load generator
         --baseline BENCH_service.json
 
   1. bitwise_match is true in both runs: every batched response was
-     element-for-element identical to the naive one-solve-per-request
-     baseline — fixed accuracy is the premise of the headline.
-  2. Cross-request batching beats the per-request baseline
-     (speedup >= 1.0; it is the point of the subsystem).
-  3. Accounting reconciles in both sections: submitted ==
-     completed + rejected and the benchmark load runs shed-free
-     (rejected == 0 — admission caps are sized so the gate measures
-     throughput, not shedding).
-  4. The sharing contract held: the batched run staged exactly one
-     coarse upload for its single scene generation while the
-     per-request baseline paid one per request.
-  5. Batched queries/s >= tolerance * the baseline's (same 0.5-style
+     element-for-element identical to the serial one-shot solve of the
+     same query (Service::solve*OneShot) — fixed accuracy is the premise
+     of the throughput number.
+  2. Accounting reconciles: submitted == completed + rejected and the
+     benchmark load runs shed-free (rejected == 0 — admission caps are
+     sized so the gate measures throughput, not shedding).
+  3. The sharing contract held: the run staged exactly one coarse
+     upload for its single scene generation.
+  4. Batched queries/s >= tolerance * the baseline's (same 0.5-style
      collapse floor as kernel mode; runners differ).
 
 adaptive — gates the variance-adaptive ray-budget + spectral-banding
@@ -120,12 +117,10 @@ SCHEMA = {
         "value_rtol": 0.05,
     },
     "service": {
-        "sections": ("batched", "per_request"),
+        "section": "batched",
         "required_numbers": ("queries_per_s", "p50_ms", "p99_ms",
                              "submitted", "completed", "rejected",
                              "coarse_uploads"),
-        # Batching must not lose to one-solve-per-request.
-        "speedup_floor": 1.0,
     },
     "adaptive": {
         # The headline: segments traced by the adaptive controller vs the
@@ -371,7 +366,7 @@ def check_service(current, baseline, cur_path, base_path, tolerance):
     failures = []
 
     # 1. Fixed accuracy: every batched response bitwise equal to the
-    # naive per-request baseline, in this run and in the committed one.
+    # one-shot solve of its query, in this run and in the committed one.
     for doc, path in ((current, cur_path), (baseline, base_path)):
         if "bitwise_match" not in doc:
             raise UnusableInput(
@@ -379,62 +374,39 @@ def check_service(current, baseline, cur_path, base_path, tolerance):
                 "JSON? Regenerate with bench_service --smoke --json=...")
         if doc["bitwise_match"] is not True:
             failures.append(
-                f"{path}: batched responses diverged from the "
-                "per-request baseline (bitwise_match false)")
+                f"{path}: batched responses diverged from the one-shot "
+                "solvers (bitwise_match false)")
 
-    sections = {}
-    for name in schema["sections"]:
-        entry = require_section(current, name, cur_path)
-        where = f"{cur_path} {name}"
-        vals = {key: require_number(entry, key, where)
-                for key in schema["required_numbers"]}
-        sections[name] = vals
-        # 3. Accounting reconciles and the gate load ran shed-free.
-        if vals["submitted"] != vals["completed"] + vals["rejected"]:
-            failures.append(
-                f"{name}: submitted {vals['submitted']:.0f} != completed "
-                f"{vals['completed']:.0f} + rejected {vals['rejected']:.0f}")
-        if vals["rejected"] != 0:
-            failures.append(
-                f"{name}: {vals['rejected']:.0f} requests shed — the gate "
-                "load must run under its admission caps")
-        if not vals["p99_ms"] >= vals["p50_ms"] > 0.0:
-            failures.append(
-                f"{name}: implausible latency quantiles p50 "
-                f"{vals['p50_ms']:.3f} ms / p99 {vals['p99_ms']:.3f} ms")
-
-    # 2. Batching is the point: it must not lose to per-request.
-    speedup = require_number(current, "speedup", cur_path)
-    floor = schema["speedup_floor"]
-    verdict = "OK" if speedup >= floor else "FAIL"
-    print(f"service batching: batched {sections['batched']['queries_per_s']:.1f}"
-          f" vs per-request {sections['per_request']['queries_per_s']:.1f}"
-          f" queries/s ({speedup:.2f}x, floor {floor}) [{verdict}]")
-    if speedup < floor:
+    name = schema["section"]
+    entry = require_section(current, name, cur_path)
+    vals = {key: require_number(entry, key, f"{cur_path} {name}")
+            for key in schema["required_numbers"]}
+    # 2. Accounting reconciles and the gate load ran shed-free.
+    if vals["submitted"] != vals["completed"] + vals["rejected"]:
         failures.append(
-            f"cross-request batching lost to one-solve-per-request "
-            f"({speedup:.2f}x < {floor}x)")
-
-    # 4. The sharing contract: one coarse upload per scene generation for
-    # the batched run; one per request for the naive baseline.
-    if sections["batched"]["coarse_uploads"] != 1:
+            f"{name}: submitted {vals['submitted']:.0f} != completed "
+            f"{vals['completed']:.0f} + rejected {vals['rejected']:.0f}")
+    if vals["rejected"] != 0:
         failures.append(
-            f"batched run staged {sections['batched']['coarse_uploads']:.0f} "
-            "coarse uploads for its single scene generation (want exactly 1 "
-            "— the shared-upload contract broke)")
-    if (sections["per_request"]["coarse_uploads"]
-            != sections["per_request"]["completed"]):
+            f"{name}: {vals['rejected']:.0f} requests shed — the gate "
+            "load must run under its admission caps")
+    if not vals["p99_ms"] >= vals["p50_ms"] > 0.0:
         failures.append(
-            f"per-request baseline staged "
-            f"{sections['per_request']['coarse_uploads']:.0f} uploads for "
-            f"{sections['per_request']['completed']:.0f} requests — it is "
-            "no longer the one-upload-per-request contrast")
+            f"{name}: implausible latency quantiles p50 "
+            f"{vals['p50_ms']:.3f} ms / p99 {vals['p99_ms']:.3f} ms")
 
-    # 5. Throughput collapse vs the committed baseline.
-    base_batched = require_section(baseline, "batched", base_path)
-    base_qps = require_number(base_batched, "queries_per_s",
-                              f"{base_path} batched")
-    cur_qps = sections["batched"]["queries_per_s"]
+    # 3. The sharing contract: one coarse upload per scene generation.
+    if vals["coarse_uploads"] != 1:
+        failures.append(
+            f"batched run staged {vals['coarse_uploads']:.0f} coarse "
+            "uploads for its single scene generation (want exactly 1 — the "
+            "shared-upload contract broke)")
+
+    # 4. Throughput collapse vs the committed baseline.
+    base_entry = require_section(baseline, name, base_path)
+    base_qps = require_number(base_entry, "queries_per_s",
+                              f"{base_path} {name}")
+    cur_qps = vals["queries_per_s"]
     qps_floor = tolerance * base_qps
     verdict = "OK" if cur_qps >= qps_floor else "FAIL"
     print(f"service throughput: current {cur_qps:.1f} vs baseline "
@@ -569,18 +541,13 @@ def scaling_fixture(seconds=4.0):
                        "calibrated": json.loads(json.dumps(model))}}
 
 
-def service_fixture(qps=2000.0, naive_qps=1000.0, uploads=1, rejected=0,
-                    bitwise=True):
-    def section(q, up):
-        n = 96.0
-        return {"queries_per_s": q, "p50_ms": 3.0, "p99_ms": 8.0,
-                "submitted": n, "completed": n - rejected,
-                "rejected": rejected, "coarse_uploads": up}
+def service_fixture(qps=2000.0, uploads=1, rejected=0, bitwise=True):
+    n = 96.0
     return {
         "bitwise_match": bitwise,
-        "speedup": qps / naive_qps,
-        "batched": section(qps, uploads),
-        "per_request": section(naive_qps, 96.0 - rejected),
+        "batched": {"queries_per_s": qps, "p50_ms": 3.0, "p99_ms": 8.0,
+                    "submitted": n, "completed": n - rejected,
+                    "rejected": rejected, "coarse_uploads": uploads},
     }
 
 
@@ -656,12 +623,6 @@ def test_service_pass():
                          "base", 0.5) == []
 
 
-def test_service_batching_loses_fails():
-    fails = check_service(service_fixture(qps=800.0), service_fixture(),
-                          "cur", "base", 0.5)
-    assert any("lost to one-solve-per-request" in f for f in fails), fails
-
-
 def test_service_bitwise_false_fails():
     fails = check_service(service_fixture(bitwise=False), service_fixture(),
                           "cur", "base", 0.5)
@@ -681,9 +642,8 @@ def test_service_shed_load_fails():
 
 
 def test_service_throughput_collapse():
-    fails = check_service(service_fixture(qps=1200.0, naive_qps=1000.0),
-                          service_fixture(qps=5000.0, naive_qps=2500.0),
-                          "cur", "base", 0.5)
+    fails = check_service(service_fixture(qps=1200.0),
+                          service_fixture(qps=5000.0), "cur", "base", 0.5)
     assert any("queries/s collapsed" in f for f in fails), fails
 
 
@@ -769,7 +729,7 @@ def main():
     ap.add_argument("--mode", choices=sorted(MODES), default="kernel",
                     help="kernel: bench_rmcrt_kernel throughput gate; "
                          "scaling: bench_scaling_* shape gate; "
-                         "service: bench_service batching gate; "
+                         "service: bench_service accuracy + throughput gate; "
                          "adaptive: adaptive ray-budget + banding gate")
     ap.add_argument("--current",
                     help="JSON written by this run's bench binary")

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "amr/amr_engine.h"
 #include "core/dom_solver.h"
 #include "core/problems.h"
 #include "core/rmcrt_component.h"
@@ -396,91 +395,6 @@ void runObservabilityPipeline() {
                "trace, 1 radiation timestep\n";
 }
 
-/// Adaptive regrid mode (--regrid-every=N [--regrid-threshold=X]): drive
-/// Burns & Christon through the full AMR lifecycle — estimate, cluster,
-/// migrate, rebalance, recompile — on 2 simulated ranks, and report the
-/// fine-cell savings against the uniform fine level plus the measured
-/// post-rebalance imbalance. The engine's gauges (rmcrt.amr.*,
-/// rmcrt.lb.imbalance) land in the global registry, so --metrics-out
-/// composes with this mode.
-void runAdaptivePipeline(int regridEvery, double threshold) {
-  using runtime::Scheduler;
-  using runtime::SimulationController;
-
-  MetricsRegistry& reg = MetricsRegistry::global();
-  reg.reset();
-
-  const int numRanks = 2;
-  const int steps = 2 * regridEvery + 1;
-  auto grid =
-      grid::Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(32),
-                               IntVector(2), IntVector(8), IntVector(4));
-  auto lb = std::make_shared<grid::LoadBalancer>(*grid, numRanks);
-
-  RmcrtSetup setup;
-  setup.problem = burnsChriston();
-  setup.trace.nDivQRays = 8;
-  setup.trace.seed = 71;
-  setup.roiHalo = 2;
-
-  amr::AmrConfig cfg;
-  cfg.regridEvery = regridEvery;
-  cfg.estimator.refineThreshold = threshold;
-  cfg.cluster.minPatchSize = 2;
-  cfg.cluster.maxPatchSize = 4;
-  auto engine = std::make_shared<amr::AmrEngine>(grid, lb, numRanks, cfg);
-  engine->setPropertySampler(
-      RmcrtComponent::makePropertySampler(setup.problem));
-  engine->setMetrics(&reg);
-
-  comm::Communicator world(numRanks);
-  std::vector<std::unique_ptr<Scheduler>> scheds;
-  for (int r = 0; r < numRanks; ++r)
-    scheds.push_back(std::make_unique<Scheduler>(grid, lb, world, r));
-  std::vector<std::thread> threads;
-  for (int r = 0; r < numRanks; ++r) {
-    threads.emplace_back([&, r] {
-      Scheduler& sched = *scheds[r];
-      // Per-rank coarse-record cache: re-registration each radiation
-      // step repacks only regrid-migrated coverage, not the whole level.
-      RmcrtSetup rankSetup = setup;
-      rankSetup.packedCache = std::make_shared<PackedLevelCache>();
-      SimulationController ctl(
-          sched,
-          [&, rankSetup](Scheduler& s) {
-            RmcrtComponent::registerAdaptivePipeline(s, rankSetup,
-                                                     &engine->costModel());
-          },
-          [&](Scheduler& s) {
-            s.addTask(runtime::makeCarryForwardTask(
-                {RmcrtLabels::divQ}, s.grid().numLevels() - 1));
-          });
-      ctl.setRegridHook(
-          [&](int step) { return engine->maybeRegrid(step, sched); });
-      if (r == 0) ctl.setMetrics(&reg, "sim.", /*ownsTimeline=*/true);
-      ctl.run(steps);
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const auto stats = engine->stats();
-  const grid::Level& fine = engine->grid()->fineLevel();
-  const double savings =
-      1.0 - static_cast<double>(fine.coveredCells()) /
-                static_cast<double>(fine.numCells());
-  std::cout << "adaptive pipeline: " << numRanks << " ranks, " << steps
-            << " steps, regrid every " << regridEvery << ", threshold "
-            << threshold << "\n"
-            << "  regrids=" << stats.regrids
-            << " rebalances=" << stats.rebalances
-            << " skipped=" << stats.rebalancesSkipped << "\n"
-            << "  fine cells " << fine.coveredCells() << " / "
-            << fine.numCells() << " uniform (" << std::fixed
-            << std::setprecision(1) << savings * 100.0 << "% saved)\n"
-            << "  measured imbalance " << std::setprecision(3)
-            << stats.lastImbalance << "\n";
-}
-
 /// Snapshot-overhead mode (--snapshot-every=N): drive the 2-rank
 /// Burns & Christon two-level pipeline through a run that checkpoints the
 /// whole cluster every N completed steps (runtime/snapshot.h), and report
@@ -815,8 +729,6 @@ int main(int argc, char** argv) {
   //   --json=<path>  baseline output path (default BENCH_rmcrt_kernel.json)
   //   --trace-out/--metrics-out  observability outputs (runs a dedicated
   //       mini distributed pipeline instead of the benchmark suite)
-  //   --regrid-every=N       run the adaptive AMR pipeline (regrid cadence)
-  //   --regrid-threshold=X   refinement-flag threshold for that mode
   //   --snapshot-every=N     measure whole-cluster checkpoint overhead
   //       (MB and ms per checkpoint) into BENCH_snapshot.json
   //   --adaptive-rays[=N]    variance-adaptive sampling + spectral banding
@@ -829,8 +741,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string jsonPath = "BENCH_rmcrt_kernel.json";
   bool jsonPathSet = false;
-  int regridEvery = 0;
-  double regridThreshold = 0.10;
   int snapshotEvery = 0;
   int adaptivePilot = 0;  // >0 runs the adaptive sampling bench
   double errorTarget = 0.015;
@@ -842,10 +752,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       jsonPath = argv[i] + 7;
       jsonPathSet = true;
-    } else if (std::strncmp(argv[i], "--regrid-every=", 15) == 0) {
-      regridEvery = std::atoi(argv[i] + 15);
-    } else if (std::strncmp(argv[i], "--regrid-threshold=", 19) == 0) {
-      regridThreshold = std::atof(argv[i] + 19);
     } else if (std::strncmp(argv[i], "--snapshot-every=", 17) == 0) {
       snapshotEvery = std::atoi(argv[i] + 17);
     } else if (std::strncmp(argv[i], "--adaptive-rays=", 16) == 0) {
@@ -873,12 +779,6 @@ int main(int argc, char** argv) {
     // kernel-sweep baseline.
     runSnapshotBench(snapshotEvery,
                      jsonPathSet ? jsonPath : "BENCH_snapshot.json");
-    return 0;
-  }
-  if (regridEvery > 0) {
-    if (obs.any()) rmcrt::TraceRecorder::global().setEnabled(true);
-    runAdaptivePipeline(regridEvery, regridThreshold);
-    if (obs.any()) rmcrt::writeObservabilityOutputs(obs);
     return 0;
   }
   if (obs.any()) {

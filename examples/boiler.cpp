@@ -7,7 +7,11 @@
 /// CCMSC cares about: radiative heat flux to the walls.
 ///
 ///   ./examples/boiler [ranks=4] [fineCells=32] [rays=32]
+///
+/// ranks and rays must be positive and fineCells a positive multiple of 8;
+/// anything else prints the usage and exits 2.
 
+#include <climits>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -25,15 +29,37 @@
 #include "runtime/scheduler.h"
 #include "util/observability_cli.h"
 
+namespace {
+
+/// Positional argument \p i as a whole number: \p fallback when absent,
+/// 0 when malformed (rejected like any other non-positive value).
+int intArg(int argc, char** argv, int i, int fallback) {
+  if (i >= argc) return fallback;
+  char* end = nullptr;
+  const long v = std::strtol(argv[i], &end, 10);
+  if (end == argv[i] || *end != '\0' || v < INT_MIN || v > INT_MAX) return 0;
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const rmcrt::ObservabilityOptions obs =
       rmcrt::parseObservabilityFlags(argc, argv);
   using namespace rmcrt;
   using namespace rmcrt::core;
 
-  const int ranks = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int n = argc > 2 ? std::atoi(argv[2]) : 32;
-  const int rays = argc > 3 ? std::atoi(argv[3]) : 32;
+  const int ranks = intArg(argc, argv, 1, 4);
+  const int n = intArg(argc, argv, 2, 32);
+  const int rays = intArg(argc, argv, 3, 32);
+  // Refinement ratio 4 with fine patches of n/4 and coarse patches of n/8
+  // cells per side: both tile the grid only when 8 divides n.
+  if (ranks < 1 || rays < 1 || n < 8 || n % 8 != 0) {
+    std::cerr << "usage: boiler [ranks=4] [fineCells=32] [rays=32]\n"
+                 "  ranks >= 1, rays >= 1, fineCells a positive multiple "
+                 "of 8\n";
+    return 2;
+  }
 
   std::cout << "Synthetic boiler radiation solve: " << n << "^3 fine / "
             << n / 4 << "^3 coarse, " << ranks

@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
         SimulationController ctl(
             sched,
             [&, rankSetup](Scheduler& s) {
-              RmcrtComponent::registerAdaptivePipeline(
+              RmcrtComponent::registerTwoLevelPipeline(
                   s, rankSetup, &engine->costModel());
             },
             [&](Scheduler& s) {

@@ -132,10 +132,10 @@ class Migrator {
 };
 
 /// Fill the cells of \p region that no patch of \p fineLevel covers with
-/// their coarse parents' values — the prolongation the adaptive trace
-/// task applies to its region-of-interest window before ray marching, so
-/// rays crossing unrefined space see coarse-accurate (never zero)
-/// radiative properties.
+/// their coarse parents' values — the prolongation the two-level trace
+/// task applies to its region-of-interest window on adaptive fine levels
+/// before ray marching, so rays crossing unrefined space see
+/// coarse-accurate (never zero) radiative properties.
 template <typename T>
 void fillUncoveredFromCoarser(grid::CCVariable<T>& fineVar,
                               const CellRange& region,

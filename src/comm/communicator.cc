@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstring>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "comm/fault_injector.h"
@@ -13,7 +15,9 @@
 namespace rmcrt::comm {
 
 Communicator::Communicator(int size) : m_size(size) {
-  assert(size > 0);
+  if (size <= 0)
+    throw std::invalid_argument("Communicator: size must be positive, got " +
+                                std::to_string(size));
   m_boxes.reserve(static_cast<std::size_t>(size));
   for (int i = 0; i < size; ++i)
     m_boxes.push_back(std::make_unique<Mailbox>());

@@ -109,6 +109,7 @@ struct CommStats {
 /// atomic, so polling (Request::test) is lock-free.
 class Communicator {
  public:
+  /// Throws std::invalid_argument when \p size <= 0.
   explicit Communicator(int size);
   ~Communicator();
 

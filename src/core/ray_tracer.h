@@ -181,7 +181,7 @@ struct TraceLevel {
   /// Fused property records covering the same window as `fields`. Leave
   /// invalid to have the Tracer pack (and own) the records itself at
   /// construction; supply one to share packing across Tracers — the
-  /// adaptive pipeline's PackedLevelCache and the GPU level database.
+  /// CPU trace task's PackedLevelCache and the GPU level database.
   PackedFieldView packed;
 };
 

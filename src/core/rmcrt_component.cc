@@ -21,24 +21,43 @@ using runtime::VarType;
 
 namespace {
 
-/// Shared, copyable pipeline state captured by task lambdas.
-struct PipelineState {
-  RadiationProblem problem;
-  TraceConfig trace;
-  int roiHalo;
-  ThreadPool* pool = nullptr;  ///< setup-supplied fallback tracing pool
-  /// Per-rank coarse-record cache for the adaptive pipeline (may be
-  /// null). Outlives the PipelineState that a re-registration replaces,
-  /// so packed coarse records persist across radiation steps.
-  std::shared_ptr<PackedLevelCache> packedCache;
-  /// Spectral bands (empty = gray). Every trace task below dispatches
-  /// through traceDivQ on this.
-  BandModel bands;
+/// Every task captures one immutable copy of the setup. Its packedCache
+/// outlives the copy a re-registration replaces, so packed coarse records
+/// persist across radiation steps.
+using SetupPtr = std::shared_ptr<const RmcrtSetup>;
+
+/// The radiative properties every level carries, in staging order.
+struct PropertyLabel {
+  const char* label;
+  VarType type;
 };
+constexpr PropertyLabel kProperties[] = {
+    {RmcrtLabels::abskg, VarType::Double},
+    {RmcrtLabels::sigmaT4, VarType::Double},
+    {RmcrtLabels::cellType, VarType::CellTypeVar}};
+
+void addPropertyComputes(Task& t) {
+  for (const PropertyLabel& p : kProperties)
+    t.addComputes(Computes{p.label, p.type, 0});
+}
+
+/// The two-level trace inputs: the fine properties over the patch's ROI
+/// (a halo of \p roiHalo cells) plus the coarse properties over the whole
+/// level (the "infinite ghost cells" requirement).
+void addTraceRequires(Task& t, int fineLevel, int roiHalo) {
+  for (const PropertyLabel& p : kProperties)
+    t.addRequires(Requires{p.label, p.type, fineLevel, roiHalo, false});
+  for (const PropertyLabel& p : kProperties)
+    t.addRequires(Requires{p.label, p.type, 0, 0, true});
+}
+
+WallProperties wallsOf(const RadiationProblem& problem) {
+  return {problem.wallSigmaT4OverPi, problem.wallEmissivity};
+}
 
 /// The pool a trace task should tile on: the scheduler-provided one when
 /// present (bounds node-wide parallelism), else the setup's.
-ThreadPool* tracePool(const TaskContext& ctx, const PipelineState& st) {
+ThreadPool* tracePool(const TaskContext& ctx, const RmcrtSetup& st) {
   return ctx.pool != nullptr ? ctx.pool : st.pool;
 }
 
@@ -48,10 +67,10 @@ ThreadPool* tracePool(const TaskContext& ctx, const PipelineState& st) {
 /// SpectralTracer band loop runs over the SAME trace levels (one shared
 /// record set). \p segmentsOut, when non-null, receives the traced
 /// segment count (the measured-cost model's input).
-void traceDivQ(std::vector<TraceLevel> levels, const WallProperties& walls,
-               const PipelineState& st, const CellRange& cells,
-               MutableFieldView<double> divQ, ThreadPool* pool,
-               std::uint64_t* segmentsOut = nullptr) {
+void traceDivQ(std::vector<TraceLevel> levels, const RmcrtSetup& st,
+               const CellRange& cells, MutableFieldView<double> divQ,
+               ThreadPool* pool, std::uint64_t* segmentsOut = nullptr) {
+  const WallProperties walls = wallsOf(st.problem);
   if (st.bands.empty()) {
     Tracer tracer(std::move(levels), walls, st.trace);
     tracer.computeDivQ(cells, divQ, pool);
@@ -63,7 +82,7 @@ void traceDivQ(std::vector<TraceLevel> levels, const WallProperties& walls,
   }
 }
 
-Task makeInitTask(std::shared_ptr<PipelineState> st, int fineLevel) {
+Task makeInitTask(SetupPtr st, int fineLevel) {
   Task t("RMCRT::initProperties", fineLevel,
          [st](const TaskContext& ctx) {
            const grid::Level& level =
@@ -76,53 +95,23 @@ Task makeInitTask(std::shared_ptr<PipelineState> st, int fineLevel) {
                RmcrtLabels::cellType, ctx.patch->id());
            initializeProperties(level, st->problem, abskg, sig, ct);
          });
-  t.addComputes(Computes{RmcrtLabels::abskg, VarType::Double, 0});
-  t.addComputes(Computes{RmcrtLabels::sigmaT4, VarType::Double, 0});
-  t.addComputes(Computes{RmcrtLabels::cellType, VarType::CellTypeVar, 0});
+  addPropertyComputes(t);
   return t;
 }
 
-Task makeCoarsenTask(int fineLevel) {
+/// Coarse radiation properties: average the fine data of every fine patch
+/// overlapping this coarse patch. When the overlaps leave part of the
+/// patch uncovered (an adaptive fine level), the patch is first sampled
+/// from the analytic problem, so unrefined regions carry real coarse data,
+/// not zeros. A uniformly tiled fine level always covers the patch and
+/// nothing is sampled; coarsenAverage works per coarse cell, so coarsening
+/// overlap by overlap writes the same bits as coarsening the whole patch.
+/// Adaptive fine patch boxes are rr-aligned in coarse space (the
+/// clusterer works on a coarse-cell lattice), so their overlaps coarsen
+/// exactly.
+Task makeCoarsenTask(SetupPtr st, int fineLevel) {
   Task t("RMCRT::coarsenProperties", /*level=*/0,
-         [fineLevel](const TaskContext& ctx) {
-           const IntVector rr =
-               ctx.grid->level(fineLevel).refinementRatio();
-           const auto& fAbs = ctx.getFineRegion<double>(
-               RmcrtLabels::abskg, fineLevel);
-           const auto& fSig = ctx.getFineRegion<double>(
-               RmcrtLabels::sigmaT4, fineLevel);
-           const auto& fCt = ctx.getFineRegion<CellType>(
-               RmcrtLabels::cellType, fineLevel);
-           auto& cAbs = ctx.newDW->getModifiable<double>(
-               RmcrtLabels::abskg, ctx.patch->id());
-           auto& cSig = ctx.newDW->getModifiable<double>(
-               RmcrtLabels::sigmaT4, ctx.patch->id());
-           auto& cCt = ctx.newDW->getModifiable<CellType>(
-               RmcrtLabels::cellType, ctx.patch->id());
-           grid::coarsenAverage(fAbs, rr, cAbs, ctx.patch->cells());
-           grid::coarsenAverage(fSig, rr, cSig, ctx.patch->cells());
-           grid::coarsenCellType(fCt, rr, cCt, ctx.patch->cells());
-         });
-  t.addRequires(Requires{RmcrtLabels::abskg, VarType::Double, fineLevel});
-  t.addRequires(Requires{RmcrtLabels::sigmaT4, VarType::Double, fineLevel});
-  t.addRequires(
-      Requires{RmcrtLabels::cellType, VarType::CellTypeVar, fineLevel});
-  t.addComputes(Computes{RmcrtLabels::abskg, VarType::Double, 0});
-  t.addComputes(Computes{RmcrtLabels::sigmaT4, VarType::Double, 0});
-  t.addComputes(Computes{RmcrtLabels::cellType, VarType::CellTypeVar, 0});
-  return t;
-}
-
-/// Coarse radiation properties on an adaptive grid: sample the analytic
-/// problem over the whole coarse patch (so unrefined regions carry real
-/// coarse data, not zeros), then overlay averaged fine data wherever
-/// fine patches cover. Fine patch boxes are rr-aligned in coarse space
-/// (the clusterer works on a coarse-cell lattice), so the overlay
-/// regions coarsen exactly.
-Task makeUpdateCoarseTask(std::shared_ptr<PipelineState> st, int fineLevel) {
-  Task t("RMCRT::updateCoarseProperties", /*level=*/0,
          [st, fineLevel](const TaskContext& ctx) {
-           const grid::Level& coarse = ctx.grid->level(0);
            const grid::Level& fine = ctx.grid->level(fineLevel);
            const IntVector rr = fine.refinementRatio();
            auto& cAbs = ctx.newDW->getModifiable<double>(
@@ -131,7 +120,13 @@ Task makeUpdateCoarseTask(std::shared_ptr<PipelineState> st, int fineLevel) {
                RmcrtLabels::sigmaT4, ctx.patch->id());
            auto& cCt = ctx.newDW->getModifiable<CellType>(
                RmcrtLabels::cellType, ctx.patch->id());
-           initializeProperties(coarse, st->problem, cAbs, cSig, cCt);
+           const CellRange refined = ctx.patch->cells().refined(rr);
+           const auto overlaps = fine.patchesIntersecting(refined);
+           std::int64_t covered = 0;
+           for (const auto& o : overlaps) covered += o.region.volume();
+           if (covered < refined.volume())
+             initializeProperties(ctx.grid->level(0), st->problem, cAbs,
+                                  cSig, cCt);
 
            const auto& fAbs = ctx.getFineRegion<double>(
                RmcrtLabels::abskg, fineLevel);
@@ -139,164 +134,112 @@ Task makeUpdateCoarseTask(std::shared_ptr<PipelineState> st, int fineLevel) {
                RmcrtLabels::sigmaT4, fineLevel);
            const auto& fCt = ctx.getFineRegion<CellType>(
                RmcrtLabels::cellType, fineLevel);
-           const CellRange refined = ctx.patch->cells().refined(rr);
-           for (const auto& o : fine.patchesIntersecting(refined)) {
+           for (const auto& o : overlaps) {
              const CellRange cRegion = o.region.coarsened(rr);
              grid::coarsenAverage(fAbs, rr, cAbs, cRegion);
              grid::coarsenAverage(fSig, rr, cSig, cRegion);
              grid::coarsenCellType(fCt, rr, cCt, cRegion);
            }
          });
-  t.addRequires(Requires{RmcrtLabels::abskg, VarType::Double, fineLevel});
-  t.addRequires(Requires{RmcrtLabels::sigmaT4, VarType::Double, fineLevel});
-  t.addRequires(
-      Requires{RmcrtLabels::cellType, VarType::CellTypeVar, fineLevel});
-  t.addComputes(Computes{RmcrtLabels::abskg, VarType::Double, 0});
-  t.addComputes(Computes{RmcrtLabels::sigmaT4, VarType::Double, 0});
-  t.addComputes(Computes{RmcrtLabels::cellType, VarType::CellTypeVar, 0});
+  for (const PropertyLabel& p : kProperties)
+    t.addRequires(Requires{p.label, p.type, fineLevel});
+  addPropertyComputes(t);
   return t;
 }
 
 /// Assemble the fine-level (ROI) and coarse-level (whole domain) trace
 /// inputs from the staged DataWarehouse regions.
 std::vector<TraceLevel> buildTraceLevels(const TaskContext& ctx,
-                                         int fineLevel, int roiHalo,
-                                         bool twoLevel) {
-  std::vector<TraceLevel> levels;
-  const grid::Level& fine = ctx.grid->level(fineLevel);
-
+                                         int fineLevel, int roiHalo) {
   const auto& fAbs = ctx.getGhosted<double>(RmcrtLabels::abskg, roiHalo);
   const auto& fSig = ctx.getGhosted<double>(RmcrtLabels::sigmaT4, roiHalo);
   const auto& fCt = ctx.getGhosted<CellType>(RmcrtLabels::cellType, roiHalo);
   TraceLevel fineTL;
-  fineTL.geom = LevelGeom::from(fine);
+  fineTL.geom = LevelGeom::from(ctx.grid->level(fineLevel));
   fineTL.fields = RadiationFieldsView{
       FieldView<double>::fromHost(fAbs), FieldView<double>::fromHost(fSig),
       FieldView<CellType>::fromHost(fCt)};
   fineTL.allowed = fAbs.window();
-  levels.push_back(fineTL);
 
-  if (twoLevel) {
-    const grid::Level& coarse = ctx.grid->level(0);
-    const auto& cAbs = ctx.getWholeLevel<double>(RmcrtLabels::abskg, 0);
-    const auto& cSig = ctx.getWholeLevel<double>(RmcrtLabels::sigmaT4, 0);
-    const auto& cCt = ctx.getWholeLevel<CellType>(RmcrtLabels::cellType, 0);
-    TraceLevel coarseTL;
-    coarseTL.geom = LevelGeom::from(coarse);
-    coarseTL.fields = RadiationFieldsView{
-        FieldView<double>::fromHost(cAbs), FieldView<double>::fromHost(cSig),
-        FieldView<CellType>::fromHost(cCt)};
-    coarseTL.allowed = coarse.cells();
-    levels.push_back(coarseTL);
-  }
-  return levels;
+  const grid::Level& coarse = ctx.grid->level(0);
+  const auto& cAbs = ctx.getWholeLevel<double>(RmcrtLabels::abskg, 0);
+  const auto& cSig = ctx.getWholeLevel<double>(RmcrtLabels::sigmaT4, 0);
+  const auto& cCt = ctx.getWholeLevel<CellType>(RmcrtLabels::cellType, 0);
+  TraceLevel coarseTL;
+  coarseTL.geom = LevelGeom::from(coarse);
+  coarseTL.fields = RadiationFieldsView{
+      FieldView<double>::fromHost(cAbs), FieldView<double>::fromHost(cSig),
+      FieldView<CellType>::fromHost(cCt)};
+  coarseTL.allowed = coarse.cells();
+  return {fineTL, coarseTL};
 }
 
-Task makeCpuTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
-                      bool twoLevel) {
-  Task t("RMCRT::rayTrace", fineLevel, [st, fineLevel,
-                                        twoLevel](const TaskContext& ctx) {
-    auto levels = buildTraceLevels(ctx, fineLevel, st->roiHalo, twoLevel);
-    const WallProperties walls{st->problem.wallSigmaT4OverPi,
-                               st->problem.wallEmissivity};
-    auto& divQ =
-        ctx.newDW->getModifiable<double>(RmcrtLabels::divQ, ctx.patch->id());
-    traceDivQ(std::move(levels), walls, *st, ctx.patch->cells(),
-              MutableFieldView<double>::fromHost(divQ), tracePool(ctx, *st));
-  });
-  t.addRequires(Requires{RmcrtLabels::abskg, VarType::Double, fineLevel,
-                         st->roiHalo, false});
-  t.addRequires(Requires{RmcrtLabels::sigmaT4, VarType::Double, fineLevel,
-                         st->roiHalo, false});
-  t.addRequires(Requires{RmcrtLabels::cellType, VarType::CellTypeVar,
-                         fineLevel, st->roiHalo, false});
-  if (twoLevel) {
-    t.addRequires(
-        Requires{RmcrtLabels::abskg, VarType::Double, 0, 0, true});
-    t.addRequires(
-        Requires{RmcrtLabels::sigmaT4, VarType::Double, 0, 0, true});
-    t.addRequires(
-        Requires{RmcrtLabels::cellType, VarType::CellTypeVar, 0, 0, true});
-  }
-  t.addComputes(Computes{RmcrtLabels::divQ, VarType::Double, 0});
-  return t;
+/// Prolong the whole-level coarse \p label into the cells of the staged
+/// fine \p roi window that no fine patch covers.
+template <typename T>
+void fillUncovered(const TaskContext& ctx, const char* label, int fineLevel,
+                   const CellRange& roi) {
+  amr::fillUncoveredFromCoarser(
+      ctx.newDW->getRegionModifiable<T>(label, fineLevel, roi), roi,
+      ctx.grid->level(fineLevel), ctx.getWholeLevel<T>(label, 0));
 }
 
-/// Adaptive trace: like the two-level CPU trace, but the staged ROI
-/// window may contain cells no fine patch covers (the fine level is
-/// irregular). Those cells arrive zero-filled from staging; prolong the
-/// coarse radiation properties into them before marching so rays never
-/// cross transparent space. The in-place fill is safe — task actions run
-/// sequentially on the scheduler thread and the fill is deterministic
-/// and idempotent — and each patch's traced-segment count feeds the
-/// measured-cost model when one is supplied.
-Task makeAdaptiveTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
-                           amr::CostModel* costs) {
-  Task t("RMCRT::rayTraceAdaptive", fineLevel,
+/// The host trace of one fine patch: the CPU trace task's action and the
+/// GPU trace task's CPU fallback. On an adaptive fine level the staged ROI
+/// window may contain cells no fine patch covers. Those cells arrive
+/// zero-filled from staging, so the coarse radiation properties are
+/// prolonged into them before marching and rays never cross transparent
+/// space. The in-place fill is safe: task actions run sequentially on the
+/// scheduler thread, and the fill is deterministic and idempotent. With a
+/// packedCache the coarse records are reused across steps; with \p costs
+/// the patch's traced-segment count feeds the measured-cost model.
+void traceOnHost(const TaskContext& ctx, const RmcrtSetup& st, int fineLevel,
+                 amr::CostModel* costs) {
+  const grid::Level& fine = ctx.grid->level(fineLevel);
+  if (!fine.uniformlyTiled()) {
+    const CellRange roi =
+        ctx.patch->ghostWindow(st.roiHalo).intersect(fine.cells());
+    fillUncovered<double>(ctx, RmcrtLabels::abskg, fineLevel, roi);
+    fillUncovered<double>(ctx, RmcrtLabels::sigmaT4, fineLevel, roi);
+    fillUncovered<CellType>(ctx, RmcrtLabels::cellType, fineLevel, roi);
+  }
+
+  auto levels = buildTraceLevels(ctx, fineLevel, st.roiHalo);
+  if (st.packedCache) {
+    // Reuse the rank's fused coarse records across steps: only regions
+    // whose fine coverage changed (regrid-migrated patches) re-fuse;
+    // everything else is value-identical because the analytic sampler is
+    // step-invariant.
+    const IntVector rr = fine.refinementRatio();
+    std::vector<CellRange> coverage;
+    coverage.reserve(fine.patches().size());
+    for (const grid::Patch& p : fine.patches())
+      coverage.push_back(p.cells().coarsened(rr));
+    levels[1].packed = st.packedCache->refresh(levels[1].fields, coverage);
+  }
+  auto& divQ =
+      ctx.newDW->getModifiable<double>(RmcrtLabels::divQ, ctx.patch->id());
+  std::uint64_t segments = 0;
+  traceDivQ(std::move(levels), st, ctx.patch->cells(),
+            MutableFieldView<double>::fromHost(divQ), tracePool(ctx, st),
+            &segments);
+  if (costs)
+    costs->record(ctx.patch->id(), static_cast<double>(segments));
+}
+
+Task makeCpuTraceTask(SetupPtr st, int fineLevel, amr::CostModel* costs) {
+  Task t("RMCRT::rayTrace", fineLevel,
          [st, fineLevel, costs](const TaskContext& ctx) {
-           const grid::Level& fine = ctx.grid->level(fineLevel);
-           const CellRange roi =
-               ctx.patch->ghostWindow(st->roiHalo).intersect(fine.cells());
-           const auto& cAbs =
-               ctx.getWholeLevel<double>(RmcrtLabels::abskg, 0);
-           const auto& cSig =
-               ctx.getWholeLevel<double>(RmcrtLabels::sigmaT4, 0);
-           const auto& cCt =
-               ctx.getWholeLevel<CellType>(RmcrtLabels::cellType, 0);
-           auto& fAbs = ctx.newDW->getRegionModifiable<double>(
-               RmcrtLabels::abskg, fineLevel, roi);
-           auto& fSig = ctx.newDW->getRegionModifiable<double>(
-               RmcrtLabels::sigmaT4, fineLevel, roi);
-           auto& fCt = ctx.newDW->getRegionModifiable<CellType>(
-               RmcrtLabels::cellType, fineLevel, roi);
-           amr::fillUncoveredFromCoarser(fAbs, roi, fine, cAbs);
-           amr::fillUncoveredFromCoarser(fSig, roi, fine, cSig);
-           amr::fillUncoveredFromCoarser(fCt, roi, fine, cCt);
-
-           auto levels = buildTraceLevels(ctx, fineLevel, st->roiHalo,
-                                          /*twoLevel=*/true);
-           if (st->packedCache) {
-             // Reuse the rank's fused coarse records across steps: only
-             // regions whose fine coverage changed (regrid-migrated
-             // patches) re-fuse; everything else is value-identical
-             // because the analytic sampler is step-invariant.
-             const IntVector rr = fine.refinementRatio();
-             std::vector<CellRange> coverage;
-             coverage.reserve(fine.patches().size());
-             for (const grid::Patch& p : fine.patches())
-               coverage.push_back(p.cells().coarsened(rr));
-             levels[1].packed =
-                 st->packedCache->refresh(levels[1].fields, coverage);
-           }
-           const WallProperties walls{st->problem.wallSigmaT4OverPi,
-                                      st->problem.wallEmissivity};
-           auto& divQ = ctx.newDW->getModifiable<double>(
-               RmcrtLabels::divQ, ctx.patch->id());
-           std::uint64_t segments = 0;
-           traceDivQ(std::move(levels), walls, *st, ctx.patch->cells(),
-                     MutableFieldView<double>::fromHost(divQ),
-                     tracePool(ctx, *st), &segments);
-           if (costs)
-             costs->record(ctx.patch->id(), static_cast<double>(segments));
+           traceOnHost(ctx, *st, fineLevel, costs);
          });
-  t.addRequires(Requires{RmcrtLabels::abskg, VarType::Double, fineLevel,
-                         st->roiHalo, false});
-  t.addRequires(Requires{RmcrtLabels::sigmaT4, VarType::Double, fineLevel,
-                         st->roiHalo, false});
-  t.addRequires(Requires{RmcrtLabels::cellType, VarType::CellTypeVar,
-                         fineLevel, st->roiHalo, false});
-  t.addRequires(Requires{RmcrtLabels::abskg, VarType::Double, 0, 0, true});
-  t.addRequires(Requires{RmcrtLabels::sigmaT4, VarType::Double, 0, 0, true});
-  t.addRequires(
-      Requires{RmcrtLabels::cellType, VarType::CellTypeVar, 0, 0, true});
+  addTraceRequires(t, fineLevel, st->roiHalo);
   t.addComputes(Computes{RmcrtLabels::divQ, VarType::Double, 0});
   return t;
 }
 
 /// Single-level trace: the whole fine level is replicated on every rank
 /// ("infinite ghost cells" on the only level).
-Task makeSingleLevelTraceTask(std::shared_ptr<PipelineState> st,
-                              int fineLevel) {
+Task makeSingleLevelTraceTask(SetupPtr st, int fineLevel) {
   Task t("RMCRT::rayTraceSingleLevel", fineLevel,
          [st, fineLevel](const TaskContext& ctx) {
            const grid::Level& fine = ctx.grid->level(fineLevel);
@@ -313,20 +256,14 @@ Task makeSingleLevelTraceTask(std::shared_ptr<PipelineState> st,
                FieldView<double>::fromHost(sig),
                FieldView<CellType>::fromHost(ct)};
            tl.allowed = fine.cells();
-           const WallProperties walls{st->problem.wallSigmaT4OverPi,
-                                      st->problem.wallEmissivity};
            auto& divQ = ctx.newDW->getModifiable<double>(
                RmcrtLabels::divQ, ctx.patch->id());
-           traceDivQ({tl}, walls, *st, ctx.patch->cells(),
+           traceDivQ({tl}, *st, ctx.patch->cells(),
                      MutableFieldView<double>::fromHost(divQ),
                      tracePool(ctx, *st));
          });
-  t.addRequires(
-      Requires{RmcrtLabels::abskg, VarType::Double, fineLevel, 0, true});
-  t.addRequires(
-      Requires{RmcrtLabels::sigmaT4, VarType::Double, fineLevel, 0, true});
-  t.addRequires(Requires{RmcrtLabels::cellType, VarType::CellTypeVar,
-                         fineLevel, 0, true});
+  for (const PropertyLabel& p : kProperties)
+    t.addRequires(Requires{p.label, p.type, fineLevel, 0, true});
   t.addComputes(Computes{RmcrtLabels::divQ, VarType::Double, 0});
   return t;
 }
@@ -335,7 +272,7 @@ Task makeSingleLevelTraceTask(std::shared_ptr<PipelineState> st,
 /// DeviceOutOfMemory when the device cannot hold the inputs; the caller
 /// owns recovery. The per-attempt stream is a local, so stack unwinding
 /// drains it before the caller frees any device memory it references.
-void runGpuTraceAttempt(const TaskContext& ctx, const PipelineState& st,
+void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
                         int fineLevel, gpu::GpuDataWarehouse* gdw) {
   RMCRT_TRACE_SPAN("gpu", "trace_attempt");
   const int pid = ctx.patch->id();
@@ -382,8 +319,7 @@ void runGpuTraceAttempt(const TaskContext& ctx, const PipelineState& st,
   const LevelGeom fineGeom = LevelGeom::from(ctx.grid->level(fineLevel));
   const LevelGeom coarseGeom = LevelGeom::from(ctx.grid->level(0));
   const CellRange patchCells = ctx.patch->cells();
-  const WallProperties walls{st.problem.wallSigmaT4OverPi,
-                             st.problem.wallEmissivity};
+  const WallProperties walls = wallsOf(st.problem);
   const TraceConfig cfg = st.trace;
   const BandModel bands = st.bands;
   stream->enqueueKernel([=, &dPackedF, &dPackedC, &dDivQ] {
@@ -430,13 +366,14 @@ void releasePatchDeviceVars(gpu::GpuDataWarehouse* gdw, int pid) {
   gdw->removePatchVar(RmcrtLabels::divQ, pid);
 }
 
-Task makeGpuTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
+Task makeGpuTraceTask(SetupPtr st, int fineLevel,
                       gpu::GpuDataWarehouse* gdw) {
   Task t("RMCRT::rayTraceGPU", fineLevel, [st, fineLevel,
                                            gdw](const TaskContext& ctx) {
     // Graceful degradation ladder (DESIGN.md "Failure model"): retry the
     // device path after evicting resident data, then fall back to the CPU
-    // tracer over the identical staged inputs — bitwise the same divQ.
+    // trace task's host routine over the identical staged inputs —
+    // bitwise the same divQ.
     constexpr int kMaxAttempts = 3;
     const int pid = ctx.patch->id();
     for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {
@@ -462,25 +399,9 @@ Task makeGpuTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
     }
 
     gdw->device().noteCpuFallback();
-    auto levels = buildTraceLevels(ctx, fineLevel, st->roiHalo,
-                                   /*twoLevel=*/true);
-    const WallProperties walls{st->problem.wallSigmaT4OverPi,
-                               st->problem.wallEmissivity};
-    auto& divQ =
-        ctx.newDW->getModifiable<double>(RmcrtLabels::divQ, pid);
-    traceDivQ(std::move(levels), walls, *st, ctx.patch->cells(),
-              MutableFieldView<double>::fromHost(divQ), tracePool(ctx, *st));
+    traceOnHost(ctx, *st, fineLevel, /*costs=*/nullptr);
   });
-  t.addRequires(Requires{RmcrtLabels::abskg, VarType::Double, fineLevel,
-                         st->roiHalo, false});
-  t.addRequires(Requires{RmcrtLabels::sigmaT4, VarType::Double, fineLevel,
-                         st->roiHalo, false});
-  t.addRequires(Requires{RmcrtLabels::cellType, VarType::CellTypeVar,
-                         fineLevel, st->roiHalo, false});
-  t.addRequires(Requires{RmcrtLabels::abskg, VarType::Double, 0, 0, true});
-  t.addRequires(Requires{RmcrtLabels::sigmaT4, VarType::Double, 0, 0, true});
-  t.addRequires(
-      Requires{RmcrtLabels::cellType, VarType::CellTypeVar, 0, 0, true});
+  addTraceRequires(t, fineLevel, st->roiHalo);
   t.addComputes(Computes{RmcrtLabels::divQ, VarType::Double, 0});
   return t;
 }
@@ -488,26 +409,13 @@ Task makeGpuTraceTask(std::shared_ptr<PipelineState> st, int fineLevel,
 }  // namespace
 
 void RmcrtComponent::registerTwoLevelPipeline(runtime::Scheduler& sched,
-                                              const RmcrtSetup& setup) {
-  auto st = std::make_shared<PipelineState>(
-      PipelineState{setup.problem, setup.trace, setup.roiHalo, setup.pool,
-                    setup.packedCache, setup.bands});
-  const int fineLevel = sched.grid().numLevels() - 1;
-  sched.addTask(makeInitTask(st, fineLevel));
-  sched.addTask(makeCoarsenTask(fineLevel));
-  sched.addTask(makeCpuTraceTask(st, fineLevel, /*twoLevel=*/true));
-}
-
-void RmcrtComponent::registerAdaptivePipeline(runtime::Scheduler& sched,
                                               const RmcrtSetup& setup,
                                               amr::CostModel* costs) {
-  auto st = std::make_shared<PipelineState>(
-      PipelineState{setup.problem, setup.trace, setup.roiHalo, setup.pool,
-                    setup.packedCache, setup.bands});
+  auto st = std::make_shared<const RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));
-  sched.addTask(makeUpdateCoarseTask(st, fineLevel));
-  sched.addTask(makeAdaptiveTraceTask(st, fineLevel, costs));
+  sched.addTask(makeCoarsenTask(st, fineLevel));
+  sched.addTask(makeCpuTraceTask(st, fineLevel, costs));
 }
 
 amr::AmrEngine::PropertySampler RmcrtComponent::makePropertySampler(
@@ -522,9 +430,7 @@ amr::AmrEngine::PropertySampler RmcrtComponent::makePropertySampler(
 
 void RmcrtComponent::registerSingleLevelPipeline(runtime::Scheduler& sched,
                                                  const RmcrtSetup& setup) {
-  auto st = std::make_shared<PipelineState>(
-      PipelineState{setup.problem, setup.trace, setup.roiHalo, setup.pool,
-                    setup.packedCache, setup.bands});
+  auto st = std::make_shared<const RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));
   sched.addTask(makeSingleLevelTraceTask(st, fineLevel));
@@ -533,12 +439,10 @@ void RmcrtComponent::registerSingleLevelPipeline(runtime::Scheduler& sched,
 void RmcrtComponent::registerTwoLevelGpuPipeline(
     runtime::Scheduler& sched, const RmcrtSetup& setup,
     gpu::GpuDataWarehouse& gdw) {
-  auto st = std::make_shared<PipelineState>(
-      PipelineState{setup.problem, setup.trace, setup.roiHalo, setup.pool,
-                    setup.packedCache, setup.bands});
+  auto st = std::make_shared<const RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));
-  sched.addTask(makeCoarsenTask(fineLevel));
+  sched.addTask(makeCoarsenTask(st, fineLevel));
   sched.addTask(makeGpuTraceTask(st, fineLevel, &gdw));
 }
 
@@ -555,12 +459,8 @@ grid::CCVariable<double> RmcrtComponent::solveSerialSingleLevel(
                                     FieldView<double>::fromHost(sig),
                                     FieldView<CellType>::fromHost(ct)},
                 fine.cells()};
-  const WallProperties walls{setup.problem.wallSigmaT4OverPi,
-                             setup.problem.wallEmissivity};
   grid::CCVariable<double> divQ(fine.cells(), 0.0);
-  const PipelineState st{setup.problem, setup.trace, setup.roiHalo,
-                         setup.pool, setup.packedCache, setup.bands};
-  traceDivQ({tl}, walls, st, fine.cells(),
+  traceDivQ({tl}, setup, fine.cells(),
             MutableFieldView<double>::fromHost(divQ), setup.pool);
   return divQ;
 }
@@ -582,11 +482,7 @@ grid::CCVariable<double> RmcrtComponent::solveSerialTwoLevel(
   grid::coarsenAverage(fSig, rr, cSig, coarse.cells());
   grid::coarsenCellType(fCt, rr, cCt, coarse.cells());
 
-  const WallProperties walls{setup.problem.wallSigmaT4OverPi,
-                             setup.problem.wallEmissivity};
   grid::CCVariable<double> divQ(fine.cells(), 0.0);
-  const PipelineState st{setup.problem, setup.trace, setup.roiHalo,
-                         setup.pool, setup.packedCache, setup.bands};
 
   // Trace per fine patch with its ROI, as the distributed pipeline would.
   for (const grid::Patch& p : fine.patches()) {
@@ -604,7 +500,7 @@ grid::CCVariable<double> RmcrtComponent::solveSerialTwoLevel(
                             FieldView<double>::fromHost(cSig),
                             FieldView<CellType>::fromHost(cCt)},
                         coarse.cells()};
-    traceDivQ({fineTL, coarseTL}, walls, st, p.cells(),
+    traceDivQ({fineTL, coarseTL}, setup, p.cells(),
               MutableFieldView<double>::fromHost(divQ), setup.pool);
   }
   return divQ;

@@ -10,16 +10,20 @@
 ///                                   the ARCHES CFD state)
 ///   coarsenProperties (coarse)    — project fine properties to the
 ///                                   radiation mesh (requires remote fine
-///                                   regions)
+///                                   regions); on an adaptive fine level,
+///                                   unrefined regions keep the analytic
+///                                   coarse sample
 ///   rayTrace (fine)               — requires fine properties with a halo
 ///                                   (the ROI) plus coarse properties with
 ///                                   the whole-level "infinite ghost
 ///                                   cells" requirement; computes divQ
 ///
-/// Both a CPU trace task and a simulated-GPU trace task are provided; the
-/// GPU variant stages data through the GpuDataWarehouse (shared level
-/// database) and runs the kernel on device streams — the paper's
-/// Section III-C data path.
+/// One task set serves uniformly tiled and adaptive (Grid::makeAdaptive)
+/// fine levels. The trace runs on the CPU or, in rayTraceGPU, on the
+/// simulated GPU: that variant stages data through the GpuDataWarehouse
+/// (shared level database) and runs the kernel on a device stream — the
+/// paper's Section III-C data path — and falls back to the CPU task's host
+/// trace when the device cannot hold the inputs.
 
 #include <memory>
 
@@ -58,13 +62,14 @@ struct RmcrtSetup {
   /// solve* entry points and schedulers configured without a pool.
   ThreadPool* pool = nullptr;
   /// Optional per-rank cache of the coarse level's fused PackedCell
-  /// records for the adaptive pipeline. With it, each radiation step
-  /// repacks only coarse regions whose fine coverage changed since the
-  /// previous step (the regrid-migrated patches) instead of re-fusing the
-  /// whole level per Tracer. One cache per rank — never share across
-  /// concurrently executing schedulers — and only valid while coarse
-  /// properties outside fine coverage are step-invariant (true for the
-  /// analytic samplers; see PackedLevelCache). nullptr: pack per Tracer.
+  /// records for the CPU trace task (and the GPU task's CPU fallback).
+  /// With it, each radiation step repacks only coarse regions whose fine
+  /// coverage changed since the previous step (the regrid-migrated
+  /// patches) instead of re-fusing the whole level per Tracer. One cache
+  /// per rank — never share across concurrently executing schedulers —
+  /// and only valid while coarse properties outside fine coverage are
+  /// step-invariant (true for the analytic samplers; see
+  /// PackedLevelCache). nullptr: pack per Tracer.
   std::shared_ptr<PackedLevelCache> packedCache;
   /// Spectral band model. Empty (default): the gray solver, exactly as
   /// before. Non-empty: every trace task runs the SpectralTracer band
@@ -78,30 +83,24 @@ struct RmcrtSetup {
 /// scheduler, then executeTimestep() concurrently.
 class RmcrtComponent {
  public:
-  /// The paper's 2-level algorithm (coarse = level 0, fine = level 1).
+  /// The paper's 2-level algorithm (coarse = level 0, fine = level 1),
+  /// on a uniformly tiled or an adaptive fine level. On an adaptive level
+  /// the coarse task samples the analytic problem where no fine patch
+  /// covers, and the trace task prolongs coarse properties into the
+  /// uncovered parts of each ROI window before marching, so rays crossing
+  /// unrefined space see coarse-accurate (never zero) radiative
+  /// properties. When \p costs is given, each patch's traced-segment count
+  /// is recorded into it — the AmrEngine's measured-cost input for
+  /// dynamic rebalancing.
   static void registerTwoLevelPipeline(runtime::Scheduler& sched,
-                                       const RmcrtSetup& setup);
+                                       const RmcrtSetup& setup,
+                                       amr::CostModel* costs = nullptr);
 
   /// The original single-level algorithm: the fine level is replicated on
   /// every rank (O(N_total^2) communication growth) — the baseline the
   /// AMR scheme improves on (paper Section III-C).
   static void registerSingleLevelPipeline(runtime::Scheduler& sched,
                                           const RmcrtSetup& setup);
-
-  /// The adaptive (AMR) variant of the 2-level pipeline, for grids whose
-  /// fine level is irregular (Grid::makeAdaptive): fine properties
-  /// initialize per fine patch as usual; the coarse radiation mesh is
-  /// sampled analytically everywhere and then overlaid with averaged
-  /// fine data wherever fine patches cover; the trace task prolongs
-  /// coarse properties into the uncovered parts of each ROI window
-  /// before marching, so rays crossing unrefined space see
-  /// coarse-accurate (never zero) radiative properties. When \p costs is
-  /// given, each patch's traced-segment count is recorded into it — the
-  /// AmrEngine's measured-cost input for dynamic rebalancing. Also valid
-  /// on uniformly tiled grids (the fills degenerate to no-ops).
-  static void registerAdaptivePipeline(runtime::Scheduler& sched,
-                                       const RmcrtSetup& setup,
-                                       amr::CostModel* costs = nullptr);
 
   /// The AmrEngine-facing property sampler backed by the analytic
   /// problem definition (samples abskg/sigmaT4 at cell centers) — wire
@@ -112,7 +111,8 @@ class RmcrtComponent {
 
   /// 2-level pipeline whose trace task runs on the simulated GPU: fine
   /// patch data H2D per task, coarse properties through the shared level
-  /// database, divQ D2H. \p gdw must outlive the scheduler run.
+  /// database, divQ D2H. The device path expects a uniformly tiled fine
+  /// level. \p gdw must outlive the scheduler run.
   static void registerTwoLevelGpuPipeline(runtime::Scheduler& sched,
                                           const RmcrtSetup& setup,
                                           gpu::GpuDataWarehouse& gdw);

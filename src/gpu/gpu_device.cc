@@ -95,6 +95,9 @@ void GpuDevice::resetStats() {
 
 void GpuStream::enqueue(std::function<void()> op) {
   std::lock_guard<std::mutex> lk(m_mutex);
+  // A faulted stream discards work submitted behind the fault until
+  // synchronize() reports it; pump() drops what was already queued.
+  if (m_error) return;
   ++m_submitted;
   m_queue.push_back(std::move(op));
   if (!m_running) {

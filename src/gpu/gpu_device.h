@@ -166,7 +166,8 @@ class GpuStream {
   /// Block the calling thread until all enqueued work completes. If any
   /// operation threw, the first exception is rethrown here (then cleared),
   /// mirroring how CUDA reports async errors at the next sync point;
-  /// operations queued behind the faulting one were discarded.
+  /// operations submitted behind the faulting one, up to this call, were
+  /// discarded.
   void synchronize();
 
   /// True while a captured operation error awaits the next synchronize().

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "grid/grid.h"
@@ -42,7 +44,8 @@ class LoadBalancer {
   /// Distribute every patch of \p grid over \p numRanks ranks. Each level
   /// is balanced independently so every rank holds patches of every level
   /// (required: every rank traces rays on its own fine patches and owns a
-  /// share of the coarse level).
+  /// share of the coarse level). Both constructors throw
+  /// std::invalid_argument when \p numRanks <= 0.
   LoadBalancer(const Grid& grid, int numRanks,
                LbStrategy strategy = LbStrategy::Morton);
 
@@ -92,6 +95,14 @@ class LoadBalancer {
                        LbStrategy strategy,
                        const std::vector<double>* costs);
 
+  static int positiveRankCount(int numRanks) {
+    if (numRanks <= 0)
+      throw std::invalid_argument(
+          "LoadBalancer: rank count must be positive, got " +
+          std::to_string(numRanks));
+    return numRanks;
+  }
+
   int m_numRanks;
   std::vector<int> m_rankOf;                // by patch id
   std::vector<std::vector<int>> m_patchesOf;  // by rank
@@ -99,7 +110,7 @@ class LoadBalancer {
 
 inline LoadBalancer::LoadBalancer(const Grid& grid, int numRanks,
                                   LbStrategy strategy)
-    : m_numRanks(numRanks),
+    : m_numRanks(positiveRankCount(numRanks)),
       m_rankOf(static_cast<std::size_t>(grid.numPatches()), 0),
       m_patchesOf(static_cast<std::size_t>(numRanks)) {
   for (int l = 0; l < grid.numLevels(); ++l)
@@ -110,7 +121,7 @@ inline LoadBalancer::LoadBalancer(const Grid& grid, int numRanks,
 inline LoadBalancer::LoadBalancer(const Grid& grid, int numRanks,
                                   const std::vector<double>& patchCosts,
                                   LbStrategy strategy)
-    : m_numRanks(numRanks),
+    : m_numRanks(positiveRankCount(numRanks)),
       m_rankOf(static_cast<std::size_t>(grid.numPatches()), 0),
       m_patchesOf(static_cast<std::size_t>(numRanks)) {
   for (int l = 0; l < grid.numLevels(); ++l)

@@ -3,8 +3,8 @@
 /// \file metrics.h
 /// Unified metrics registry (DESIGN.md §10): named monotone counters and
 /// point-in-time gauges gathering the stats previously scattered across
-/// SchedulerStats, ReliableChannelStats, DeviceStats, ExecutorStats,
-/// ArenaStats, PoolStats, and the tracer's segment counter into one
+/// SchedulerStats, ReliableChannelStats, DeviceStats, ArenaStats,
+/// PoolStats, and the tracer's segment counter into one
 /// emission path with per-timestep JSON/CSV snapshots.
 ///
 /// Concurrency: counters and gauges are single atomics; add()/set() are

@@ -87,9 +87,14 @@ class P2Quantile {
     if (m_n == 0) return std::numeric_limits<double>::quiet_NaN();
     if (m_n <= 5) {
       // The markers still hold the raw samples (sorted once n reaches 5;
-      // adjustments only start on the 6th add) — report exactly.
+      // adjustments only start on the 6th add) — report exactly. An
+      // explicit insertion sort over the <= 5 samples: std::sort over a
+      // runtime-length prefix of the array trips GCC -Warray-bounds false
+      // positives once inlined.
       std::array<double, 5> h = m_height;
-      std::sort(h.begin(), h.begin() + m_n);
+      for (std::size_t i = 1; i < static_cast<std::size_t>(m_n); ++i)
+        for (std::size_t j = i; j > 0 && h[j] < h[j - 1]; --j)
+          std::swap(h[j], h[j - 1]);
       const double rank = m_q * static_cast<double>(m_n - 1);
       const auto lo = static_cast<std::size_t>(rank);
       const std::size_t hi =

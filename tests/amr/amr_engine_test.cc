@@ -87,7 +87,7 @@ AdaptiveRun runAdaptive(int numRanks, int steps, const RmcrtSetup& setup,
       SimulationController ctl(
           sched,
           [&](Scheduler& s) {
-            RmcrtComponent::registerAdaptivePipeline(
+            RmcrtComponent::registerTwoLevelPipeline(
                 s, setup, &run.engine->costModel());
           },
           [&](Scheduler& s) {
@@ -171,8 +171,8 @@ TEST(AmrEngine, DivQDeterministicAcrossRankCounts) {
     const auto& b = divQOf(r2, p.id());
     const auto& c = divQOf(r3, p.id());
     for (const IntVector& cell : p.cells()) {
-      ASSERT_DOUBLE_EQ(a[cell], b[cell]) << "patch " << p.id();
-      ASSERT_DOUBLE_EQ(a[cell], c[cell]) << "patch " << p.id();
+      ASSERT_EQ(a[cell], b[cell]) << "patch " << p.id();
+      ASSERT_EQ(a[cell], c[cell]) << "patch " << p.id();
     }
   }
 }
@@ -197,7 +197,7 @@ TEST(AmrEngine, MigrationCarriesDivQAcrossRegrid) {
   SimulationController ctl(
       sched,
       [&](Scheduler& s) {
-        RmcrtComponent::registerAdaptivePipeline(s, setup,
+        RmcrtComponent::registerTwoLevelPipeline(s, setup,
                                                  &engine->costModel());
       },
       [&](Scheduler& s) {

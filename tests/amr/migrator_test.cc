@@ -2,7 +2,8 @@
 /// covered, coarse interpolation fills newly refined space, restriction
 /// projects derefined fine data back, and a refine -> derefine cycle of
 /// coarse-constant data is exact. Also the trace-side prolongation
-/// (fillUncoveredFromCoarser) used by the adaptive pipeline.
+/// (fillUncoveredFromCoarser) used by the two-level trace task on
+/// adaptive fine levels.
 
 #include <gtest/gtest.h>
 

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -215,6 +216,11 @@ TEST(Communicator, TruncatedReceiveKeepsCapacity) {
   EXPECT_EQ(r.bytes(), sizeof small);
   EXPECT_EQ(small[0], 1u);
   EXPECT_EQ(small[1], 2u);
+}
+
+TEST(Communicator, RejectsNonPositiveSize) {
+  for (int size : {0, -1, -16})
+    EXPECT_THROW(Communicator{size}, std::invalid_argument) << size;
 }
 
 }  // namespace

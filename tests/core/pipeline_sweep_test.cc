@@ -60,7 +60,7 @@ TEST_P(PipelineSweep, DistributedMatchesSerialBitwise) {
          s->loadBalancer().patchesOf(s->rank(), *grid, 1)) {
       const auto& divQ = s->newDW().get<double>(RmcrtLabels::divQ, pid);
       for (const auto& c : grid->patchById(pid)->cells())
-        ASSERT_DOUBLE_EQ(divQ[c], serial[c])
+        ASSERT_EQ(divQ[c], serial[c])
             << "patch " << pid << " cell " << c;
     }
   }

@@ -13,6 +13,7 @@
 #include "core/problems.h"
 #include "core/rmcrt_component.h"
 #include "grid/load_balancer.h"
+#include "mem/mmap_arena.h"
 #include "runtime/scheduler.h"
 
 namespace rmcrt::core {
@@ -72,8 +73,7 @@ void compareToSerial(const Grid& grid, const RmcrtSetup& setup,
              s->rank(), grid, grid.numLevels() - 1)) {
       const auto& divQ = s->newDW().get<double>(RmcrtLabels::divQ, pid);
       for (const auto& c : grid.patchById(pid)->cells())
-        ASSERT_DOUBLE_EQ(divQ[c], serial[c])
-            << "patch " << pid << " cell " << c;
+        ASSERT_EQ(divQ[c], serial[c]) << "patch " << pid << " cell " << c;
     }
   }
 }
@@ -122,8 +122,14 @@ TEST(RmcrtPipeline, GpuPipelineMatchesSerialExactly) {
   auto scheds = runDistributed(grid, numRanks, setup, true, &devices, &gdws);
   compareToSerial(*grid, setup, scheds);
   // The level database held exactly one shared copy of the fused coarse
-  // records (abskg + sigmaT4 + cellType travel as one PackedCell array).
+  // records (abskg + sigmaT4 + cellType travel as one PackedCell array),
+  // and after the run it is all that stays resident: every patch task
+  // freed its ROI records and divQ.
+  const std::size_t levelBytes = mem::MmapArena::roundToPages(
+      static_cast<std::size_t>(grid->coarseLevel().cells().volume()) *
+      sizeof(PackedCell));
   for (auto& gdw : gdws) EXPECT_EQ(gdw->numLevelVarCopies(), 1u);
+  for (auto& dev : devices) EXPECT_EQ(dev->bytesInUse(), levelBytes);
   // PCIe traffic flowed both ways.
   for (auto& dev : devices) {
     EXPECT_GT(dev->stats().h2dBytes, 0u);
@@ -156,7 +162,7 @@ TEST(RmcrtPipeline, SingleLevelPipelineMatchesSerial) {
     for (int pid : s->loadBalancer().patchesOf(s->rank())) {
       const auto& divQ = s->newDW().get<double>(RmcrtLabels::divQ, pid);
       for (const auto& c : grid->patchById(pid)->cells())
-        ASSERT_DOUBLE_EQ(divQ[c], serial[c]);
+        ASSERT_EQ(divQ[c], serial[c]);
     }
   }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 namespace rmcrt::grid {
 namespace {
@@ -100,6 +102,18 @@ TEST(LoadBalancer, MoreRanksThanPatches) {
   int owners = 0;
   for (int r = 0; r < 4; ++r) owners += static_cast<int>(lb.patchesOf(r).size());
   EXPECT_EQ(owners, 1);
+}
+
+TEST(LoadBalancer, RejectsNonPositiveRankCount) {
+  auto g = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(8),
+                                 IntVector(4));
+  const std::vector<double> costs(static_cast<std::size_t>(g->numPatches()),
+                                  1.0);
+  for (int ranks : {0, -1, -16}) {
+    EXPECT_THROW((LoadBalancer{*g, ranks}), std::invalid_argument) << ranks;
+    EXPECT_THROW((LoadBalancer{*g, ranks, costs}), std::invalid_argument)
+        << ranks;
+  }
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ TEST_F(SnapshotReplayTest, SnapshotRoundTripBitExact) {
     ASSERT_EQ(divA[i].first, divC[i].first);
     ASSERT_EQ(divA[i].second.size(), divC[i].second.size());
     for (std::size_t j = 0; j < divA[i].second.size(); ++j)
-      EXPECT_DOUBLE_EQ(divA[i].second[j], divC[i].second[j])
+      EXPECT_EQ(divA[i].second[j], divC[i].second[j])
           << "patch " << divA[i].first << " cell " << j;
   }
 }
@@ -345,7 +345,7 @@ TEST_F(SnapshotReplayTest, ElasticResumeGrowsRankCount) {
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(want[i].first, got[i].first);
     for (std::size_t j = 0; j < want[i].second.size(); ++j)
-      EXPECT_DOUBLE_EQ(want[i].second[j], got[i].second[j])
+      EXPECT_EQ(want[i].second[j], got[i].second[j])
           << "patch " << want[i].first << " cell " << j;
   }
 }

@@ -508,7 +508,8 @@ void runSnapshotBench(int snapshotEvery, const std::string& jsonPath) {
 ///     (the pilot is a prefix of the fixed fan, same RNG streams)
 ///   - a single {weight=1, kappaScale=1} spectral band is bitwise gray
 /// The spectral section then runs the WSGG band model, fixed-fan and
-/// adaptive, with per-band throughput from the tracer.band<k> gauges.
+/// adaptive. Band b's throughput comes from a single-band {1, s_b} solve
+/// on band b's seed, which traces exactly band b's rays.
 void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
                               int pilotRays, double errorTarget,
                               int bandCount) {
@@ -541,25 +542,8 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
     for (const auto& c : cells) out.push_back(f[c]);
     return out;
   };
-  const auto solveGray = [&](const TraceConfig& cfg) {
+  const auto solve = [&](const TraceConfig& cfg) {
     Tracer tracer({makeLevel()}, walls, cfg);
-    grid::CCVariable<double> divQ(cells, 0.0);
-    Solve s;
-    double best = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < repeats; ++r) {
-      tracer.resetSegmentCount();
-      Timer timer;
-      tracer.computeDivQ(cells, MutableFieldView<double>::fromHost(divQ));
-      best = std::min(best, timer.seconds());
-      s.segments = tracer.segmentCount();
-    }
-    s.msegPerS = static_cast<double>(s.segments) / best / 1e6;
-    s.divQ = collect(divQ);
-    return s;
-  };
-  const auto solveSpectral = [&](const TraceConfig& cfg,
-                                 const BandModel& bands) {
-    SpectralTracer tracer({makeLevel()}, walls, cfg, bands);
     grid::CCVariable<double> divQ(cells, 0.0);
     Solve s;
     double best = std::numeric_limits<double>::infinity();
@@ -590,7 +574,7 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   };
 
   // Fixed fan: the reference answer and the segment denominator.
-  const Solve fixed = solveGray(fixedCfg);
+  const Solve fixed = solve(fixedCfg);
 
   // Off-path neutrality: adaptive knobs set but adaptiveRays=false must
   // leave the fixed fan untouched (guards against knob leakage into the
@@ -600,7 +584,7 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   offCfg.nPilotRays = 8;
   offCfg.errorTarget = 0.5;
   offCfg.nMaxRays = 32;
-  const bool offIdentical = bitwise(solveGray(offCfg), fixed);
+  const bool offIdentical = bitwise(solve(offCfg), fixed);
 
   // Saturated controller: pilot == cap == nDivQRays traces exactly the
   // fixed fan (pilot rays are a prefix of it, same counter-based RNG
@@ -609,7 +593,7 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   satCfg.adaptiveRays = true;
   satCfg.nPilotRays = rays;
   satCfg.nMaxRays = rays;
-  const bool satIdentical = bitwise(solveGray(satCfg), fixed);
+  const bool satIdentical = bitwise(solve(satCfg), fixed);
 
   // The calibrated operating point.
   TraceConfig adCfg = fixedCfg;
@@ -617,7 +601,7 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   adCfg.nPilotRays = pilotRays;
   adCfg.errorTarget = errorTarget;
   adCfg.nMaxRays = 0;  // cap at nDivQRays
-  const Solve adaptive = solveGray(adCfg);
+  const Solve adaptive = solve(adCfg);
   const double raysMean =
       MetricsRegistry::global().gauge("tracer.rays_per_cell_mean").value();
   const double raysMax =
@@ -629,19 +613,25 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   const double relL2Center =
       relativeL2Error(centerline(adaptive), centerline(fixed));
 
-  // Spectral section: single gray band must be bitwise the gray solver;
-  // the multi-band model runs fixed-fan and adaptive.
-  const bool singleBandIdentical =
-      bitwise(solveSpectral(fixedCfg, grayBand()), fixed);
+  // Spectral section: an explicit single gray band must be bitwise the
+  // gray solver; the multi-band model runs fixed-fan and adaptive.
+  TraceConfig grayCfg = fixedCfg;
+  grayCfg.bands = {SpectralBand{1.0, 1.0}};
+  const bool singleBandIdentical = bitwise(solve(grayCfg), fixed);
   const BandModel bands = bandCount == 1 ? grayBand() : threeband();
-  const Solve spectralFixed = solveSpectral(fixedCfg, bands);
+  TraceConfig bandCfg = fixedCfg;
+  bandCfg.bands = bands;
+  const Solve spectralFixed = solve(bandCfg);
   std::vector<double> bandRates;
-  for (std::size_t b = 0; b < bands.size(); ++b)
-    bandRates.push_back(MetricsRegistry::global()
-                            .gauge("tracer.band" + std::to_string(b) +
-                                   ".mseg_per_s")
-                            .value());
-  const Solve spectralAdaptive = solveSpectral(adCfg, bands);
+  for (std::size_t b = 0; b < bands.size(); ++b) {
+    TraceConfig oneBand = fixedCfg;
+    oneBand.seed = fixedCfg.seed + kBandSeedStride * b;
+    oneBand.bands = {SpectralBand{1.0, bands[b].kappaScale}};
+    bandRates.push_back(solve(oneBand).msegPerS);
+  }
+  TraceConfig adBandCfg = adCfg;
+  adBandCfg.bands = bands;
+  const Solve spectralAdaptive = solve(adBandCfg);
 
   std::ofstream out(jsonPath);
   out << std::setprecision(6) << std::fixed;

@@ -22,7 +22,6 @@
 #include "core/problems.h"
 #include "core/radiometer.h"
 #include "core/rmcrt_component.h"
-#include "core/spectral.h"
 #include "grid/load_balancer.h"
 #include "grid/regridder.h"
 #include "grid/vtk_writer.h"
@@ -187,10 +186,12 @@ int main(int argc, char** argv) {
 
   // Spectral (3-band WSGG) divQ at the flame core versus gray — the
   // paper's future-work extension in action.
-  SpectralTracer spectral({tl},
-                          WallProperties{setup.problem.wallSigmaT4OverPi,
-                                         setup.problem.wallEmissivity},
-                          setup.trace, threeband());
+  TraceConfig bandCfg = setup.trace;
+  bandCfg.bands = threeband();
+  Tracer spectral({tl},
+                  WallProperties{setup.problem.wallSigmaT4OverPi,
+                                 setup.problem.wallEmissivity},
+                  bandCfg);
   const IntVector core(n / 2, n / 2, 2 * n / 5);
   grid::CCVariable<double> sdivQ(CellRange(core, core + IntVector(1)), 0.0);
   spectral.computeDivQ(sdivQ.window(),

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "core/spectral.h"
 #include "util/metrics.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -103,36 +102,57 @@ bool Tracer::simdSupported() {
 #endif
 }
 
+void validateTraceConfig(const TraceConfig& cfg) {
+  if (cfg.nDivQRays <= 0)
+    throw std::invalid_argument(
+        "TraceConfig::nDivQRays must be positive (got " +
+        std::to_string(cfg.nDivQRays) +
+        "): meanIncomingIntensity divides by it, so divQ would be NaN");
+  if (cfg.nFluxRays <= 0)
+    throw std::invalid_argument(
+        "TraceConfig::nFluxRays must be positive (got " +
+        std::to_string(cfg.nFluxRays) +
+        "): boundaryFlux divides by it, so the flux would be NaN");
+  if (cfg.adaptiveRays) {
+    if (cfg.nPilotRays <= 0)
+      throw std::invalid_argument(
+          "TraceConfig::nPilotRays must be positive (got " +
+          std::to_string(cfg.nPilotRays) +
+          ") when adaptiveRays is set: the pilot mean divides by it");
+    if (!(cfg.errorTarget > 0.0))
+      throw std::invalid_argument(
+          "TraceConfig::errorTarget must be positive (got " +
+          std::to_string(cfg.errorTarget) +
+          ") when adaptiveRays is set: the budget rule divides by it");
+    if (cfg.nMaxRays < 0)
+      throw std::invalid_argument(
+          "TraceConfig::nMaxRays must be >= 0 (got " +
+          std::to_string(cfg.nMaxRays) +
+          "): 0 means cap budgets at nDivQRays");
+  }
+  if (cfg.bands.empty())
+    throw std::invalid_argument(
+        "TraceConfig::bands must hold at least one band (grayBand() is "
+        "the gray solver)");
+  for (std::size_t b = 0; b < cfg.bands.size(); ++b) {
+    const SpectralBand& band = cfg.bands[b];
+    if (!std::isfinite(band.weight))
+      throw std::invalid_argument(
+          "TraceConfig::bands[" + std::to_string(b) +
+          "].weight must be finite (got " + std::to_string(band.weight) +
+          "): divQ sums weight * q_b");
+    if (!(std::isfinite(band.kappaScale) && band.kappaScale > 0.0))
+      throw std::invalid_argument(
+          "TraceConfig::bands[" + std::to_string(b) +
+          "].kappaScale must be finite and positive (got " +
+          std::to_string(band.kappaScale) + ")");
+  }
+}
+
 Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
                const TraceConfig& cfg)
     : m_levels(std::move(levels)), m_walls(walls), m_cfg(cfg) {
-  if (m_cfg.nDivQRays <= 0)
-    throw std::invalid_argument(
-        "TraceConfig::nDivQRays must be positive (got " +
-        std::to_string(m_cfg.nDivQRays) +
-        "): meanIncomingIntensity divides by it, so divQ would be NaN");
-  if (m_cfg.nFluxRays <= 0)
-    throw std::invalid_argument(
-        "TraceConfig::nFluxRays must be positive (got " +
-        std::to_string(m_cfg.nFluxRays) +
-        "): boundaryFlux divides by it, so the flux would be NaN");
-  if (m_cfg.adaptiveRays) {
-    if (m_cfg.nPilotRays <= 0)
-      throw std::invalid_argument(
-          "TraceConfig::nPilotRays must be positive (got " +
-          std::to_string(m_cfg.nPilotRays) +
-          ") when adaptiveRays is set: the pilot mean divides by it");
-    if (!(m_cfg.errorTarget > 0.0))
-      throw std::invalid_argument(
-          "TraceConfig::errorTarget must be positive (got " +
-          std::to_string(m_cfg.errorTarget) +
-          ") when adaptiveRays is set: the budget rule divides by it");
-    if (m_cfg.nMaxRays < 0)
-      throw std::invalid_argument(
-          "TraceConfig::nMaxRays must be >= 0 (got " +
-          std::to_string(m_cfg.nMaxRays) +
-          "): 0 means cap budgets at nDivQRays");
-  }
+  validateTraceConfig(m_cfg);
   m_ownedPacked.reserve(m_levels.size());
   for (TraceLevel& L : m_levels) {
     if (!L.packed.valid() && L.fields.abskg.valid()) {
@@ -155,7 +175,8 @@ Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
 }
 
 bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
-                              double& sumI, double& transmissivity,
+                              double kappaScale, double& sumI,
+                              double& transmissivity,
                               std::uint64_t& segments) const {
   const TraceLevel& L = m_levels[li];
   const LevelGeom& g = L.geom;
@@ -192,9 +213,6 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
 
   double tCur = 0.0;
   const double threshold = m_cfg.threshold;
-  // Band scale on kappa (1.0 in gray mode — bitwise neutral, IEEE
-  // x*1.0 == x), hoisted so the march loop never reloads the config.
-  const double kappaScale = m_cfg.kappaScale;
 
   for (;;) {
     const PackedCell& rec = *cell;
@@ -265,12 +283,13 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
 }
 
 double Tracer::traceRay(Vector origin, Vector dir, std::size_t startLevel,
-                        std::uint64_t& segments) const {
+                        double kappaScale, std::uint64_t& segments) const {
   double sumI = 0.0;
   double transmissivity = 1.0;
   Vector pos = origin;
   for (std::size_t li = startLevel; li < m_levels.size(); ++li) {
-    if (marchLevelPacked(li, pos, dir, sumI, transmissivity, segments))
+    if (marchLevelPacked(li, pos, dir, kappaScale, sumI, transmissivity,
+                         segments))
       break;
   }
   return sumI;
@@ -279,25 +298,20 @@ double Tracer::traceRay(Vector origin, Vector dir, std::size_t startLevel,
 double Tracer::traceRay(Vector origin, Vector dir,
                         std::size_t startLevel) const {
   std::uint64_t segments = 0;
-  const double sumI = traceRay(origin, dir, startLevel, segments);
+  const double sumI = traceRay(origin, dir, startLevel, 1.0, segments);
   flushSegments(segments);
   return sumI;
 }
 
-void Tracer::finishRayCoarse(Vector pos, const Vector& dir, double& sumI,
+void Tracer::finishRayCoarse(Vector pos, const Vector& dir,
+                             double kappaScale, double& sumI,
                              double& transmissivity,
                              std::uint64_t& segments) const {
   for (std::size_t li = 1; li < m_levels.size(); ++li) {
-    if (marchLevelPacked(li, pos, dir, sumI, transmissivity, segments))
+    if (marchLevelPacked(li, pos, dir, kappaScale, sumI, transmissivity,
+                         segments))
       break;
   }
-}
-
-void Tracer::traceRaysScalar(int n, const Vector* origins,
-                             const Vector* dirs, double* out,
-                             std::uint64_t& segments) const {
-  for (int i = 0; i < n; ++i)
-    out[i] = traceRay(origins[i], dirs[i], 0, segments);
 }
 
 void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
@@ -305,9 +319,10 @@ void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
   if (n <= 0) return;
   std::uint64_t segments = 0;
   if (simdActive()) {
-    traceRaysSimd(n, origins, dirs, out, segments);
+    traceRaysSimd(n, origins, dirs, 1.0, out, segments);
   } else {
-    traceRaysScalar(n, origins, dirs, out, segments);
+    for (int i = 0; i < n; ++i)
+      out[i] = traceRay(origins[i], dirs[i], 0, 1.0, segments);
   }
   flushSegments(segments);
 }
@@ -322,8 +337,8 @@ double Tracer::meanIncomingIntensity(const IntVector& cell) const {
   double sum = 0.0;
   std::vector<Vector> origins, dirs;
   std::vector<double> intensities;
-  traceCellRays(cell, 0, m_cfg.nDivQRays, sum, origins, dirs, intensities,
-                segments);
+  traceCellRays(cell, m_cfg.seed, 1.0, 0, m_cfg.nDivQRays, sum, origins,
+                dirs, intensities, segments);
   flushSegments(segments);
   return sum / static_cast<double>(m_cfg.nDivQRays);
 }
@@ -346,7 +361,8 @@ int Tracer::adaptiveBudget(double pilotMean, double pilotStddev,
   return std::max(pilot, static_cast<int>(need));
 }
 
-void Tracer::traceCellRays(const IntVector& cell, int rBegin, int rEnd,
+void Tracer::traceCellRays(const IntVector& cell, std::uint64_t seed,
+                           double kappaScale, int rBegin, int rEnd,
                            double& sum, std::vector<Vector>& origins,
                            std::vector<Vector>& dirs,
                            std::vector<double>& intensities,
@@ -364,7 +380,7 @@ void Tracer::traceCellRays(const IntVector& cell, int rBegin, int rEnd,
   // the fixed fan consumes for its ray r, so the pilot is a prefix of
   // the fixed fan and the top-up continues it exactly.
   for (int r = rBegin; r < rEnd; ++r) {
-    Rng rng(m_cfg.seed, cell, static_cast<std::uint32_t>(r));
+    Rng rng(seed, cell, static_cast<std::uint32_t>(r));
     Vector origin;
     if (m_cfg.jitterRayOrigin) {
       const Vector lo = g.cellLowCorner(cell);
@@ -382,13 +398,14 @@ void Tracer::traceCellRays(const IntVector& cell, int rBegin, int rEnd,
     // Variable-size bundles feed the same SetupQueue lane-refill path as
     // the fixed fan; each lane's intensity depends only on its own ray,
     // so bundle composition never changes per-ray values.
-    traceRaysSimd(n, origins.data(), dirs.data(), intensities.data(),
-                  segments);
+    traceRaysSimd(n, origins.data(), dirs.data(), kappaScale,
+                  intensities.data(), segments);
   } else {
     for (int i = 0; i < n; ++i)
       intensities[static_cast<std::size_t>(i)] =
           traceRay(origins[static_cast<std::size_t>(i)],
-                   dirs[static_cast<std::size_t>(i)], 0, segments);
+                   dirs[static_cast<std::size_t>(i)], 0, kappaScale,
+                   segments);
   }
   // Reduce in ray order — concatenated with the pilot pass this is the
   // fixed fan's exact left-to-right sum.
@@ -407,87 +424,108 @@ void Tracer::computeDivQTile(const CellRange& tile,
   const int cap = adaptive && m_cfg.nMaxRays > 0 ? m_cfg.nMaxRays
                                                  : m_cfg.nDivQRays;
   const int first = adaptive ? std::min(m_cfg.nPilotRays, cap) : cap;
+  const std::uint64_t nCells = static_cast<std::uint64_t>(tile.volume());
 
   struct CellState {
     double sum = 0.0;  // intensity sum over the rays traced so far
     int budget = 0;    // total rays granted to this cell
   };
   std::vector<CellState> states;
-  states.reserve(static_cast<std::size_t>(tile.volume()));
+  states.reserve(static_cast<std::size_t>(nCells));
 
-  std::uint64_t segments = 0;
   std::vector<Vector> origins, dirs;
   std::vector<double> intensities;
+  std::uint64_t segments = 0;
   std::uint64_t raysTraced = 0;
   std::uint64_t tileMaxBudget = 0;
+  std::uint64_t segmentsSaved = 0;
 
-  // Pass 1: rays [0, first) of every cell; an adaptive cell sizes its
-  // budget from the pilot's streaming variance.
-  const auto firstPass = [&] {
-    for (const IntVector& c : tile) {
-      CellState cs;
-      traceCellRays(c, 0, first, cs.sum, origins, dirs, intensities,
-                    segments);
-      cs.budget = first;
-      if (adaptive) {
-        RunningStats stats;
-        for (const double I : intensities) stats.add(I);
-        cs.budget = adaptiveBudget(stats.mean(), stats.stddev(),
-                                   records[c].sigmaT4OverPi);
+  // The band loop: band b marches the same records with kappa scaled by
+  // s_b, draws from its own seed, and folds a_b * q_b into divQ in band
+  // order.
+  for (std::size_t b = 0; b < m_cfg.bands.size(); ++b) {
+    const SpectralBand& band = m_cfg.bands[b];
+    const std::uint64_t seed = m_cfg.seed + kBandSeedStride * b;
+    std::uint64_t bandSegments = 0;
+    std::uint64_t bandRays = 0;
+    states.clear();
+
+    // Pass 1: rays [0, first) of every cell; an adaptive cell sizes its
+    // budget from the pilot's streaming variance.
+    const auto firstPass = [&] {
+      for (const IntVector& c : tile) {
+        CellState cs;
+        traceCellRays(c, seed, band.kappaScale, 0, first, cs.sum, origins,
+                      dirs, intensities, bandSegments);
+        cs.budget = first;
+        if (adaptive) {
+          RunningStats stats;
+          for (const double I : intensities) stats.add(I);
+          cs.budget = adaptiveBudget(stats.mean(), stats.stddev(),
+                                     records[c].sigmaT4OverPi);
+        }
+        states.push_back(cs);
       }
-      states.push_back(cs);
-    }
-  };
-  // Pass 2: top up where the budget exceeds the first pass, appending to
-  // the same running sum so a cell whose budget reaches nDivQRays
-  // reproduces the fixed fan's reduction bitwise.
-  const auto topUpPass = [&] {
-    std::size_t i = 0;
-    for (const IntVector& c : tile) {
-      CellState& cs = states[i++];
-      if (cs.budget > first)
-        traceCellRays(c, first, cs.budget, cs.sum, origins, dirs,
-                      intensities, segments);
-      const double meanI = cs.sum / static_cast<double>(cs.budget);
-      const PackedCell& rec = records[c];
-      divQ[c] = 4.0 * M_PI * (rec.abskg * m_cfg.kappaScale) *
-                (rec.sigmaT4OverPi - meanI);
-      raysTraced += static_cast<std::uint64_t>(cs.budget);
-      tileMaxBudget =
-          std::max(tileMaxBudget, static_cast<std::uint64_t>(cs.budget));
-    }
-  };
-  if (adaptive) {
-    {
-      RMCRT_TRACE_SPAN("tracer", "adaptive_pilot");
+    };
+    // Pass 2: top up where the budget exceeds the first pass, appending
+    // to the same running sum so a cell whose budget reaches nDivQRays
+    // reproduces the fixed fan's reduction bitwise.
+    const auto topUpPass = [&] {
+      std::size_t i = 0;
+      for (const IntVector& c : tile) {
+        CellState& cs = states[i++];
+        if (cs.budget > first)
+          traceCellRays(c, seed, band.kappaScale, first, cs.budget, cs.sum,
+                        origins, dirs, intensities, bandSegments);
+        const double meanI = cs.sum / static_cast<double>(cs.budget);
+        const PackedCell& rec = records[c];
+        const double q = 4.0 * M_PI * (rec.abskg * band.kappaScale) *
+                         (rec.sigmaT4OverPi - meanI);
+        // Band 0 assigns; the gray band's a_0 == 1.0 keeps this bitwise
+        // the gray solver (IEEE: x*1.0 == x).
+        divQ[c] = b == 0 ? band.weight * q : divQ[c] + band.weight * q;
+        bandRays += static_cast<std::uint64_t>(cs.budget);
+        tileMaxBudget =
+            std::max(tileMaxBudget, static_cast<std::uint64_t>(cs.budget));
+      }
+    };
+    if (adaptive) {
+      {
+        RMCRT_TRACE_SPAN("tracer", "adaptive_pilot");
+        firstPass();
+      }
+      RMCRT_TRACE_SPAN("tracer", "adaptive_topup");
+      topUpPass();
+    } else {
       firstPass();
+      topUpPass();
     }
-    RMCRT_TRACE_SPAN("tracer", "adaptive_topup");
-    topUpPass();
-  } else {
-    firstPass();
-    topUpPass();
+
+    // Work avoided vs the band's fixed fan, estimated from the band's own
+    // mean segments-per-ray over this tile (untraced rays have no exact
+    // crossing count).
+    const std::uint64_t fixedRays =
+        nCells * static_cast<std::uint64_t>(m_cfg.nDivQRays);
+    if (bandRays > 0 && fixedRays > bandRays) {
+      const double perRay = static_cast<double>(bandSegments) /
+                            static_cast<double>(bandRays);
+      segmentsSaved += static_cast<std::uint64_t>(
+          static_cast<double>(fixedRays - bandRays) * perRay);
+    }
+    segments += bandSegments;
+    raysTraced += bandRays;
   }
 
   flushSegments(segments);
   tracerRaysCounter().add(raysTraced);
-  const std::uint64_t nCells = static_cast<std::uint64_t>(tile.volume());
+  if (segmentsSaved > 0) tracerSegmentsSavedCounter().add(segmentsSaved);
   m_raysTraced.fetch_add(raysTraced, std::memory_order_relaxed);
-  m_cellsTraced.fetch_add(nCells, std::memory_order_relaxed);
+  m_cellsTraced.fetch_add(nCells * m_cfg.bands.size(),
+                          std::memory_order_relaxed);
   std::uint64_t prev = m_maxBudget.load(std::memory_order_relaxed);
   while (tileMaxBudget > prev &&
          !m_maxBudget.compare_exchange_weak(prev, tileMaxBudget,
                                             std::memory_order_relaxed)) {
-  }
-  // Work avoided vs the fixed fan, estimated from this tile's own mean
-  // segments-per-ray (untraced rays have no exact crossing count).
-  const std::uint64_t fixedRays =
-      nCells * static_cast<std::uint64_t>(m_cfg.nDivQRays);
-  if (raysTraced > 0 && fixedRays > raysTraced) {
-    const double perRay =
-        static_cast<double>(segments) / static_cast<double>(raysTraced);
-    tracerSegmentsSavedCounter().add(static_cast<std::uint64_t>(
-        static_cast<double>(fixedRays - raysTraced) * perRay));
   }
 }
 
@@ -528,14 +566,8 @@ void Tracer::computeDivQ(const CellRange& cells,
 void Tracer::computeDivQBatch(const std::vector<DivQTileJob>& jobs,
                               ThreadPool* pool) {
   RMCRT_TRACE_SPAN("tracer", "computeDivQBatch");
-  // A job carrying a band pipeline runs through it; gray jobs keep the
-  // direct tracer path. Both are per-tile serial work units, so one
-  // drain can mix gray and spectral scenes.
   const auto run = [](const DivQTileJob& j) {
-    if (j.spectral != nullptr)
-      j.spectral->computeDivQTile(j.tile, j.sink);
-    else
-      j.tracer->computeDivQTile(j.tile, j.sink);
+    j.tracer->computeDivQTile(j.tile, j.sink);
   };
   if (pool == nullptr || pool->size() <= 1) {
     for (const DivQTileJob& j : jobs) run(j);
@@ -545,11 +577,10 @@ void Tracer::computeDivQBatch(const std::vector<DivQTileJob>& jobs,
                         run(jobs[static_cast<std::size_t>(i)]);
                       });
   }
-  // Rays-per-cell gauges: publish once per drain for each distinct gray
+  // Rays-per-cell gauges: publish once per drain for each distinct
   // tracer (never per tile, so concurrent tiles cannot race the gauge).
   std::vector<const Tracer*> seen;
   for (const DivQTileJob& j : jobs) {
-    if (j.tracer == nullptr || j.spectral != nullptr) continue;
     if (std::find(seen.begin(), seen.end(), j.tracer) == seen.end()) {
       seen.push_back(j.tracer);
       j.tracer->publishRayGauges();
@@ -605,7 +636,7 @@ double Tracer::boundaryFlux(const IntVector& cell, const IntVector& face,
     const Vector dir =
         u * (sinT * std::cos(phi)) + v * (sinT * std::sin(phi)) +
         inward * cosT;
-    return traceRay(origin, dir, 0, segments);
+    return traceRay(origin, dir, 0, 1.0, segments);
   };
 
   double sum = 0.0;

@@ -71,13 +71,51 @@ struct LevelGeom {
   }
 };
 
-class SpectralTracer;  // spectral.h — band pipeline batched via DivQTileJob
-
 /// Wall (domain boundary / intruding geometry) radiative properties.
 struct WallProperties {
   double sigmaT4OverPi = 0.0;  ///< wall emissive source (0: cold walls)
   double emissivity = 1.0;     ///< black walls by default
 };
+
+/// One spectral band of a weighted-sum-of-gray-gases (WSGG) model — the
+/// standard engineering treatment for combustion gases, and the form Sun
+/// & Smith's full-spectrum k-distribution reduces to for a few quadrature
+/// points. Band b carries a weight a_b (its fraction of the Planck
+/// emissive power) and a scale s_b on the gray-mean absorption
+/// coefficient, so
+///
+///   divQ(c) = sum_b a_b * 4*pi*kappa(c)*s_b * ( sigmaT4/pi(c) - meanI_b )
+///
+/// where meanI_b is traced through the s_b-scaled medium. This is the
+/// paper's spectral future work (Section III-A: "adding a loop over
+/// wave-lengths").
+struct SpectralBand {
+  double weight = 1.0;      ///< fraction of blackbody emissive power, a_b
+  double kappaScale = 1.0;  ///< s_b multiplying the gray-mean kappa field
+};
+
+/// A band set; weights should sum to ~1.
+using BandModel = std::vector<SpectralBand>;
+
+/// A single gray band: the gray solver, bitwise.
+inline BandModel grayBand() { return {SpectralBand{1.0, 1.0}}; }
+
+/// A 3-band toy combustion-gas model: one nearly transparent window, one
+/// moderate band, one strongly absorbing band (CO2/H2O-like), chosen so
+/// the Planck-weighted mean equals the gray kappa (sum a_b * s_b = 1).
+inline BandModel threeband() {
+  return {SpectralBand{0.45, 0.12},
+          SpectralBand{0.35, 0.80},
+          SpectralBand{0.20, 3.33}};
+}
+
+/// Planck-weighted mean absorption scale of a band model — the effective
+/// gray kappa multiplier.
+inline double planckMeanScale(const BandModel& bands) {
+  double s = 0.0;
+  for (const auto& b : bands) s += b.weight * b.kappaScale;
+  return s;
+}
 
 /// Tracing parameters (paper Section V uses 100 rays per cell).
 struct TraceConfig {
@@ -111,13 +149,14 @@ struct TraceConfig {
   /// have their own knob with the same positive-count ctor validation.
   /// boundaryFlux(nRays = 0) resolves to this value.
   int nFluxRays = 100;
-  /// Uniform scale applied to every absorption coefficient the march
-  /// sees — both the per-segment extinction and the kappa factor of the
-  /// divQ formula. 1.0 (default) is bitwise neutral (IEEE: x*1.0 == x).
-  /// The spectral band pipeline sets it to the band's s_b so every band
-  /// marches the SAME PackedCell records (one packing, one device
-  /// upload) instead of per-band scaled field copies.
-  double kappaScale = 1.0;
+  /// The band model divQ is traced over (DESIGN.md §17). Every band
+  /// marches the same PackedCell records — s_b scales kappa inside the
+  /// march — so bands add no packing and no device upload. Band b draws
+  /// from seed + kBandSeedStride * b, so band 0 keeps `seed`. The
+  /// default, one gray band {1, 1}, is the gray solver bitwise (IEEE:
+  /// x*1.0 == x). traceRay(s), meanIncomingIntensity, boundaryFlux and
+  /// radiometers march the gray-mean field with `seed`.
+  BandModel bands = grayBand();
   /// Variance-adaptive per-cell ray budgets (two-pass pilot/top-up
   /// estimator, DESIGN.md §17). Off (default): every cell fires exactly
   /// nDivQRays rays — the fixed fan, bitwise unchanged. On: each cell
@@ -146,6 +185,19 @@ struct TraceConfig {
   /// values are rejected at construction.
   int nMaxRays = 0;
 };
+
+/// Seed offset between consecutive bands: band b traces with seed +
+/// kBandSeedStride * b, so bands do not share sample paths.
+inline constexpr std::uint64_t kBandSeedStride = 0x5370656Bull;
+
+/// Throws std::invalid_argument unless \p cfg can be traced: positive
+/// nDivQRays and nFluxRays (the estimators divide by them), positive
+/// nPilotRays and errorTarget and a non-negative nMaxRays when
+/// adaptiveRays is set, and a non-empty band model whose weights are
+/// finite and whose kappa scales are finite and positive. The Tracer
+/// constructor calls it, and so does every registration entry point, so
+/// a bad config is refused where it is supplied.
+void validateTraceConfig(const TraceConfig& cfg);
 
 /// Split \p cells into tiles of at most \p tileSize cells per axis
 /// (components clamped to >= 1). Tiles are emitted in z-major order and
@@ -196,9 +248,7 @@ class Tracer {
   /// Levels whose `packed` view is unset are fused into Tracer-owned
   /// PackedCell arrays here (and the owned storage lives as long as the
   /// Tracer); every level marches PackedCell records.
-  /// \throws std::invalid_argument when cfg.nDivQRays <= 0: the divQ
-  /// estimator divides by nDivQRays, so a non-positive count would
-  /// silently fill divQ with NaN/inf.
+  /// \throws std::invalid_argument when validateTraceConfig(cfg) does.
   Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
          const TraceConfig& cfg);
 
@@ -225,12 +275,9 @@ class Tracer {
            simdSupported();
   }
 
-  /// The trace levels this tracer marches (read-only; tests assert the
-  /// spectral band tracers alias one shared packed record set).
-  const std::vector<TraceLevel>& levels() const { return m_levels; }
-
   /// Trace one ray from physical position \p origin in direction \p dir
-  /// starting on level \p startLevel; returns the incoming intensity.
+  /// starting on level \p startLevel through the gray-mean medium;
+  /// returns the incoming intensity.
   double traceRay(Vector origin, Vector dir, std::size_t startLevel = 0) const;
 
   /// Trace \p n independent rays (origins[i], dirs[i]) starting on level
@@ -245,10 +292,12 @@ class Tracer {
                  double* out) const;
 
   /// Mean incoming intensity over nDivQRays rays for \p cell (a cell of
-  /// levels[0]): the fixed fan through traceCellRays.
+  /// levels[0]): the fixed fan of the gray-mean medium with `seed`,
+  /// through traceCellRays.
   double meanIncomingIntensity(const IntVector& cell) const;
 
-  /// Compute divQ for every cell in \p cells (cells of levels[0]).
+  /// Compute divQ for every cell in \p cells (cells of levels[0]),
+  /// summed over TraceConfig::bands.
   ///
   /// With a \p pool, the range is split into TraceConfig::tileSize tiles
   /// run via ThreadPool::parallelFor. Because the RNG stream of every
@@ -271,21 +320,16 @@ class Tracer {
     const Tracer* tracer = nullptr;
     CellRange tile;
     MutableFieldView<double> sink;
-    /// When set, the tile is traced by this band pipeline instead of
-    /// `tracer` (computeDivQBatch dispatches on it): the radiation
-    /// service drains spectral scenes through the same batch as gray
-    /// ones. Appended last so existing {tracer, tile, sink} aggregate
-    /// initializers stay valid.
-    const SpectralTracer* spectral = nullptr;
   };
 
-  /// Serial divQ over one tile — the batch work-unit entry point. Each
-  /// cell traces its ray budget: nDivQRays (the fixed fan) or, with
-  /// adaptiveRays, a pilot fan plus a variance-sized top-up. Every
-  /// cell's rays are fixed by (seed, cell, ray), so any partition of a
-  /// region into tile calls produces results bitwise identical to one
-  /// computeDivQ over the whole region. Flushes the tile's segment count
-  /// with a single atomic add.
+  /// Serial divQ over one tile — the batch work-unit entry point and the
+  /// band loop. For each band in order, each cell traces its ray budget:
+  /// nDivQRays (the fixed fan) or, with adaptiveRays, a pilot fan plus a
+  /// variance-sized top-up; band 0 assigns a_0 * q_0 and later bands add
+  /// a_b * q_b. Every cell's rays are fixed by (band seed, cell, ray), so
+  /// any partition of a region into tile calls produces results bitwise
+  /// identical to one computeDivQ over the whole region. Flushes the
+  /// tile's segment count with a single atomic add.
   void computeDivQTile(const CellRange& tile,
                        MutableFieldView<double> divQ) const;
 
@@ -319,7 +363,8 @@ class Tracer {
   }
 
   /// Adaptive-sampling work statistics since construction / last reset
-  /// (relaxed atomics; exact once trace calls have returned). When
+  /// (relaxed atomics; exact once trace calls have returned). A cell
+  /// counts once per band, so rays per cell is per band. When
   /// adaptiveRays is off, raysTraced tracks the fixed fan so the
   /// rays-per-cell gauges stay meaningful either way.
   std::uint64_t raysTraced() const {
@@ -347,13 +392,15 @@ class Tracer {
 
   /// March within level \p li from physical position \p pos through its
   /// PackedCell records (the incremental-stride DDA, DESIGN.md §12) — the
-  /// scalar golden reference; accumulates into sumI/transmissivity and
-  /// counts cell crossings into the caller's local \p segments; returns
-  /// true if the ray is finished (wall, threshold or domain exit), false
-  /// if it left `allowed` and should continue on level li+1 at the
-  /// updated \p pos.
+  /// scalar golden reference. Every absorption coefficient is scaled by
+  /// \p kappaScale (the band's s_b; 1.0 is the gray-mean medium, bitwise
+  /// neutral). Accumulates into sumI/transmissivity and counts cell
+  /// crossings into the caller's local \p segments; returns true if the
+  /// ray is finished (wall, threshold or domain exit), false if it left
+  /// `allowed` and should continue on level li+1 at the updated \p pos.
   bool marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
-                        double& sumI, double& transmissivity,
+                        double kappaScale, double& sumI,
+                        double& transmissivity,
                         std::uint64_t& segments) const;
 
   /// The single flush point for per-tile / per-call segment counts: adds
@@ -361,15 +408,10 @@ class Tracer {
   /// counter, so the two can never drift.
   void flushSegments(std::uint64_t n) const;
 
-  /// traceRay with the segment count going to a caller-owned local
-  /// instead of the shared atomic.
+  /// traceRay through the \p kappaScale medium, with the segment count
+  /// going to a caller-owned local instead of the shared atomic.
   double traceRay(Vector origin, Vector dir, std::size_t startLevel,
-                  std::uint64_t& segments) const;
-
-  /// traceRays with a caller-owned segment counter: the scalar per-ray
-  /// loop, bitwise identical to traceRay.
-  void traceRaysScalar(int n, const Vector* origins, const Vector* dirs,
-                       double* out, std::uint64_t& segments) const;
+                  double kappaScale, std::uint64_t& segments) const;
 
   /// The SIMD packet march (ray_tracer_simd.cc, DESIGN.md §14): one
   /// kernel template, instantiated for AVX-512 and AVX2 and picked at
@@ -380,12 +422,14 @@ class Tracer {
   /// and finish on the coarser levels via the scalar march. Callers must
   /// check simdActive() first.
   void traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
-                     double* out, std::uint64_t& segments) const;
+                     double kappaScale, double* out,
+                     std::uint64_t& segments) const;
 
   /// Finish a ray that left level 0's allowed box at \p pos: the coarse
   /// continuation loop shared by the scalar and packet paths.
-  void finishRayCoarse(Vector pos, const Vector& dir, double& sumI,
-                       double& transmissivity, std::uint64_t& segments) const;
+  void finishRayCoarse(Vector pos, const Vector& dir, double kappaScale,
+                       double& sumI, double& transmissivity,
+                       std::uint64_t& segments) const;
 
   /// Deterministic per-cell ray budget from the pilot statistics alone —
   /// a pure function of (seed, cell), never of threads or tiles:
@@ -396,13 +440,15 @@ class Tracer {
                      double sigmaT4OverPi) const;
 
   /// The one cell-fan routine: trace rays [rBegin, rEnd) of \p cell's
-  /// (seed, cell, ray) streams — ray r always draws from Rng(seed, cell,
-  /// r), so any range is a slice of the fixed fan — appending per-ray
-  /// intensities to \p sum in ray order. Dispatches to the packet march
-  /// (via the reusable bundle scratch) when simdActive(), else the
-  /// scalar loop; intensities[] holds the per-ray values of this range
-  /// on return (the adaptive pilot pass reads them for the variance).
-  void traceCellRays(const IntVector& cell, int rBegin, int rEnd,
+  /// (seed, cell, ray) streams through the \p kappaScale medium — ray r
+  /// always draws from Rng(seed, cell, r), so any range is a slice of
+  /// the fixed fan — appending per-ray intensities to \p sum in ray
+  /// order. Dispatches to the packet march (via the reusable bundle
+  /// scratch) when simdActive(), else the scalar loop; intensities[]
+  /// holds the per-ray values of this range on return (the adaptive
+  /// pilot pass reads them for the variance).
+  void traceCellRays(const IntVector& cell, std::uint64_t seed,
+                     double kappaScale, int rBegin, int rEnd,
                      double& sum, std::vector<Vector>& origins,
                      std::vector<Vector>& dirs,
                      std::vector<double>& intensities,
@@ -429,9 +475,9 @@ class Tracer {
   bool m_level0HasWalls = true;
   mutable std::atomic<std::uint64_t> m_segments{0};
   /// Ray-budget accounting behind the rays-per-cell gauges: rays
-  /// actually traced by divQ sweeps, cells processed, and the largest
-  /// per-cell budget granted. Bumped once per tile (relaxed), like
-  /// m_segments.
+  /// actually traced by divQ sweeps, (cell, band) pairs processed, and
+  /// the largest per-cell budget granted. Bumped once per tile (relaxed),
+  /// like m_segments.
   mutable std::atomic<std::uint64_t> m_raysTraced{0};
   mutable std::atomic<std::uint64_t> m_cellsTraced{0};
   mutable std::atomic<std::uint64_t> m_maxBudget{0};

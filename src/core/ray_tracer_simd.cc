@@ -74,7 +74,7 @@ namespace rmcrt::core {
 /// gather bases, the march constants, and the coarse continuation for
 /// rays that leave level 0's allowed box.
 struct PacketMarch {
-  explicit PacketMarch(const Tracer& t)
+  PacketMarch(const Tracer& t, double scale)
       : tracer(t),
         level(t.m_levels.front()),
         abskg(reinterpret_cast<const double*>(
@@ -88,12 +88,12 @@ struct PacketMarch {
         threshold(t.m_cfg.threshold),
         emissivity(t.m_walls.emissivity),
         wallTerm(t.m_walls.emissivity * t.m_walls.sigmaT4OverPi),
-        kappaScale(t.m_cfg.kappaScale) {}
+        kappaScale(scale) {}
 
   [[gnu::always_inline]] void finishCoarse(Vector pos, const Vector& dir,
                                            double& sumI, double& trans,
                                            std::uint64_t& segments) const {
-    tracer.finishRayCoarse(pos, dir, sumI, trans, segments);
+    tracer.finishRayCoarse(pos, dir, kappaScale, sumI, trans, segments);
   }
 
   const Tracer& tracer;
@@ -110,7 +110,8 @@ struct PacketMarch {
   /// Domain-wall emission factor; the scalar march multiplies the same
   /// product before the separately rounded add.
   double wallTerm;
-  /// Band scale on gathered kappa (1.0 in gray mode, bitwise neutral).
+  /// The band's scale on gathered kappa (1.0 for the gray-mean medium,
+  /// bitwise neutral).
   double kappaScale;
 };
 
@@ -477,9 +478,10 @@ inline double hsum(D v) {
 #pragma GCC pop_options
 
 void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
-                           double* out, std::uint64_t& segments) const {
+                           double kappaScale, double* out,
+                           std::uint64_t& segments) const {
   assert(n > 0 && m_levels.front().packed.valid());
-  const PacketMarch march(*this);
+  const PacketMarch march(*this, kappaScale);
   if (avx512Usable())
     avx512::marchPackets<avx512::Lanes>(march, n, origins, dirs, out,
                                         segments);
@@ -495,11 +497,13 @@ const char* Tracer::simdIsa() {
 #else  // !RMCRT_SIMD_X86
 
 void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
-                           double* out, std::uint64_t& segments) const {
+                           double kappaScale, double* out,
+                           std::uint64_t& segments) const {
   // Non-x86 build: simdSupported() is constant-false so this is
   // unreachable through the public dispatch; keep a correct fallback for
   // direct callers anyway.
-  traceRaysScalar(n, origins, dirs, out, segments);
+  for (int i = 0; i < n; ++i)
+    out[i] = traceRay(origins[i], dirs[i], 0, kappaScale, segments);
 }
 
 const char* Tracer::simdIsa() { return "none"; }

@@ -1,6 +1,8 @@
 #include "core/rmcrt_component.h"
 
 #include <chrono>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "amr/migrator.h"
@@ -61,25 +63,15 @@ ThreadPool* tracePool(const TaskContext& ctx, const RmcrtSetup& st) {
   return ctx.pool != nullptr ? ctx.pool : st.pool;
 }
 
-/// The one dispatch point between the gray tracer and the spectral band
-/// pipeline, shared by every trace task and the serial solvers. An
-/// empty band model takes the exact gray path; otherwise the
-/// SpectralTracer band loop runs over the SAME trace levels (one shared
-/// record set). \p segmentsOut, when non-null, receives the traced
-/// segment count (the measured-cost model's input).
-void traceDivQ(std::vector<TraceLevel> levels, const RmcrtSetup& st,
-               const CellRange& cells, MutableFieldView<double> divQ,
-               ThreadPool* pool, std::uint64_t* segmentsOut = nullptr) {
-  const WallProperties walls = wallsOf(st.problem);
-  if (st.bands.empty()) {
-    Tracer tracer(std::move(levels), walls, st.trace);
-    tracer.computeDivQ(cells, divQ, pool);
-    if (segmentsOut != nullptr) *segmentsOut = tracer.segmentCount();
-  } else {
-    SpectralTracer tracer(levels, walls, st.trace, st.bands);
-    tracer.computeDivQ(cells, divQ, pool);
-    if (segmentsOut != nullptr) *segmentsOut = tracer.segmentCount();
-  }
+/// The host divQ trace shared by every CPU trace task and the serial
+/// solvers; returns the traced segment count (the measured-cost model's
+/// input).
+std::uint64_t traceDivQ(std::vector<TraceLevel> levels, const RmcrtSetup& st,
+                        const CellRange& cells, MutableFieldView<double> divQ,
+                        ThreadPool* pool) {
+  Tracer tracer(std::move(levels), wallsOf(st.problem), st.trace);
+  tracer.computeDivQ(cells, divQ, pool);
+  return tracer.segmentCount();
 }
 
 Task makeInitTask(SetupPtr st, int fineLevel) {
@@ -219,10 +211,9 @@ void traceOnHost(const TaskContext& ctx, const RmcrtSetup& st, int fineLevel,
   }
   auto& divQ =
       ctx.newDW->getModifiable<double>(RmcrtLabels::divQ, ctx.patch->id());
-  std::uint64_t segments = 0;
-  traceDivQ(std::move(levels), st, ctx.patch->cells(),
-            MutableFieldView<double>::fromHost(divQ), tracePool(ctx, st),
-            &segments);
+  const std::uint64_t segments =
+      traceDivQ(std::move(levels), st, ctx.patch->cells(),
+                MutableFieldView<double>::fromHost(divQ), tracePool(ctx, st));
   if (costs)
     costs->record(ctx.patch->id(), static_cast<double>(segments));
 }
@@ -321,7 +312,6 @@ void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
   const CellRange patchCells = ctx.patch->cells();
   const WallProperties walls = wallsOf(st.problem);
   const TraceConfig cfg = st.trace;
-  const BandModel bands = st.bands;
   stream->enqueueKernel([=, &dPackedF, &dPackedC, &dDivQ] {
     // Packed-only levels: `fields` stays invalid, so the Tracer marches
     // the device records without re-packing.
@@ -331,19 +321,11 @@ void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
                         PackedFieldView::fromDevice(dPackedC)};
     gpu::DeviceVar out = dDivQ;
     // Serial inside the simulated kernel: the device executor's SM
-    // workers are the parallelism on this path.
-    if (bands.empty()) {
-      Tracer tracer({fineTL, coarseTL}, walls, cfg);
-      tracer.computeDivQ(patchCells,
-                         MutableFieldView<double>::fromDevice(out));
-    } else {
-      // The band loop marches the SAME device-resident records for every
-      // band (kappa scaling lives in the march), so the single H2D
-      // upload above serves the whole spectrum.
-      SpectralTracer tracer({fineTL, coarseTL}, walls, cfg, bands);
-      tracer.computeDivQ(patchCells,
-                         MutableFieldView<double>::fromDevice(out));
-    }
+    // workers are the parallelism on this path. Every band marches these
+    // device-resident records, so the one H2D upload above serves the
+    // whole spectrum.
+    Tracer tracer({fineTL, coarseTL}, walls, cfg);
+    tracer.computeDivQ(patchCells, MutableFieldView<double>::fromDevice(out));
   });
 
   // D2H: the result.
@@ -408,9 +390,18 @@ Task makeGpuTraceTask(SetupPtr st, int fineLevel,
 
 }  // namespace
 
+void validateSetup(const RmcrtSetup& setup) {
+  validateTraceConfig(setup.trace);
+  if (setup.roiHalo < 0)
+    throw std::invalid_argument(
+        "RmcrtSetup::roiHalo must be >= 0 (got " +
+        std::to_string(setup.roiHalo) + ")");
+}
+
 void RmcrtComponent::registerTwoLevelPipeline(runtime::Scheduler& sched,
                                               const RmcrtSetup& setup,
                                               amr::CostModel* costs) {
+  validateSetup(setup);
   auto st = std::make_shared<const RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));
@@ -430,6 +421,7 @@ amr::AmrEngine::PropertySampler RmcrtComponent::makePropertySampler(
 
 void RmcrtComponent::registerSingleLevelPipeline(runtime::Scheduler& sched,
                                                  const RmcrtSetup& setup) {
+  validateSetup(setup);
   auto st = std::make_shared<const RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));
@@ -439,6 +431,7 @@ void RmcrtComponent::registerSingleLevelPipeline(runtime::Scheduler& sched,
 void RmcrtComponent::registerTwoLevelGpuPipeline(
     runtime::Scheduler& sched, const RmcrtSetup& setup,
     gpu::GpuDataWarehouse& gdw) {
+  validateSetup(setup);
   auto st = std::make_shared<const RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));

@@ -30,7 +30,6 @@
 #include "amr/amr_engine.h"
 #include "core/problems.h"
 #include "core/ray_tracer.h"
-#include "core/spectral.h"
 #include "gpu/gpu_data_warehouse.h"
 #include "runtime/scheduler.h"
 
@@ -71,16 +70,17 @@ struct RmcrtSetup {
   /// step-invariant (true for the analytic samplers; see
   /// PackedLevelCache). nullptr: pack per Tracer.
   std::shared_ptr<PackedLevelCache> packedCache;
-  /// Spectral band model. Empty (default): the gray solver, exactly as
-  /// before. Non-empty: every trace task runs the SpectralTracer band
-  /// loop — all bands sharing one PackedCell record set (and, on the
-  /// GPU path, one device upload) — accumulating per-band divQ. A
-  /// single {weight=1, kappaScale=1} band is bitwise the gray solver.
-  BandModel bands;
 };
 
+/// Throws std::invalid_argument unless \p setup can be traced:
+/// validateTraceConfig(setup.trace) and roiHalo >= 0. Every register*
+/// entry point below and Service::registerScene call it, so a bad setup
+/// is refused at registration instead of inside a task or a batch drain.
+void validateSetup(const RmcrtSetup& setup);
+
 /// Task-registration entry points. Call the same function on every rank's
-/// scheduler, then executeTimestep() concurrently.
+/// scheduler, then executeTimestep() concurrently. Each register* call
+/// throws std::invalid_argument when validateSetup(setup) does.
 class RmcrtComponent {
  public:
   /// The paper's 2-level algorithm (coarse = level 0, fine = level 1),

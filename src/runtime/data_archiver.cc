@@ -2,101 +2,11 @@
 
 #include <sys/stat.h>
 
-#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 
 namespace rmcrt::runtime {
-
-namespace {
-
-std::string blobName(const std::string& label, int patchId) {
-  return label + ".p" + std::to_string(patchId) + ".bin";
-}
-
-bool writeBlob(const std::string& path, const grid::CCVariable<double>& v) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) return false;
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.sizeBytes()));
-  return static_cast<bool>(os);
-}
-
-}  // namespace
-
-bool DataArchiver::checkpoint(const std::string& directory,
-                              const DataWarehouse& dw,
-                              const std::vector<std::string>& doubleLabels,
-                              const std::vector<int>& patchIds) {
-  ::mkdir(directory.c_str(), 0755);  // EEXIST is fine
-  std::ofstream idx(directory + "/index.txt");
-  if (!idx) return false;
-
-  for (const std::string& label : doubleLabels) {
-    for (int pid : patchIds) {
-      if (!dw.exists(label, pid)) return false;
-      const auto& v = dw.get<double>(label, pid);
-      const CellRange& w = v.window();
-      const CellRange& interior = v.interior();
-      idx << label << " " << pid << " double " << w.low().x() << " "
-          << w.low().y() << " " << w.low().z() << " " << w.high().x() << " "
-          << w.high().y() << " " << w.high().z() << " "
-          << interior.low().x() << " " << interior.low().y() << " "
-          << interior.low().z() << " " << interior.high().x() << " "
-          << interior.high().y() << " " << interior.high().z() << "\n";
-      if (!writeBlob(directory + "/" + blobName(label, pid), v))
-        return false;
-    }
-  }
-  return static_cast<bool>(idx);
-}
-
-std::vector<ArchiveEntry> DataArchiver::index(const std::string& directory) {
-  std::vector<ArchiveEntry> out;
-  std::ifstream idx(directory + "/index.txt");
-  std::string line;
-  while (std::getline(idx, line)) {
-    std::istringstream is(line);
-    ArchiveEntry e;
-    std::string kind;
-    int lx, ly, lz, hx, hy, hz, ilx, ily, ilz, ihx, ihy, ihz;
-    if (is >> e.label >> e.patchId >> kind >> lx >> ly >> lz >> hx >> hy >>
-        hz >> ilx >> ily >> ilz >> ihx >> ihy >> ihz) {
-      e.type = VarType::Double;
-      out.push_back(e);
-    }
-  }
-  return out;
-}
-
-bool DataArchiver::restore(const std::string& directory, DataWarehouse& dw) {
-  std::ifstream idx(directory + "/index.txt");
-  if (!idx) return false;
-  std::string line;
-  while (std::getline(idx, line)) {
-    std::istringstream is(line);
-    std::string label, kind;
-    int pid, lx, ly, lz, hx, hy, hz, ilx, ily, ilz, ihx, ihy, ihz;
-    if (!(is >> label >> pid >> kind >> lx >> ly >> lz >> hx >> hy >> hz >>
-          ilx >> ily >> ilz >> ihx >> ihy >> ihz)) {
-      return false;
-    }
-    const CellRange window(IntVector(lx, ly, lz), IntVector(hx, hy, hz));
-    grid::CCVariable<double> v(window, 0.0);
-    std::ifstream blob(directory + "/" + blobName(label, pid),
-                       std::ios::binary);
-    if (!blob) return false;
-    blob.read(reinterpret_cast<char*>(v.data()),
-              static_cast<std::streamsize>(v.sizeBytes()));
-    if (blob.gcount() !=
-        static_cast<std::streamsize>(v.sizeBytes())) {
-      return false;
-    }
-    dw.put(label, pid, std::move(v));
-  }
-  return true;
-}
 
 namespace {
 

@@ -1,56 +1,27 @@
 #pragma once
 
 /// \file data_archiver.h
-/// Checkpoint/restart for DataWarehouse contents — the role Uintah's
-/// DataArchiver/UDA plays for production boiler runs (multi-week
-/// simulations on Titan survive node failures by restarting from the
-/// archived state). Format: one directory per checkpoint holding a text
-/// index (variable name, patch id, element kind, window) plus one raw
-/// binary blob per variable.
+/// Grid-structure records for checkpoint/restart: Snapshot writes one
+/// beside every checkpoint so a restart rebuilds the patch set the run
+/// had (including an adaptive, regridded one) before it reads any patch
+/// data. Format: a text file `grid.txt` in the checkpoint directory.
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "grid/grid.h"
-#include "runtime/data_warehouse.h"
-#include "runtime/task.h"
 
 namespace rmcrt::runtime {
 
-/// What gets archived for one variable.
-struct ArchiveEntry {
-  std::string label;
-  int patchId = -1;  ///< -1 for level variables
-  int levelIndex = -1;
-  VarType type = VarType::Double;
-};
-
-/// Saves/loads a selected set of variables.
+/// Saves and rebuilds the grid structure of a checkpoint.
 class DataArchiver {
  public:
-  /// Write the listed patch variables of \p dw for the given patches to
-  /// \p directory (created if absent). Returns false on I/O failure or
-  /// missing variables.
-  static bool checkpoint(const std::string& directory,
-                         const DataWarehouse& dw,
-                         const std::vector<std::string>& doubleLabels,
-                         const std::vector<int>& patchIds);
-
-  /// Restore every archived variable into \p dw (windows and values
-  /// exactly as saved). Returns false if the directory or any blob is
-  /// missing/corrupt.
-  static bool restore(const std::string& directory, DataWarehouse& dw);
-
-  /// List the entries recorded in a checkpoint's index.
-  static std::vector<ArchiveEntry> index(const std::string& directory);
-
-  /// Record the grid structure alongside the data: physical bounds and,
-  /// per level, the cell extent, refinement ratio, and either the uniform
-  /// patch size or (for adaptive levels) every patch box. A checkpoint
-  /// taken after a regrid restores onto the regridded patch set, not the
-  /// input-file grid — patch ids in the data index are only meaningful
-  /// against this structure.
+  /// Record the grid structure in \p directory (created if absent):
+  /// physical bounds and, per level, the cell extent, refinement ratio,
+  /// and either the uniform patch size or (for adaptive levels) every
+  /// patch box. A checkpoint taken after a regrid restores onto the
+  /// regridded patch set, not the input-file grid — patch ids in the
+  /// checkpoint's data are only meaningful against this structure.
   static bool checkpointGrid(const std::string& directory,
                              const grid::Grid& grid);
 

@@ -1,6 +1,7 @@
 #include "service/service.h"
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 
 #include "grid/operators.h"
@@ -13,7 +14,6 @@ using core::PackedCell;
 using core::PackedFieldView;
 using core::PackedLevelField;
 using core::RadiationFieldsView;
-using core::SpectralTracer;
 using core::TraceLevel;
 using core::Tracer;
 using core::WallProperties;
@@ -133,10 +133,6 @@ struct Service::RequestExec {
   std::shared_ptr<SceneState> scene;
   Generation servedGeneration = 0;
   std::unique_ptr<Tracer> tracer;
-  /// Band-loop driver for scenes registered with a non-empty band model;
-  /// null for gray scenes. Its tiles drain through the same
-  /// computeDivQBatch as gray ones (DivQTileJob::spectral dispatch).
-  std::unique_ptr<SpectralTracer> spectral;
   std::vector<double> out;  ///< divQ sink (request-scoped)
   std::vector<double> fluxOut;
   core::RadiometerReading reading;
@@ -159,6 +155,7 @@ Service::~Service() { shutdown(); }
 
 SceneHandle Service::registerScene(std::shared_ptr<const grid::Grid> grid,
                                    const core::RmcrtSetup& setup) {
+  core::validateSetup(setup);
   auto s = std::make_shared<SceneState>();
   s->grid = std::move(grid);
   s->setup = setup;
@@ -250,22 +247,6 @@ std::unique_ptr<Tracer> Service::makeSharedTracer(const SceneState& s,
   return std::make_unique<Tracer>(
       std::vector<TraceLevel>{fineTL, coarseTL}, wallsOf(s.setup.problem),
       s.setup.trace);
-}
-
-std::unique_ptr<SpectralTracer> Service::makeSharedSpectral(
-    const SceneState& s, const CellRange& roi) const {
-  const grid::Level& fine = s.grid->fineLevel();
-  const grid::Level& coarse = s.grid->coarseLevel();
-  // Both levels already carry packed views (the scene's shared records and
-  // the one device upload), so the SpectralTracer re-packs nothing: the
-  // whole band loop rides the same state a gray tenant uses.
-  TraceLevel fineTL{LevelGeom::from(fine), viewsOf(s.fAbs, s.fSig, s.fCt),
-                    roi, s.finePacked.view()};
-  TraceLevel coarseTL{LevelGeom::from(coarse), RadiationFieldsView{},
-                      coarse.cells(), PackedFieldView::fromDevice(*s.coarseDev)};
-  return std::make_unique<SpectralTracer>(
-      std::vector<TraceLevel>{fineTL, coarseTL}, wallsOf(s.setup.problem),
-      s.setup.trace, s.setup.bands);
 }
 
 std::future<Outcome<DivQResult>> Service::submitDivQ(DivQQuery q) {
@@ -480,10 +461,20 @@ bool Service::answerable(const PendingRequest& req, const grid::Grid& grid) {
       }
       return true;
     case PendingRequest::Kind::Radiometer: {
-      if (req.spec.nRays <= 0) return false;
+      const core::RadiometerSpec& spec = req.spec;
+      if (spec.nRays <= 0) return false;
+      // The cone must be a real one: its half-angle lies in (0, pi] and
+      // its axis has a finite, nonzero length (normalizing a zero or
+      // non-finite vector gives NaN directions).
+      if (!(spec.halfAngleRadians > 0.0 && spec.halfAngleRadians <= M_PI))
+        return false;
+      const Vector& axis = spec.viewDirection;
+      const double length2 = axis.x() * axis.x() + axis.y() * axis.y() +
+                             axis.z() * axis.z();
+      if (!(std::isfinite(length2) && length2 > 0.0)) return false;
       for (int i = 0; i < 3; ++i)
-        if (!(req.spec.position[i] >= grid.physLow()[i] &&
-              req.spec.position[i] <= grid.physHigh()[i]))
+        if (!(spec.position[i] >= grid.physLow()[i] &&
+              spec.position[i] <= grid.physHigh()[i]))
           return false;
       return true;
     }
@@ -546,15 +537,11 @@ void Service::processBatch(std::deque<std::unique_ptr<PendingRequest>> batch) {
     exec->tracer = makeSharedTracer(s, roi);
 
     if (req.kind == PendingRequest::Kind::DivQ) {
-      // Spectral scenes drain through the exact same tile-job pool as
-      // gray ones; flux/radiometer QoIs stay on the gray-mean tracer.
-      if (!s.setup.bands.empty()) exec->spectral = makeSharedSpectral(s, roi);
       exec->out.assign(static_cast<std::size_t>(req.cells.volume()), 0.0);
       const core::MutableFieldView<double> sink(exec->out.data(), req.cells);
       for (const CellRange& tile :
            core::tileCells(req.cells, s.setup.trace.tileSize))
-        jobs.push_back(Tracer::DivQTileJob{exec->tracer.get(), tile, sink,
-                                           exec->spectral.get()});
+        jobs.push_back(Tracer::DivQTileJob{exec->tracer.get(), tile, sink});
     } else {
       pointwise.push_back(exec.get());
     }
@@ -710,14 +697,8 @@ DivQResult Service::solveDivQOneShot(const grid::Grid& grid,
   res.window = cells;
   res.divQ.assign(static_cast<std::size_t>(cells.volume()), 0.0);
   const core::MutableFieldView<double> sink(res.divQ.data(), cells);
-  if (setup.bands.empty()) {
-    Tracer tracer({fineTL, coarseTL}, wallsOf(setup.problem), setup.trace);
-    tracer.computeDivQ(cells, sink);
-  } else {
-    SpectralTracer tracer({fineTL, coarseTL}, wallsOf(setup.problem),
-                          setup.trace, setup.bands);
-    tracer.computeDivQ(cells, sink);
-  }
+  Tracer tracer({fineTL, coarseTL}, wallsOf(setup.problem), setup.trace);
+  tracer.computeDivQ(cells, sink);
   return res;
 }
 

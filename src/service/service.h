@@ -80,7 +80,9 @@ enum class RejectReason : std::uint8_t {
   InvalidQuery,     ///< not answerable on the serving generation's grid:
                     ///< divQ cells empty or outside the fine level, a flux
                     ///< cell outside it or a face not a unit axis vector,
-                    ///< a radiometer outside the domain or with nRays <= 0
+                    ///< a radiometer outside the domain, with nRays <= 0,
+                    ///< a zero-length or non-finite viewDirection, or a
+                    ///< halfAngleRadians outside (0, pi]
   ShuttingDown,     ///< service stopped accepting work
 };
 
@@ -205,6 +207,8 @@ class Service {
 
   /// Register a scene; properties/packed records build lazily on first
   /// query. Generations start at 1.
+  /// \throws std::invalid_argument when core::validateSetup(setup) does,
+  /// so no query on a registered scene can fail on a bad setup.
   SceneHandle registerScene(std::shared_ptr<const grid::Grid> grid,
                             const core::RmcrtSetup& setup);
 
@@ -262,15 +266,11 @@ class Service {
   /// holds scene.mu.
   void ensureSharedLocked(SceneState& s, SceneId id);
   /// Per-request Tracer against the scene's shared packed state. `roi`
-  /// is the fine-level allowed box. Caller holds scene.mu.
+  /// is the fine-level allowed box. Every band of the scene's band model
+  /// marches these records and the one coarse device upload. Caller
+  /// holds scene.mu.
   std::unique_ptr<core::Tracer> makeSharedTracer(const SceneState& s,
                                                  const CellRange& roi) const;
-  /// Per-request SpectralTracer for scenes registered with a non-empty
-  /// band model: every band aliases the scene's shared packed records and
-  /// the single coarse device upload (kappa scaling happens in the march,
-  /// so bands add zero pack/upload cost). Caller holds scene.mu.
-  std::unique_ptr<core::SpectralTracer> makeSharedSpectral(
-      const SceneState& s, const CellRange& roi) const;
 
   /// Admission + fault model + enqueue, shared by the three submit
   /// fronts. Shed requests are rejected (typed) before queueing.

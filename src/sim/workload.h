@@ -20,14 +20,6 @@ struct ProblemConfig {
   int patchSize = 32;          ///< fine patch edge (16, 32, 64)
   int raysPerCell = 100;       ///< paper Section V: 100
   int roiHalo = 4;             ///< fine-level ROI halo cells
-  /// Mean rays actually traced per cell divided by raysPerCell under the
-  /// variance-adaptive budget controller (1.0 = fixed fan, exactly the
-  /// pre-adaptive model; the calibrated Burns-Christon run lands ~0.59,
-  /// i.e. a 1.7x segment reduction at equal error).
-  double adaptiveRayFraction = 1.0;
-  /// Spectral bands traced per cell (WSGG band loop). 1 = gray, exactly
-  /// the pre-spectral model; each extra band re-marches the same records.
-  int spectralBands = 1;
   /// Mean ray path length in cells on the fine level before the ray
   /// leaves the ROI or is extinguished; rays exit through the nearest
   /// ROI face, so the expected in-ROI path is ~half the ROI edge.
@@ -146,15 +138,13 @@ struct ProblemConfig {
   /// --- computation quantities -------------------------------------------
 
   /// Ray-march cell crossings per rank per timestep: every owned fine
-  /// cell traces raysPerCell rays (scaled by the adaptive-budget fraction
-  /// and repeated per spectral band), each crossing fine ROI cells then
-  /// coarse cells. Defaults reproduce the fixed-fan gray model exactly.
+  /// cell traces raysPerCell rays (the fixed-fan gray model), each
+  /// crossing fine ROI cells then coarse cells.
   double segmentsPerRank(int ranks) const {
     const double cellsOwned =
         static_cast<double>(patchesPerRank(ranks)) *
         static_cast<double>(cellsPerPatch());
-    return cellsOwned * raysPerCell * adaptiveRayFraction *
-           static_cast<double>(spectralBands) *
+    return cellsOwned * raysPerCell *
            (meanFineSegments() + meanCoarseSegments());
   }
 

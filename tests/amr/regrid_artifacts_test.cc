@@ -8,13 +8,11 @@
 #include <memory>
 #include <string>
 
-#include "amr/migrator.h"
 #include "grid/grid.h"
 #include "grid/load_balancer.h"
 #include "grid/regridder.h"
 #include "grid/vtk_writer.h"
 #include "runtime/data_archiver.h"
-#include "runtime/data_warehouse.h"
 
 namespace rmcrt::grid {
 namespace {
@@ -93,55 +91,6 @@ TEST(DataArchiver, GridRoundTripsThroughCheckpoint) {
     }
     EXPECT_DOUBLE_EQ(a.dx().x(), b.dx().x());
   }
-  std::remove((dir + "/grid.txt").c_str());
-  std::remove(dir.c_str());
-}
-
-TEST(DataArchiver, CheckpointRestoreSurvivesARegrid) {
-  // Simulate a regrid mid-run: write data + grid on the regridded patch
-  // set, restore both into a fresh warehouse, and verify values land on
-  // the restored grid's patches exactly.
-  const std::string dir = "amr_ckpt_regrid_test";
-  auto before = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
-                                   IntVector(2), IntVector(8), IntVector(4));
-  auto after = adaptiveGrid();  // "the grid the engine emitted"
-
-  // Data produced on the old grid migrates onto the new one, then gets
-  // checkpointed against the new grid's structure.
-  runtime::DataWarehouse oldDW;
-  for (const auto& p : before->fineLevel().patches()) {
-    CCVariable<double> v(p, 0, 0.0);
-    for (const IntVector& c : p.cells())
-      v[c] = 1.0 + c.x() + 100.0 * c.y() + 10000.0 * c.z();
-    oldDW.put("divQ", p.id(), std::move(v));
-  }
-  amr::Migrator mig(*before, *after);
-  std::vector<int> ids;
-  for (const auto& p : after->fineLevel().patches()) ids.push_back(p.id());
-  auto migrated = mig.migratePatchVar<double>("divQ", 1, oldDW, ids);
-  runtime::DataWarehouse dw;
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    dw.put("divQ", ids[i], std::move(migrated[i]));
-
-  ASSERT_TRUE(runtime::DataArchiver::checkpointGrid(dir, *after));
-  ASSERT_TRUE(runtime::DataArchiver::checkpoint(dir, dw, {"divQ"}, ids));
-
-  auto restoredGrid = runtime::DataArchiver::restoreGrid(dir);
-  ASSERT_NE(restoredGrid, nullptr);
-  EXPECT_FALSE(restoredGrid->fineLevel().uniformlyTiled());
-  runtime::DataWarehouse restoredDW;
-  ASSERT_TRUE(runtime::DataArchiver::restore(dir, restoredDW));
-  for (const auto& p : restoredGrid->fineLevel().patches()) {
-    ASSERT_TRUE(restoredDW.exists("divQ", p.id()));
-    const auto& v = restoredDW.get<double>("divQ", p.id());
-    EXPECT_TRUE(v.window() == p.cells());
-    for (const IntVector& c : p.cells())
-      ASSERT_DOUBLE_EQ(v[c], 1.0 + c.x() + 100.0 * c.y() + 10000.0 * c.z());
-  }
-  for (const auto& e : runtime::DataArchiver::index(dir))
-    std::remove((dir + "/" + e.label + ".p" + std::to_string(e.patchId) +
-                 ".bin").c_str());
-  std::remove((dir + "/index.txt").c_str());
   std::remove((dir + "/grid.txt").c_str());
   std::remove(dir.c_str());
 }

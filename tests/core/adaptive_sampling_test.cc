@@ -220,22 +220,27 @@ TEST(AdaptiveSampling, SavesRaysAtBoundedError) {
 }
 
 TEST(AdaptiveSampling, RayAccountingIsExactForTheFixedFan) {
+  // A cell counts once per band, so rays per cell stay per band.
   Harness h(burnsChriston());
-  const TraceConfig cfg = fixedCfg();
-  Tracer tracer = h.makeTracer(cfg);
-  const CellRange cells = h.grid->fineLevel().cells();
-  CCVariable<double> divQ(cells, 0.0);
-  tracer.computeDivQ(cells, MutableFieldView<double>::fromHost(divQ));
-  const std::uint64_t nCells = static_cast<std::uint64_t>(cells.volume());
-  EXPECT_EQ(tracer.cellsTraced(), nCells);
-  EXPECT_EQ(tracer.raysTraced(),
-            nCells * static_cast<std::uint64_t>(cfg.nDivQRays));
-  EXPECT_EQ(tracer.maxRayBudget(),
-            static_cast<std::uint64_t>(cfg.nDivQRays));
-  tracer.resetRayStats();
-  EXPECT_EQ(tracer.raysTraced(), 0u);
-  EXPECT_EQ(tracer.cellsTraced(), 0u);
-  EXPECT_EQ(tracer.maxRayBudget(), 0u);
+  for (const BandModel& bands : {grayBand(), threeband()}) {
+    TraceConfig cfg = fixedCfg();
+    cfg.bands = bands;
+    Tracer tracer = h.makeTracer(cfg);
+    const CellRange cells = h.grid->fineLevel().cells();
+    CCVariable<double> divQ(cells, 0.0);
+    tracer.computeDivQ(cells, MutableFieldView<double>::fromHost(divQ));
+    const std::uint64_t nCellBands =
+        static_cast<std::uint64_t>(cells.volume()) * bands.size();
+    EXPECT_EQ(tracer.cellsTraced(), nCellBands);
+    EXPECT_EQ(tracer.raysTraced(),
+              nCellBands * static_cast<std::uint64_t>(cfg.nDivQRays));
+    EXPECT_EQ(tracer.maxRayBudget(),
+              static_cast<std::uint64_t>(cfg.nDivQRays));
+    tracer.resetRayStats();
+    EXPECT_EQ(tracer.raysTraced(), 0u);
+    EXPECT_EQ(tracer.cellsTraced(), 0u);
+    EXPECT_EQ(tracer.maxRayBudget(), 0u);
+  }
 }
 
 TEST(AdaptiveSampling, BudgetsRespectPilotAndCapBounds) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -24,11 +25,12 @@ using grid::Grid;
 using grid::LoadBalancer;
 using runtime::Scheduler;
 
-RmcrtSetup smallSetup() {
+RmcrtSetup smallSetup(BandModel bands = grayBand()) {
   RmcrtSetup setup;
   setup.problem = burnsChriston();
   setup.trace.nDivQRays = 12;
   setup.trace.seed = 21;
+  setup.trace.bands = std::move(bands);
   setup.roiHalo = 3;
   return setup;
 }
@@ -79,11 +81,20 @@ void compareToSerial(const Grid& grid, const RmcrtSetup& setup,
 }
 
 TEST(RmcrtPipeline, DistributedCpuMatchesSerialExactly) {
+  // Gray and banded: the band loop runs inside the same trace task.
   auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                  IntVector(4), IntVector(4), IntVector(4));
-  const RmcrtSetup setup = smallSetup();
-  auto scheds = runDistributed(grid, 4, setup, false, nullptr, nullptr);
-  compareToSerial(*grid, setup, scheds);
+  for (const BandModel& bands : {grayBand(), threeband()}) {
+    SCOPED_TRACE(bands.size() == 1 ? "gray" : "three bands");
+    const RmcrtSetup setup = smallSetup(bands);
+    auto scheds = runDistributed(grid, 4, setup, false, nullptr, nullptr);
+    compareToSerial(*grid, setup, scheds);
+  }
+  const IntVector probe(8, 8, 8);
+  EXPECT_NE(RmcrtComponent::solveSerialTwoLevel(*grid, smallSetup())[probe],
+            RmcrtComponent::solveSerialTwoLevel(
+                *grid, smallSetup(threeband()))[probe])
+      << "the band model must reach the trace";
 }
 
 TEST(RmcrtPipeline, DistributedCpuSingleRankMatches) {
@@ -109,31 +120,65 @@ TEST(RmcrtPipeline, ResultIndependentOfRankCount) {
 TEST(RmcrtPipeline, GpuPipelineMatchesSerialExactly) {
   auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                  IntVector(4), IntVector(4), IntVector(4));
-  const RmcrtSetup setup = smallSetup();
-  const int numRanks = 2;
-  std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
-  std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
-  for (int r = 0; r < numRanks; ++r) {
-    gpu::GpuDevice::Config cfg;
-    cfg.globalMemoryBytes = 256 << 20;
-    devices.push_back(std::make_unique<gpu::GpuDevice>(cfg));
-    gdws.push_back(std::make_unique<gpu::GpuDataWarehouse>(*devices.back()));
+  // Gray and banded: every band of the kernel marches the same device
+  // records, so the band model adds no level-DB copy.
+  for (const BandModel& bands : {grayBand(), threeband()}) {
+    SCOPED_TRACE(bands.size() == 1 ? "gray" : "three bands");
+    const RmcrtSetup setup = smallSetup(bands);
+    const int numRanks = 2;
+    std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
+    std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
+    for (int r = 0; r < numRanks; ++r) {
+      gpu::GpuDevice::Config cfg;
+      cfg.globalMemoryBytes = 256 << 20;
+      devices.push_back(std::make_unique<gpu::GpuDevice>(cfg));
+      gdws.push_back(
+          std::make_unique<gpu::GpuDataWarehouse>(*devices.back()));
+    }
+    auto scheds =
+        runDistributed(grid, numRanks, setup, true, &devices, &gdws);
+    compareToSerial(*grid, setup, scheds);
+    // The level database held exactly one shared copy of the fused
+    // coarse records (abskg + sigmaT4 + cellType travel as one PackedCell
+    // array), and after the run it is all that stays resident: every
+    // patch task freed its ROI records and divQ.
+    const std::size_t levelBytes = mem::MmapArena::roundToPages(
+        static_cast<std::size_t>(grid->coarseLevel().cells().volume()) *
+        sizeof(PackedCell));
+    for (auto& gdw : gdws) EXPECT_EQ(gdw->numLevelVarCopies(), 1u);
+    for (auto& dev : devices) EXPECT_EQ(dev->bytesInUse(), levelBytes);
+    // PCIe traffic flowed both ways.
+    for (auto& dev : devices) {
+      EXPECT_GT(dev->stats().h2dBytes, 0u);
+      EXPECT_GT(dev->stats().d2hBytes, 0u);
+    }
   }
-  auto scheds = runDistributed(grid, numRanks, setup, true, &devices, &gdws);
-  compareToSerial(*grid, setup, scheds);
-  // The level database held exactly one shared copy of the fused coarse
-  // records (abskg + sigmaT4 + cellType travel as one PackedCell array),
-  // and after the run it is all that stays resident: every patch task
-  // freed its ROI records and divQ.
-  const std::size_t levelBytes = mem::MmapArena::roundToPages(
-      static_cast<std::size_t>(grid->coarseLevel().cells().volume()) *
-      sizeof(PackedCell));
-  for (auto& gdw : gdws) EXPECT_EQ(gdw->numLevelVarCopies(), 1u);
-  for (auto& dev : devices) EXPECT_EQ(dev->bytesInUse(), levelBytes);
-  // PCIe traffic flowed both ways.
-  for (auto& dev : devices) {
-    EXPECT_GT(dev->stats().h2dBytes, 0u);
-    EXPECT_GT(dev->stats().d2hBytes, 0u);
+}
+
+TEST(RmcrtPipeline, RegistrationRejectsInvalidSetup) {
+  // Every register* entry point refuses a setup the trace task could not
+  // run, before it adds a task.
+  auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
+                                 IntVector(4), IntVector(4), IntVector(4));
+  auto lb = std::make_shared<LoadBalancer>(*grid, 1);
+  comm::Communicator world(1);
+  Scheduler sched(grid, lb, world, 0);
+  gpu::GpuDevice device;
+  gpu::GpuDataWarehouse gdw(device);
+  RmcrtSetup noRays = smallSetup();
+  noRays.trace.nDivQRays = 0;
+  RmcrtSetup badBand = smallSetup();
+  badBand.trace.bands = {SpectralBand{1.0, -1.0}};
+  RmcrtSetup badHalo = smallSetup();
+  badHalo.roiHalo = -1;
+  for (const RmcrtSetup& bad : {noRays, badBand, badHalo}) {
+    EXPECT_THROW(RmcrtComponent::registerTwoLevelPipeline(sched, bad),
+                 std::invalid_argument);
+    EXPECT_THROW(RmcrtComponent::registerSingleLevelPipeline(sched, bad),
+                 std::invalid_argument);
+    EXPECT_THROW(
+        RmcrtComponent::registerTwoLevelGpuPipeline(sched, bad, gdw),
+        std::invalid_argument);
   }
 }
 

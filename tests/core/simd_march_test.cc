@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -526,6 +528,38 @@ TEST(TraceConfigValidation, NonPositiveRayCountThrows) {
   cfg.nDivQRays = 1;
   Tracer t = setup.makeTracer(false, cfg);
   EXPECT_TRUE(std::isfinite(t.meanIncomingIntensity(IntVector(4, 4, 4))));
+}
+
+TEST(TraceConfigValidation, RejectsInvalidBandModel) {
+  // divQ sums a_b * q_b with kappa scaled by s_b in the march: an empty
+  // model, a non-finite weight, or a scale that is not finite and
+  // positive would trace nothing or fill divQ with NaN.
+  SingleLevelSetup setup(burnsChriston(), IntVector(8));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<BandModel> bad = {
+      {},
+      {SpectralBand{nan, 1.0}},
+      {SpectralBand{0.5, 1.0}, SpectralBand{inf, 1.0}},
+      {SpectralBand{1.0, 0.0}},
+      {SpectralBand{1.0, -0.5}},
+      {SpectralBand{1.0, nan}},
+      {SpectralBand{1.0, inf}}};
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    TraceConfig cfg;
+    cfg.bands = bad[i];
+    EXPECT_THROW(validateTraceConfig(cfg), std::invalid_argument)
+        << "band model " << i;
+    EXPECT_THROW(setup.makeTracer(false, cfg), std::invalid_argument)
+        << "band model " << i;
+  }
+  TraceConfig cfg;
+  cfg.bands = threeband();
+  EXPECT_NO_THROW(validateTraceConfig(cfg));
+  Tracer t = setup.makeTracer(false, cfg);
+  CCVariable<double> q(CellRange(IntVector(4), IntVector(5)), 0.0);
+  t.computeDivQ(q.window(), MutableFieldView<double>::fromHost(q));
+  EXPECT_TRUE(std::isfinite(q[IntVector(4)]));
 }
 
 }  // namespace

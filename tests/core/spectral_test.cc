@@ -1,4 +1,8 @@
-#include "core/spectral.h"
+/// The spectral band loop (DESIGN.md §17): TraceConfig::bands turns
+/// Tracer::computeDivQ into a weighted sum of gray-gas bands, each
+/// marching the same packed records with its kappa scale and its own
+/// seed. The suites keep their historical names: BandModel covers the
+/// band-model helpers, SpectralTracer the band loop itself.
 
 #include <gtest/gtest.h>
 
@@ -6,6 +10,7 @@
 #include <vector>
 
 #include "core/problems.h"
+#include "core/ray_tracer.h"
 #include "grid/grid.h"
 #include "util/thread_pool.h"
 
@@ -40,7 +45,30 @@ struct SpectralHarness {
                            FieldView<CellType>::fromHost(ct)},
                        grid->fineLevel().cells()}};
   }
+
+  /// divQ over \p cells traced with \p cfg (its band model included).
+  CCVariable<double> divQ(const TraceConfig& cfg,
+                          const CellRange& cells) const {
+    Tracer tracer(levels(), walls, cfg);
+    CCVariable<double> q(cells, 0.0);
+    tracer.computeDivQ(cells, MutableFieldView<double>::fromHost(q));
+    return q;
+  }
 };
+
+TraceConfig withBands(TraceConfig cfg, BandModel bands) {
+  cfg.bands = std::move(bands);
+  return cfg;
+}
+
+/// Band \p b of \p bands alone: a one-band {1, s_b} model on band b's
+/// seed traces exactly the rays band b traces inside the band loop.
+TraceConfig bandAlone(TraceConfig cfg, const BandModel& bands,
+                      std::size_t b) {
+  cfg.seed += kBandSeedStride * b;
+  cfg.bands = {SpectralBand{1.0, bands[b].kappaScale}};
+  return cfg;
+}
 
 TEST(BandModel, ThreebandIsPlanckConsistent) {
   const BandModel bands = threeband();
@@ -53,23 +81,21 @@ TEST(BandModel, ThreebandIsPlanckConsistent) {
 }
 
 TEST(SpectralTracer, SingleGrayBandMatchesGrayTracerExactly) {
+  // One gray band {1, 1} — the default band model — is the gray solver
+  // bit for bit: divQ = 4*pi*kappa*(S - meanI) with meanI the gray-mean
+  // fan on `seed`.
   SpectralHarness h(burnsChriston());
-  TraceConfig cfg;
+  TraceConfig cfg = withBands(TraceConfig{}, {SpectralBand{1.0, 1.0}});
   cfg.nDivQRays = 16;
   cfg.seed = 9;
-
-  SpectralTracer spectral(h.levels(), h.walls, cfg, grayBand());
-  CCVariable<double> sq(h.grid->fineLevel().cells(), 0.0);
-  spectral.computeDivQ(h.grid->fineLevel().cells(),
-                       MutableFieldView<double>::fromHost(sq));
-
-  Tracer gray(h.levels(), h.walls, cfg);
-  CCVariable<double> gq(h.grid->fineLevel().cells(), 0.0);
-  gray.computeDivQ(h.grid->fineLevel().cells(),
-                   MutableFieldView<double>::fromHost(gq));
-
-  for (const auto& c : sq.window())
-    EXPECT_DOUBLE_EQ(sq[c], gq[c]) << "cell " << c;
+  EXPECT_EQ(TraceConfig{}.bands.size(), 1u);
+  const CellRange cells = h.grid->fineLevel().cells();
+  const CCVariable<double> banded = h.divQ(cfg, cells);
+  const Tracer gray(h.levels(), h.walls, cfg);
+  for (const auto& c : cells)
+    ASSERT_EQ(banded[c], 4.0 * M_PI * h.abskg[c] *
+                             (h.sig[c] - gray.meanIncomingIntensity(c)))
+        << "cell " << c;
 }
 
 TEST(SpectralTracer, EquilibriumStillZero) {
@@ -79,10 +105,8 @@ TEST(SpectralTracer, EquilibriumStillZero) {
   TraceConfig cfg;
   cfg.nDivQRays = 8;
   cfg.threshold = 1e-12;
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
-  CCVariable<double> q(h.grid->fineLevel().cells(), 0.0);
-  spectral.computeDivQ(h.grid->fineLevel().cells(),
-                       MutableFieldView<double>::fromHost(q));
+  const CCVariable<double> q =
+      h.divQ(withBands(cfg, threeband()), h.grid->fineLevel().cells());
   for (const auto& c : q.window()) EXPECT_NEAR(q[c], 0.0, 1e-9);
 }
 
@@ -97,55 +121,57 @@ TEST(SpectralTracer, WindowBandLosesMoreFromTheCenter) {
   cfg.nDivQRays = 300;
   cfg.threshold = 1e-9;
 
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
-  Tracer gray(h.levels(), h.walls, cfg);
-
   const IntVector center(8, 8, 8);
-  CCVariable<double> sq(CellRange(center, center + IntVector(1)), 0.0);
-  spectral.computeDivQ(sq.window(), MutableFieldView<double>::fromHost(sq));
-  const double grayI = gray.meanIncomingIntensity(center);
-  const double grayQ = 4.0 * M_PI * 8.0 * (1.0 / M_PI - grayI);
-
-  EXPECT_GT(sq[center], grayQ * 1.1)
+  const CellRange one(center, center + IntVector(1));
+  const double spectralQ = h.divQ(withBands(cfg, threeband()), one)[center];
+  const double grayQ = h.divQ(cfg, one)[center];
+  EXPECT_GT(spectralQ, grayQ * 1.1)
       << "the transparent band must enhance net loss at the center";
 }
 
 TEST(SpectralTracer, BandIntensitiesOrderedByOpacity) {
   // Cold walls: the more transparent a band, the less of the medium's
   // emission reaches the detector (shorter emitting paths + wall escape),
-  // so band intensity increases with kappa scale.
+  // so band intensity increases with kappa scale. Band b's mean incoming
+  // intensity follows from its own divQ, q_b = 4*pi*kappa*s_b*(S - I_b).
   SpectralHarness h(uniformMedium(8.0, 1.0), 16);
   h.walls.sigmaT4OverPi = 0.0;
   TraceConfig cfg;
   cfg.nDivQRays = 400;
   cfg.threshold = 1e-9;
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
-  const auto I = spectral.bandIntensities(IntVector(8, 8, 8));
-  ASSERT_EQ(I.size(), 3u);
+  const BandModel bands = threeband();
+  const IntVector center(8, 8, 8);
+  const CellRange one(center, center + IntVector(1));
+  std::vector<double> I;
+  for (std::size_t b = 0; b < bands.size(); ++b) {
+    const double q = h.divQ(bandAlone(cfg, bands, b), one)[center];
+    I.push_back(h.sig[center] -
+                q / (4.0 * M_PI * h.abskg[center] * bands[b].kappaScale));
+  }
   EXPECT_LT(I[0], I[1]);  // window < moderate
   EXPECT_LT(I[1], I[2]);  // moderate < strong
 }
 
 TEST(SpectralTracer, TiledBatchMatchesFullSolveBitwise) {
-  // The service drains spectral scenes as DivQTileJob work units; any
+  // The service drains banded scenes as DivQTileJob work units; any
   // tiling of a range through computeDivQBatch must reproduce the
   // whole-range band loop bitwise.
   SpectralHarness h(burnsChriston());
-  TraceConfig cfg;
+  TraceConfig cfg = withBands(TraceConfig{}, threeband());
   cfg.nDivQRays = 8;
   cfg.seed = 5;
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
+  Tracer tracer(h.levels(), h.walls, cfg);
   const CellRange cells = h.grid->fineLevel().cells();
 
   CCVariable<double> whole(cells, 0.0);
-  spectral.computeDivQ(cells, MutableFieldView<double>::fromHost(whole));
+  tracer.computeDivQ(cells, MutableFieldView<double>::fromHost(whole));
 
   CCVariable<double> tiled(cells, 0.0);
   const MutableFieldView<double> sink =
       MutableFieldView<double>::fromHost(tiled);
   std::vector<Tracer::DivQTileJob> jobs;
   for (const CellRange& tile : tileCells(cells, IntVector(5, 3, 7)))
-    jobs.push_back(Tracer::DivQTileJob{nullptr, tile, sink, &spectral});
+    jobs.push_back(Tracer::DivQTileJob{&tracer, tile, sink});
   ThreadPool pool(4);
   Tracer::computeDivQBatch(jobs, &pool);
 
@@ -158,7 +184,7 @@ TEST(SpectralTracer, AdaptiveBudgetsPropagateThroughBands) {
   // rays than the fixed fan, and stays bitwise deterministic across
   // pool sizes.
   SpectralHarness h(burnsChriston());
-  TraceConfig fixed;
+  TraceConfig fixed = withBands(TraceConfig{}, threeband());
   fixed.nDivQRays = 16;
   fixed.seed = 5;
   TraceConfig adaptive = fixed;
@@ -167,43 +193,47 @@ TEST(SpectralTracer, AdaptiveBudgetsPropagateThroughBands) {
   adaptive.errorTarget = 0.05;
   const CellRange cells = h.grid->fineLevel().cells();
 
-  SpectralTracer sf(h.levels(), h.walls, fixed, threeband());
-  SpectralTracer sa(h.levels(), h.walls, adaptive, threeband());
+  Tracer tf(h.levels(), h.walls, fixed);
+  Tracer ta(h.levels(), h.walls, adaptive);
   CCVariable<double> qf(cells, 0.0), qa(cells, 0.0);
-  sf.computeDivQ(cells, MutableFieldView<double>::fromHost(qf));
-  sa.computeDivQ(cells, MutableFieldView<double>::fromHost(qa));
-  EXPECT_LT(sa.segmentCount(), sf.segmentCount());
+  tf.computeDivQ(cells, MutableFieldView<double>::fromHost(qf));
+  ta.computeDivQ(cells, MutableFieldView<double>::fromHost(qa));
+  EXPECT_LT(ta.segmentCount(), tf.segmentCount());
 
   ThreadPool pool(3);
   CCVariable<double> qa2(cells, 0.0);
-  sa.computeDivQ(cells, MutableFieldView<double>::fromHost(qa2), &pool);
+  ta.computeDivQ(cells, MutableFieldView<double>::fromHost(qa2), &pool);
   for (const auto& c : cells) ASSERT_EQ(qa[c], qa2[c]) << "cell " << c;
 }
 
-TEST(SpectralTracer, SharedPackAcrossBands) {
-  // One record set serves every band: the three-band tracer's levels all
-  // alias the same packed view (kappa scaling lives in the march), so
-  // per-band memory is O(1), not O(bands).
-  SpectralHarness h(burnsChriston());
-  TraceConfig cfg;
-  cfg.nDivQRays = 4;
-  SpectralTracer spectral(h.levels(), h.walls, cfg, threeband());
-  const PackedCell* base =
-      spectral.bandTracer(0).levels()[0].packed.data();
-  ASSERT_NE(base, nullptr);
-  for (std::size_t b = 1; b < spectral.numBands(); ++b)
-    EXPECT_EQ(spectral.bandTracer(b).levels()[0].packed.data(), base)
-        << "band " << b << " packed its own copy";
-}
-
 TEST(SpectralTracer, BandCountScalesWork) {
+  // The band loop is exactly its bands traced one at a time: K bands
+  // march the segments of the K one-band solves on the band seeds, and
+  // divQ is their a_b-weighted fold in band order, bitwise.
   SpectralHarness h(burnsChriston());
   TraceConfig cfg;
   cfg.nDivQRays = 4;
-  SpectralTracer one(h.levels(), h.walls, cfg, grayBand());
-  SpectralTracer three(h.levels(), h.walls, cfg, threeband());
-  EXPECT_EQ(one.numBands(), 1u);
-  EXPECT_EQ(three.numBands(), 3u);
+  cfg.seed = 3;
+  const BandModel bands = threeband();
+  const CellRange cells = h.grid->fineLevel().cells();
+
+  Tracer banded(h.levels(), h.walls, withBands(cfg, bands));
+  CCVariable<double> q(cells, 0.0);
+  banded.computeDivQ(cells, MutableFieldView<double>::fromHost(q));
+
+  CCVariable<double> folded(cells, 0.0);
+  std::uint64_t segments = 0;
+  for (std::size_t b = 0; b < bands.size(); ++b) {
+    Tracer one(h.levels(), h.walls, bandAlone(cfg, bands, b));
+    CCVariable<double> qb(cells, 0.0);
+    one.computeDivQ(cells, MutableFieldView<double>::fromHost(qb));
+    segments += one.segmentCount();
+    for (const auto& c : cells)
+      folded[c] = b == 0 ? bands[b].weight * qb[c]
+                         : folded[c] + bands[b].weight * qb[c];
+  }
+  EXPECT_EQ(banded.segmentCount(), segments);
+  for (const auto& c : cells) ASSERT_EQ(q[c], folded[c]) << "cell " << c;
 }
 
 }  // namespace

@@ -3,19 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <system_error>
 
 #include "grid/grid.h"
 
 namespace rmcrt::runtime {
 namespace {
-
-grid::Patch makePatch(int id) {
-  return grid::Patch(id, 0,
-                     CellRange(IntVector(id * 4, 0, 0),
-                               IntVector(id * 4 + 4, 4, 4)));
-}
 
 class DataArchiverTest : public ::testing::Test {
  protected:
@@ -26,84 +22,11 @@ class DataArchiverTest : public ::testing::Test {
             ::testing::UnitTest::GetInstance()->current_test_info()->name();
   }
   void TearDown() override {
-    // Best-effort cleanup of the checkpoint directory.
-    for (const auto& e : DataArchiver::index(m_dir)) {
-      std::remove((m_dir + "/" + e.label + ".p" +
-                   std::to_string(e.patchId) + ".bin")
-                      .c_str());
-    }
-    std::remove((m_dir + "/index.txt").c_str());
-    std::remove((m_dir + "/grid.txt").c_str());
-    std::remove(m_dir.c_str());
+    std::error_code ec;  // best-effort cleanup
+    std::filesystem::remove_all(m_dir, ec);
   }
   std::string m_dir;
 };
-
-TEST_F(DataArchiverTest, CheckpointRestoreRoundTrip) {
-  DataWarehouse dw;
-  for (int pid : {0, 1, 2}) {
-    grid::CCVariable<double> v(makePatch(pid), 1, 0.0);
-    for (const auto& c : v.window())
-      v[c] = pid * 1000.0 + c.x() + 0.5 * c.y() - 2.0 * c.z();
-    dw.put("divQ", pid, std::move(v));
-  }
-  ASSERT_TRUE(DataArchiver::checkpoint(m_dir, dw, {"divQ"}, {0, 1, 2}));
-
-  DataWarehouse restored;
-  ASSERT_TRUE(DataArchiver::restore(m_dir, restored));
-  for (int pid : {0, 1, 2}) {
-    ASSERT_TRUE(restored.exists("divQ", pid));
-    const auto& orig = dw.get<double>("divQ", pid);
-    const auto& back = restored.get<double>("divQ", pid);
-    EXPECT_EQ(back.window(), orig.window());
-    for (const auto& c : orig.window())
-      EXPECT_DOUBLE_EQ(back[c], orig[c]) << "pid " << pid << " " << c;
-  }
-}
-
-TEST_F(DataArchiverTest, MultipleLabels) {
-  DataWarehouse dw;
-  grid::CCVariable<double> a(makePatch(0), 0, 1.5);
-  grid::CCVariable<double> b(makePatch(0), 0, -2.5);
-  dw.put("abskg", 0, std::move(a));
-  dw.put("sigmaT4OverPi", 0, std::move(b));
-  ASSERT_TRUE(DataArchiver::checkpoint(m_dir, dw,
-                                       {"abskg", "sigmaT4OverPi"}, {0}));
-  const auto idx = DataArchiver::index(m_dir);
-  EXPECT_EQ(idx.size(), 2u);
-
-  DataWarehouse restored;
-  ASSERT_TRUE(DataArchiver::restore(m_dir, restored));
-  EXPECT_DOUBLE_EQ(
-      restored.get<double>("abskg", 0)[IntVector(0, 0, 0)], 1.5);
-  EXPECT_DOUBLE_EQ(
-      restored.get<double>("sigmaT4OverPi", 0)[IntVector(0, 0, 0)], -2.5);
-}
-
-TEST_F(DataArchiverTest, MissingVariableFailsCheckpoint) {
-  DataWarehouse dw;
-  EXPECT_FALSE(DataArchiver::checkpoint(m_dir, dw, {"missing"}, {0}));
-}
-
-TEST_F(DataArchiverTest, RestoreFromMissingDirectoryFails) {
-  DataWarehouse dw;
-  EXPECT_FALSE(DataArchiver::restore("/tmp/rmcrt_no_such_dir", dw));
-}
-
-TEST_F(DataArchiverTest, TruncatedBlobFailsRestore) {
-  DataWarehouse dw;
-  grid::CCVariable<double> v(makePatch(0), 0, 3.0);
-  dw.put("divQ", 0, std::move(v));
-  ASSERT_TRUE(DataArchiver::checkpoint(m_dir, dw, {"divQ"}, {0}));
-  // Truncate the blob.
-  {
-    std::ofstream trunc(m_dir + "/divQ.p0.bin",
-                        std::ios::binary | std::ios::trunc);
-    trunc << "short";
-  }
-  DataWarehouse restored;
-  EXPECT_FALSE(DataArchiver::restore(m_dir, restored));
-}
 
 TEST_F(DataArchiverTest, GridRoundTripThroughRegridCycle) {
   // A checkpoint taken after a regrid must restore the REGRIDDED patch

@@ -16,13 +16,14 @@
 #include <algorithm>
 #include <cmath>
 #include <future>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "comm/fault_injector.h"
-#include "core/spectral.h"
 #include "grid/grid.h"
 
 namespace rmcrt::service {
@@ -337,7 +338,7 @@ TEST(ServiceTest, FluxAndRadiometerMatchOneShotAndShareTheBatch) {
 TEST(ServiceTest, ThreeBandSceneMatchesOneShotBitwise) {
   auto g = makeScene();
   RmcrtSetup setup = makeSetup(2);
-  setup.bands = core::threeband();
+  setup.trace.bands = core::threeband();
   Service svc;
   const SceneHandle h = svc.registerScene(g, setup);
   const auto slabs = tenantSlabs(*g, 4);
@@ -350,7 +351,7 @@ TEST(ServiceTest, ThreeBandSceneMatchesOneShotBitwise) {
   svc.resume();
 
   RmcrtSetup gray = setup;
-  gray.bands = {};
+  gray.trace.bands = core::grayBand();
   for (int t = 0; t < 4; ++t) {
     Outcome<DivQResult> o = futs[t].get();
     ASSERT_TRUE(o.ok()) << toString(o.reject);
@@ -450,8 +451,74 @@ TEST(ServiceTest, InvalidRadiometersAreTypedRejections) {
   expectInvalid(radiometer(Vector(0.5, 1.5, 0.1), 16), "outside the domain");
   expectInvalid(radiometer(Vector(0.5, std::nan(""), 0.1), 16),
                 "NaN position");
+
+  // A cone that yields NaN flux: no axis, a non-finite axis, or a
+  // half-angle outside (0, pi].
+  const auto cone = [&](Vector view, double halfAngle) {
+    RadiometerQuery q{"a", h.id, 0, {}};
+    q.spec.position = inside;
+    q.spec.viewDirection = view;
+    q.spec.halfAngleRadians = halfAngle;
+    q.spec.nRays = 16;
+    return svc.submitRadiometer(q);
+  };
+  const Vector up(0.0, 0.0, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  expectInvalid(cone(Vector(0.0, 0.0, 0.0), 0.2), "zero view direction");
+  expectInvalid(cone(Vector(0.0, std::nan(""), 1.0), 0.2),
+                "NaN view direction");
+  expectInvalid(cone(Vector(inf, 0.0, 0.0), 0.2), "infinite view direction");
+  expectInvalid(cone(up, 0.0), "zero half-angle");
+  expectInvalid(cone(up, -0.1), "negative half-angle");
+  expectInvalid(cone(up, M_PI + 1e-9), "half-angle past pi");
+  expectInvalid(cone(up, std::nan("")), "NaN half-angle");
+  expectInvalid(cone(up, inf), "infinite half-angle");
+  const Outcome<RadiometerResult> wide = cone(up, M_PI).get();
+  ASSERT_TRUE(wide.ok()) << "a full-sphere cone is a real instrument";
+  EXPECT_TRUE(std::isfinite(wide.value.reading.flux));
+
   ASSERT_TRUE(radiometer(inside, 16).get().ok());
-  expectReconciled(svc, 4);
+  expectReconciled(svc, 12);
+}
+
+TEST(ServiceTest, RegisterSceneRejectsInvalidSetup) {
+  // A setup the tracer cannot run is refused where it is supplied, with
+  // a typed exception to the caller: a scene that registered could
+  // otherwise fail on the batcher thread and take the process down.
+  auto g = makeScene(16);
+  Service svc;
+  const auto rejects = [&](RmcrtSetup setup, const std::string& what) {
+    EXPECT_THROW(svc.registerScene(g, setup), std::invalid_argument) << what;
+  };
+  RmcrtSetup bad = makeSetup(2);
+  bad.trace.nDivQRays = 0;
+  rejects(bad, "no divQ rays");
+  bad = makeSetup(2);
+  bad.trace.nFluxRays = -1;
+  rejects(bad, "negative flux rays");
+  bad = makeSetup(2);
+  bad.trace.bands = {};
+  rejects(bad, "empty band model");
+  bad = makeSetup(2);
+  bad.trace.bands = core::threeband();
+  bad.trace.bands[1].weight = std::nan("");
+  rejects(bad, "NaN band weight");
+  bad = makeSetup(2);
+  bad.trace.bands = {core::SpectralBand{1.0, 0.0}};
+  rejects(bad, "zero kappa scale");
+  bad = makeSetup(2);
+  bad.roiHalo = -6;
+  rejects(bad, "negative ROI halo");
+
+  // Nothing was registered, and the service still answers a good scene.
+  const CellRange cells(IntVector(0), IntVector(2));
+  EXPECT_EQ(svc.submitDivQ(DivQQuery{"a", 0, 0, cells}).get().reject,
+            RejectReason::UnknownScene);
+  const SceneHandle h = svc.registerScene(g, makeSetup(2));
+  Outcome<DivQResult> o = svc.submitDivQ(DivQQuery{"a", h.id, 0, cells}).get();
+  ASSERT_TRUE(o.ok()) << toString(o.reject);
+  EXPECT_EQ(o.value.divQ,
+            Service::solveDivQOneShot(*g, makeSetup(2), cells).divQ);
 }
 
 TEST(ServiceTest, PerTenantMetricsViewsCarryTheSplit) {

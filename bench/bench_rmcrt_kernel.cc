@@ -10,7 +10,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -24,8 +23,6 @@
 #include "core/rmcrt_component.h"
 #include "grid/load_balancer.h"
 #include "mem/mmap_arena.h"
-#include "runtime/simulation_controller.h"
-#include "runtime/snapshot.h"
 #include "sim/calibration.h"
 #include "util/observability_cli.h"
 #include "util/stats.h"
@@ -395,108 +392,6 @@ void runObservabilityPipeline() {
                "trace, 1 radiation timestep\n";
 }
 
-/// Snapshot-overhead mode (--snapshot-every=N): drive the 2-rank
-/// Burns & Christon two-level pipeline through a run that checkpoints the
-/// whole cluster every N completed steps (runtime/snapshot.h), and report
-/// the cost of each checkpoint — MB written and ms spent under the
-/// snapshot barrier — into BENCH_snapshot.json. The baseline run (same
-/// steps, no snapshots) gives the wall-clock overhead fraction.
-void runSnapshotBench(int snapshotEvery, const std::string& jsonPath) {
-  using runtime::HarnessConfig;
-  using runtime::HarnessResult;
-  using runtime::WorldHarness;
-
-  auto grid = grid::Grid::makeTwoLevel(Vector(0.0), Vector(1.0),
-                                       IntVector(16), IntVector(4),
-                                       IntVector(8), IntVector(4));
-  RmcrtSetup setup;
-  setup.problem = burnsChriston();
-  setup.trace.nDivQRays = 4;
-  setup.roiHalo = 2;
-
-  const int ranks = 2;
-  const int steps = 4 * snapshotEvery + 1;  // several checkpoints
-  const auto makeCfg = [&](int every) {
-    HarnessConfig cfg;
-    cfg.grid = grid;
-    cfg.numRanks = ranks;
-    cfg.steps = steps;
-    cfg.radiationInterval = 1;
-    cfg.registerRadiation = [setup](runtime::Scheduler& s) {
-      RmcrtComponent::registerTwoLevelPipeline(s, setup);
-    };
-    const int fineLevel = grid->numLevels() - 1;
-    cfg.registerCarryForward = [fineLevel](runtime::Scheduler& s) {
-      s.addTask(runtime::makeCarryForwardTask({RmcrtLabels::divQ},
-                                              fineLevel));
-    };
-    cfg.snapshotEvery = every;
-    if (every > 0) cfg.snapshotDir = "/tmp/rmcrt_bench_snapshot";
-    return cfg;
-  };
-
-  std::filesystem::remove_all("/tmp/rmcrt_bench_snapshot");
-
-  Timer baseTimer;
-  HarnessResult baseline;
-  {
-    WorldHarness h(makeCfg(0));
-    baseline = h.run();
-  }
-  const double baseSeconds = baseTimer.seconds();
-
-  Timer snapTimer;
-  HarnessResult snap;
-  {
-    WorldHarness h(makeCfg(snapshotEvery));
-    snap = h.run();
-  }
-  const double snapSeconds = snapTimer.seconds();
-  std::filesystem::remove_all("/tmp/rmcrt_bench_snapshot");
-
-  if (!baseline.completed || !snap.completed || snap.snapshots == 0) {
-    std::cerr << "snapshot bench: run did not complete (baseline "
-              << baseline.completed << ", snap " << snap.completed
-              << ", checkpoints " << snap.snapshots << ")\n";
-    std::exit(1);
-  }
-
-  const double mbPerCheckpoint = static_cast<double>(snap.snapshotBytes) /
-                                 snap.snapshots / 1e6;
-  const double msPerCheckpoint =
-      snap.snapshotSeconds * 1e3 / snap.snapshots;
-  const double overheadFraction =
-      baseSeconds > 0.0 ? (snapSeconds - baseSeconds) / baseSeconds : 0.0;
-
-  std::ofstream out(jsonPath);
-  out << std::setprecision(6) << std::fixed;
-  out << "{\n"
-      << "  \"benchmark\": \"rmcrt_snapshot_overhead\",\n"
-      << "  \"problem\": \"burns_christon\",\n"
-      << "  \"ranks\": " << ranks << ",\n"
-      << "  \"steps\": " << steps << ",\n"
-      << "  \"snapshot_every\": " << snapshotEvery << ",\n"
-      << "  \"checkpoints\": " << snap.snapshots << ",\n"
-      << "  \"mb_per_checkpoint\": " << mbPerCheckpoint << ",\n"
-      << "  \"ms_per_checkpoint\": " << msPerCheckpoint << ",\n"
-      << "  \"run_seconds\": " << snapSeconds << ",\n"
-      << "  \"baseline_seconds\": " << baseSeconds << ",\n"
-      << "  \"overhead_fraction\": " << overheadFraction << "\n"
-      << "}\n";
-
-  std::cout << std::fixed;
-  std::cout << "snapshot overhead: " << snap.snapshots
-            << " checkpoints over " << steps << " steps (every "
-            << snapshotEvery << ")\n"
-            << "  " << std::setprecision(2) << mbPerCheckpoint
-            << " MB/checkpoint, " << msPerCheckpoint
-            << " ms/checkpoint\n"
-            << "  run " << snapSeconds << " s vs baseline " << baseSeconds
-            << " s (" << std::setprecision(1) << overheadFraction * 100.0
-            << "% overhead)\n"
-            << "  written to " << jsonPath << "\n";
-}
-
 /// Variance-adaptive sampling + spectral banding bench (--adaptive-rays):
 /// solves the Burns & Christon golden fixture (41^3, 64 rays/cell,
 /// seed 71 — the configuration the golden centerline test pins) with the
@@ -719,8 +614,6 @@ int main(int argc, char** argv) {
   //   --json=<path>  baseline output path (default BENCH_rmcrt_kernel.json)
   //   --trace-out/--metrics-out  observability outputs (runs a dedicated
   //       mini distributed pipeline instead of the benchmark suite)
-  //   --snapshot-every=N     measure whole-cluster checkpoint overhead
-  //       (MB and ms per checkpoint) into BENCH_snapshot.json
   //   --adaptive-rays[=N]    variance-adaptive sampling + spectral banding
   //       bench into BENCH_adaptive.json (N = pilot rays, default 16)
   //   --error-target=X       adaptive relative-error target (default 0.015)
@@ -731,7 +624,6 @@ int main(int argc, char** argv) {
   bool smoke = false;
   std::string jsonPath = "BENCH_rmcrt_kernel.json";
   bool jsonPathSet = false;
-  int snapshotEvery = 0;
   int adaptivePilot = 0;  // >0 runs the adaptive sampling bench
   double errorTarget = 0.015;
   int bandCount = 3;
@@ -742,8 +634,6 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       jsonPath = argv[i] + 7;
       jsonPathSet = true;
-    } else if (std::strncmp(argv[i], "--snapshot-every=", 17) == 0) {
-      snapshotEvery = std::atoi(argv[i] + 17);
     } else if (std::strncmp(argv[i], "--adaptive-rays=", 16) == 0) {
       adaptivePilot = std::atoi(argv[i] + 16);
     } else if (std::strcmp(argv[i], "--adaptive-rays") == 0) {
@@ -762,13 +652,6 @@ int main(int argc, char** argv) {
     runAdaptiveSamplingBench(smoke,
                              jsonPathSet ? jsonPath : "BENCH_adaptive.json",
                              adaptivePilot, errorTarget, bandCount);
-    return 0;
-  }
-  if (snapshotEvery > 0) {
-    // Own output file so a combined CI invocation never clobbers the
-    // kernel-sweep baseline.
-    runSnapshotBench(snapshotEvery,
-                     jsonPathSet ? jsonPath : "BENCH_snapshot.json");
     return 0;
   }
   if (obs.any()) {

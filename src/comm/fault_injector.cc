@@ -236,6 +236,11 @@ bool FaultInjector::restoreState(const std::string& blob) {
 
   std::size_t nScripts = 0;
   if (!(is >> word >> nScripts) || word != "scripts") return false;
+  // The script list itself is configuration (re-registered by the caller);
+  // only the match counters are state. Count mismatch = different config,
+  // refused before the count sizes anything.
+  std::lock_guard<std::mutex> lk(m_mutex);
+  if (nScripts != m_scripts.size()) return false;
   std::vector<std::uint64_t> matches(nScripts);
   for (std::size_t i = 0; i < nScripts; ++i)
     if (!(is >> matches[i])) return false;
@@ -251,10 +256,6 @@ bool FaultInjector::restoreState(const std::string& blob) {
     links[{src, dst}] = std::move(link);
   }
 
-  std::lock_guard<std::mutex> lk(m_mutex);
-  // The script list itself is configuration (re-registered by the caller);
-  // only the match counters are state. Count mismatch = different config.
-  if (m_scripts.size() != nScripts) return false;
   for (std::size_t i = 0; i < nScripts; ++i) m_scripts[i].matches = matches[i];
   m_killed = std::move(killed);
   m_links = std::move(links);

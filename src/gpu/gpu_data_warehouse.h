@@ -243,30 +243,6 @@ class GpuDataWarehouse {
     return freed;
   }
 
-  /// --- checkpoint serialization ----------------------------------------
-
-  /// Visit every level-database entry as f(key, deviceVar). Device memory
-  /// is host-addressable here, so a snapshot writer may read
-  /// dv.devPtr[0..bytes) directly under this walk. Do not upload from \p f.
-  template <typename F>
-  void forEachLevelVar(F&& f) const {
-    std::lock_guard<std::mutex> lk(m_mutex);
-    for (const auto& [k, dv] : m_levelVars) f(k, dv);
-  }
-
-  /// Checkpoint-restore path: recreate a level-database entry under its
-  /// serialized key (bypassing the mode-dependent key construction of
-  /// getOrUploadLevelVarRaw — the key already encodes the mode it was
-  /// saved under) and upload \p hostData synchronously.
-  DeviceVar& restoreLevelVarRaw(const std::string& k,
-                                const grid::CellRange& window,
-                                std::size_t elemSize, const void* hostData) {
-    std::lock_guard<std::mutex> lk(m_mutex);
-    DeviceVar& dv = allocInMapLocked(m_levelVars, k, window, elemSize);
-    upload(dv, hostData, nullptr);
-    return dv;
-  }
-
   /// Free every device variable.
   void clear() {
     std::lock_guard<std::mutex> lk(m_mutex);

@@ -1,58 +1,19 @@
 #pragma once
 
 /// \file regridder.h
-/// Patch-size reconfiguration (DESIGN.md D4): rebuild a grid with a
-/// different fine-patch edge — the knob the paper sweeps (16^3 / 32^3 /
-/// 64^3, "determining optimal fine mesh patch sizes to yield GPU
-/// performance while maintaining over-decomposition") — and migrate
-/// level-shaped data onto the new decomposition. Cell data is
-/// decomposition-independent, so migration is windowed copying.
+/// Moving level-shaped data between patch decompositions (DESIGN.md D4:
+/// the paper sweeps 16^3 / 32^3 / 64^3 fine patches, "determining optimal
+/// fine mesh patch sizes to yield GPU performance while maintaining
+/// over-decomposition"). Cell data is decomposition-independent, so
+/// migration is windowed copying through a level-wide image.
 
-#include <memory>
-#include <stdexcept>
-#include <string>
+#include <utility>
+#include <vector>
 
 #include "grid/grid.h"
 #include "grid/variable.h"
 
 namespace rmcrt::grid {
-
-/// Build a grid identical to \p old but with fine patch edge
-/// \p newFinePatchSize. Throws std::invalid_argument when the new patch
-/// edge is non-positive or does not divide the fine extent, or when any
-/// level of \p old is not uniformly tiled (adaptive grids are rebuilt by
-/// the amr:: engine, not by patch-size reconfiguration). Coarser levels
-/// keep their patch sizes.
-inline std::shared_ptr<Grid> regridWithPatchSize(const Grid& old,
-                                                 int newFinePatchSize) {
-  for (int l = 0; l < old.numLevels(); ++l)
-    if (!old.level(l).uniformlyTiled())
-      throw std::invalid_argument(
-          "regridWithPatchSize: level " + std::to_string(l) +
-          " is not uniformly tiled; adaptive grids must be regridded "
-          "through amr::AmrEngine");
-  const IntVector fineExtent = old.fineLevel().cells().size();
-  if (newFinePatchSize <= 0 || fineExtent.x() % newFinePatchSize != 0 ||
-      fineExtent.y() % newFinePatchSize != 0 ||
-      fineExtent.z() % newFinePatchSize != 0)
-    throw std::invalid_argument(
-        "regridWithPatchSize: new fine patch edge " +
-        std::to_string(newFinePatchSize) +
-        " must be positive and divide the fine extent (" +
-        std::to_string(fineExtent.x()) + "," +
-        std::to_string(fineExtent.y()) + "," +
-        std::to_string(fineExtent.z()) + ")");
-  std::vector<IntVector> patchSizes;
-  for (int l = 0; l < old.numLevels(); ++l)
-    patchSizes.push_back(old.level(l).patchSize());
-  patchSizes.back() = IntVector(newFinePatchSize);
-  const IntVector rr = old.numLevels() > 1
-                           ? old.fineLevel().refinementRatio()
-                           : IntVector(2);
-  return Grid::makeMultiLevel(old.physLow(), old.physHigh(),
-                              old.fineLevel().cells().size(), rr,
-                              patchSizes);
-}
 
 /// Scatter a level-wide variable into per-patch variables of \p level
 /// (the regrid "migration": new patches pull their windows out of the

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstddef>
-#include <cstdlib>
 #include <memory>
 #include <new>
 
@@ -129,30 +128,6 @@ class MmapAllocator {
 
   template <typename U>
   bool operator==(const MmapAllocator<U>&) const {
-    return true;
-  }
-};
-
-/// Plain heap allocator with call counting — the "before" configuration in
-/// allocator benchmarks and the default for infrequent allocations.
-template <typename T>
-class CountingHeapAllocator {
- public:
-  using value_type = T;
-
-  CountingHeapAllocator() = default;
-  template <typename U>
-  CountingHeapAllocator(const CountingHeapAllocator<U>&) {}
-
-  T* allocate(std::size_t n) {
-    void* p = std::malloc(n * sizeof(T));
-    if (!p) throw std::bad_alloc();
-    return static_cast<T*>(p);
-  }
-  void deallocate(T* p, std::size_t) { std::free(p); }
-
-  template <typename U>
-  bool operator==(const CountingHeapAllocator<U>&) const {
     return true;
   }
 };

@@ -2,7 +2,7 @@
 
 /// \file data_warehouse.h
 /// The OnDemand DataWarehouse: per-rank storage of simulation variables
-/// keyed by (label, patch) or (label, level). Uintah's DataWarehouse
+/// keyed by (label, patch), plus staged region windows. Uintah's DataWarehouse
 /// "provides the application the illusion it has access to memory it does
 /// not actually own" — tasks read ghost data and whole coarse levels that
 /// the scheduler has staged in from other ranks ahead of execution.
@@ -67,38 +67,6 @@ class DataWarehouse {
     return m_patchVars.count(key(label, patchId)) > 0;
   }
 
-  /// --- per-level variables (the GPU-DW "level database" host mirror) ---
-
-  template <typename T>
-  void putLevel(const std::string& label, int levelIndex,
-                grid::CCVariable<T> var) {
-    std::unique_lock lk(m_mutex);
-    m_levelVars[levelKey(label, levelIndex)] = std::move(var);
-  }
-
-  template <typename T>
-  const grid::CCVariable<T>& getLevel(const std::string& label,
-                                      int levelIndex) const {
-    std::shared_lock lk(m_mutex);
-    auto it = m_levelVars.find(levelKey(label, levelIndex));
-    assert(it != m_levelVars.end() && "level variable not in DataWarehouse");
-    return std::get<grid::CCVariable<T>>(it->second);
-  }
-
-  template <typename T>
-  grid::CCVariable<T>& getLevelModifiable(const std::string& label,
-                                          int levelIndex) {
-    std::shared_lock lk(m_mutex);
-    auto it = m_levelVars.find(levelKey(label, levelIndex));
-    assert(it != m_levelVars.end() && "level variable not in DataWarehouse");
-    return std::get<grid::CCVariable<T>>(const_cast<VarSlot&>(it->second));
-  }
-
-  bool existsLevel(const std::string& label, int levelIndex) const {
-    std::shared_lock lk(m_mutex);
-    return m_levelVars.count(levelKey(label, levelIndex)) > 0;
-  }
-
   /// --- staged region variables ------------------------------------------
   /// A region variable is an assembled window of a label's data on one
   /// level, possibly spanning many patches (some remote) — Uintah's
@@ -146,7 +114,6 @@ class DataWarehouse {
   void clear() {
     std::unique_lock lk(m_mutex);
     m_patchVars.clear();
-    m_levelVars.clear();
     m_regionVars.clear();
   }
 
@@ -161,7 +128,6 @@ class DataWarehouse {
         total += c->sizeBytes();
     };
     for (const auto& [k, v] : m_patchVars) add(v);
-    for (const auto& [k, v] : m_levelVars) add(v);
     for (const auto& [k, v] : m_regionVars) add(v);
     return total;
   }
@@ -169,10 +135,6 @@ class DataWarehouse {
   std::size_t numPatchVars() const {
     std::shared_lock lk(m_mutex);
     return m_patchVars.size();
-  }
-  std::size_t numLevelVars() const {
-    std::shared_lock lk(m_mutex);
-    return m_levelVars.size();
   }
 
   /// --- enumeration (checkpoint serialization) ---------------------------
@@ -188,22 +150,9 @@ class DataWarehouse {
     }
   }
 
-  /// Visit every per-level variable as f(label, levelIndex, slot).
-  template <typename F>
-  void forEachLevelVar(F&& f) const {
-    std::shared_lock lk(m_mutex);
-    for (const auto& [k, slot] : m_levelVars) {
-      const std::size_t pos = k.rfind("@L");
-      f(k.substr(0, pos), std::stoi(k.substr(pos + 2)), slot);
-    }
-  }
-
  private:
   static std::string key(const std::string& label, int patchId) {
     return label + "@p" + std::to_string(patchId);
-  }
-  static std::string levelKey(const std::string& label, int levelIndex) {
-    return label + "@L" + std::to_string(levelIndex);
   }
   static std::string regionKey(const std::string& label, int levelIndex,
                                const grid::CellRange& w) {
@@ -213,7 +162,6 @@ class DataWarehouse {
 
   mutable std::shared_mutex m_mutex;
   std::unordered_map<std::string, VarSlot> m_patchVars;
-  std::unordered_map<std::string, VarSlot> m_levelVars;
   std::unordered_map<std::string, VarSlot> m_regionVars;
 };
 

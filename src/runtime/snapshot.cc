@@ -2,403 +2,249 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
-#include <set>
 #include <thread>
-#include <tuple>
+#include <type_traits>
+#include <variant>
 
-#include "amr/migrator.h"
-#include "comm/reliable_channel.h"
-#include "gpu/gpu_data_warehouse.h"
-#include "runtime/data_archiver.h"
+#include "runtime/world_state.h"
 #include "util/timers.h"
 
 namespace rmcrt::runtime {
 
 namespace {
 
-/// Identifies a rank blob ("RMCRTSNP" little-endian) before any decoding.
+// First field of every file ("RMCRTMAN", "RMCRTSNP", "RMCRTJNL" read as
+// little-endian u64), followed by kSnapshotFormatVersion.
+constexpr std::uint64_t kManifestMagic = 0x4e414d5452434d52ull;
 constexpr std::uint64_t kRankBlobMagic = 0x504e535452434d52ull;
+constexpr std::uint64_t kJournalMagic = 0x4c4e4a5452434d52ull;
 
-// --- flat binary framing (host-endian; snapshots never leave the node) --
-
-void putRaw(std::string& b, const void* p, std::size_t n) {
-  b.append(static_cast<const char*>(p), n);
-}
-void putU8(std::string& b, std::uint8_t v) { putRaw(b, &v, sizeof v); }
-void putU32(std::string& b, std::uint32_t v) { putRaw(b, &v, sizeof v); }
-void putU64(std::string& b, std::uint64_t v) { putRaw(b, &v, sizeof v); }
-void putI32(std::string& b, std::int32_t v) { putRaw(b, &v, sizeof v); }
-void putI64(std::string& b, std::int64_t v) { putRaw(b, &v, sizeof v); }
-void putString(std::string& b, const std::string& s) {
-  putU32(b, static_cast<std::uint32_t>(s.size()));
-  putRaw(b, s.data(), s.size());
-}
-void putRange(std::string& b, const grid::CellRange& r) {
-  putI32(b, r.low().x());
-  putI32(b, r.low().y());
-  putI32(b, r.low().z());
-  putI32(b, r.high().x());
-  putI32(b, r.high().y());
-  putI32(b, r.high().z());
+std::string header(std::uint64_t magic) {
+  std::string b;
+  put(b, magic);
+  put(b, kSnapshotFormatVersion);
+  return b;
 }
 
-/// Bounds-checked sequential decoder: any short read or bad tag latches
-/// ok=false and every later getter returns zeros, so callers can decode a
-/// whole section and test ok once.
-struct Reader {
-  const std::string& b;
-  std::size_t pos = 0;
-  bool ok = true;
+bool readHeader(ByteReader& r, std::uint64_t magic) {
+  return r.get<std::uint64_t>() == magic &&
+         r.get<std::uint32_t>() == kSnapshotFormatVersion;
+}
 
-  explicit Reader(const std::string& bytes) : b(bytes) {}
+std::string rankBlobName(std::size_t rank) {
+  return "rank" + std::to_string(rank) + ".bin";
+}
 
-  bool need(std::size_t n) {
-    if (!ok || b.size() - pos < n) {
-      ok = false;
-      return false;
+// --- grid record ----------------------------------------------------------
+
+// Bounds a grid record must meet before Grid::makeFromSpec sees it: cell
+// coordinates and ghost margins small enough that no index or volume
+// arithmetic on them overflows (2^18 is 512 times the paper's finest 512^3
+// axis), and at most four times the patches of the paper's largest
+// decomposition (262,144, Table I).
+constexpr int kMaxCoord = 1 << 18;
+constexpr std::int64_t kMaxPatches = 1 << 20;
+
+bool inBounds(const CellRange& r) {
+  for (int d = 0; d < 3; ++d)
+    for (const int c : {r.low()[d], r.high()[d]})
+      if (c < -kMaxCoord || c > kMaxCoord) return false;
+  return !r.empty();
+}
+
+void putGrid(std::string& b, const grid::Grid& g) {
+  put(b, g.physLow());
+  put(b, g.physHigh());
+  put<std::uint64_t>(b, static_cast<std::uint64_t>(g.numLevels()));
+  for (int l = 0; l < g.numLevels(); ++l) {
+    const grid::Level& level = g.level(l);
+    putRange(b, level.cells());
+    put(b, level.refinementRatio());
+    put<std::uint8_t>(b, level.uniformlyTiled() ? 1 : 0);
+    if (level.uniformlyTiled()) {
+      put(b, level.patchSize());
+    } else {
+      put<std::uint64_t>(b, level.numPatches());
+      for (const grid::Patch& p : level.patches()) putRange(b, p.cells());
     }
-    return true;
   }
-  void read(void* out, std::size_t n) {
-    if (!need(n)) {
-      std::memset(out, 0, n);
-      return;
+}
+
+/// Decode and validate a grid record; nullptr when it is malformed or
+/// exceeds the bounds above.
+std::shared_ptr<const grid::Grid> getGrid(ByteReader& r) {
+  const auto lo = r.get<Vector>();
+  const auto hi = r.get<Vector>();
+  // A level is at least its extent, ratio, kind and patch size.
+  std::vector<grid::Grid::LevelSpec> specs(r.count(24 + 12 + 1 + 12));
+  std::int64_t patches = 0;
+  for (std::size_t l = 0; r.ok() && l < specs.size(); ++l) {
+    grid::Grid::LevelSpec& s = specs[l];
+    s.extent = r.range();
+    s.refinementRatio = r.get<IntVector>();
+    s.irregular = r.get<std::uint8_t>() == 0;
+    if (s.irregular) {
+      s.patchBoxes.resize(r.count(24));
+      for (CellRange& box : s.patchBoxes) box = r.range();
+    } else {
+      s.patchSize = r.get<IntVector>();
     }
-    std::memcpy(out, b.data() + pos, n);
-    pos += n;
+    if (!r.ok() || !inBounds(s.extent)) return nullptr;
+    const IntVector ext = s.extent.size();
+    for (int d = 0; l > 0 && d < 3; ++d) {
+      const int rr = s.refinementRatio[d];
+      if (rr < 1 || std::int64_t{specs[l - 1].extent.size()[d]} * rr != ext[d])
+        return nullptr;
+    }
+    if (s.irregular) {
+      for (const CellRange& box : s.patchBoxes)
+        if (!inBounds(box) || !s.extent.contains(box)) return nullptr;
+      patches += static_cast<std::int64_t>(s.patchBoxes.size());
+    } else {
+      for (int d = 0; d < 3; ++d)
+        if (s.patchSize[d] < 1 || ext[d] % s.patchSize[d] != 0)
+          return nullptr;
+      patches += (ext / s.patchSize).volume();
+    }
+    if (patches > kMaxPatches) return nullptr;
   }
-  const char* raw(std::size_t n) {
-    if (!need(n)) return nullptr;
-    const char* p = b.data() + pos;
-    pos += n;
-    return p;
+  if (!r.ok() || specs.empty()) return nullptr;
+  try {
+    return grid::Grid::makeFromSpec(lo, hi, specs);
+  } catch (const std::exception&) {
+    return nullptr;  // overlapping boxes and the like
   }
-  std::uint8_t u8() {
-    std::uint8_t v = 0;
-    read(&v, sizeof v);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    read(&v, sizeof v);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    read(&v, sizeof v);
-    return v;
-  }
-  std::int32_t i32() {
-    std::int32_t v = 0;
-    read(&v, sizeof v);
-    return v;
-  }
-  std::int64_t i64() {
-    std::int64_t v = 0;
-    read(&v, sizeof v);
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    const char* p = raw(n);
-    return p ? std::string(p, n) : std::string();
-  }
-  grid::CellRange range() {
-    std::int32_t v[6];
-    for (auto& c : v) c = i32();
-    return grid::CellRange(IntVector(v[0], v[1], v[2]),
-                           IntVector(v[3], v[4], v[5]));
-  }
-};
+}
 
-// --- DataWarehouse <-> bytes --------------------------------------------
+// --- patch variables ------------------------------------------------------
 
-enum : std::uint8_t { kTagDouble = 0, kTagCellType = 1, kTagEmpty = 2 };
+/// Call \p f on the CCVariable \p slot holds; an empty slot is skipped.
+template <typename F>
+void visitVar(const VarSlot& slot, F&& f) {
+  std::visit(
+      [&](const auto& v) {
+        if constexpr (!std::is_same_v<std::decay_t<decltype(v)>,
+                                      std::monostate>)
+          f(v);
+      },
+      slot);
+}
 
+// A warehouse is its variable count, then per variable its label, patch
+// id and VarSlot alternative index, window, interior, ghost margin and
+// cells. An absent warehouse is written as an empty one.
 template <typename T>
-void putCCVar(std::string& b, const grid::CCVariable<T>& v) {
+void putVar(std::string& b, const grid::CCVariable<T>& v) {
   putRange(b, v.window());
   putRange(b, v.interior());
-  putI32(b, v.numGhost());
-  putU64(b, static_cast<std::uint64_t>(v.sizeBytes()));
-  putRaw(b, v.data(), static_cast<std::size_t>(v.sizeBytes()));
+  put<std::int32_t>(b, v.numGhost());
+  put<std::uint64_t>(b, static_cast<std::uint64_t>(v.sizeCells()));
+  b.append(reinterpret_cast<const char*>(v.data()),
+           static_cast<std::size_t>(v.sizeBytes()));
 }
 
-void putSlot(std::string& b, const VarSlot& slot) {
-  if (const auto* d = std::get_if<grid::CCVariable<double>>(&slot)) {
-    putU8(b, kTagDouble);
-    putCCVar(b, *d);
-  } else if (const auto* c =
-                 std::get_if<grid::CCVariable<grid::CellType>>(&slot)) {
-    putU8(b, kTagCellType);
-    putCCVar(b, *c);
-  } else {
-    putU8(b, kTagEmpty);
-  }
-}
-
-void serializeDW(std::string& b, const DataWarehouse& dw) {
-  putU64(b, dw.numPatchVars());
-  dw.forEachPatchVar(
+void putVars(std::string& b, const DataWarehouse* dw) {
+  put<std::uint64_t>(b, dw ? dw->numPatchVars() : 0);
+  if (!dw) return;
+  dw->forEachPatchVar(
       [&](const std::string& label, int patchId, const VarSlot& slot) {
         putString(b, label);
-        putI32(b, patchId);
-        putSlot(b, slot);
-      });
-  putU64(b, dw.numLevelVars());
-  dw.forEachLevelVar(
-      [&](const std::string& label, int levelIndex, const VarSlot& slot) {
-        putString(b, label);
-        putI32(b, levelIndex);
-        putSlot(b, slot);
+        put<std::int32_t>(b, patchId);
+        put<std::uint8_t>(b, static_cast<std::uint8_t>(slot.index()));
+        visitVar(slot, [&](const auto& v) { putVar(b, v); });
       });
 }
 
+/// Decode one variable of \p patch: its interior must be the patch and
+/// its window the patch grown by its ghost margin.
 template <typename T>
-bool readCCVar(Reader& r, grid::CCVariable<T>& out) {
-  const grid::CellRange window = r.range();
-  const grid::CellRange interior = r.range();
-  const int numGhost = r.i32();
-  const std::uint64_t nBytes = r.u64();
-  if (!r.ok) return false;
-  grid::CCVariable<T> v(window, interior, numGhost);
-  if (nBytes != static_cast<std::uint64_t>(v.sizeBytes())) {
-    r.ok = false;
+bool getVar(ByteReader& r, const grid::Patch& patch, VarSlot& out) {
+  const CellRange window = r.range();
+  const CellRange interior = r.range();
+  const int numGhost = r.get<std::int32_t>();
+  const std::size_t cells = r.count(sizeof(T));
+  if (!r.ok() || interior != patch.cells() || numGhost < 0 ||
+      numGhost > kMaxCoord || window != patch.ghostWindow(numGhost) ||
+      static_cast<std::int64_t>(cells) != window.volume())
     return false;
-  }
-  r.read(v.data(), static_cast<std::size_t>(nBytes));
-  if (!r.ok) return false;
+  const char* p = r.bytes(cells * sizeof(T));
+  if (!p) return false;
+  grid::CCVariable<T> v(window, interior, numGhost);
+  std::memcpy(v.data(), p, cells * sizeof(T));
   out = std::move(v);
   return true;
 }
 
-/// Decode one warehouse section. \p patchInto / \p levelInto receive the
-/// variables; either may be null to parse-and-discard (the elastic path
-/// keeps only newDW patch vars).
-bool deserializeDW(Reader& r, DataWarehouse* patchInto,
-                   DataWarehouse* levelInto) {
-  const std::uint64_t nPatch = r.u64();
-  for (std::uint64_t i = 0; r.ok && i < nPatch; ++i) {
-    const std::string label = r.str();
-    const int id = r.i32();
-    const std::uint8_t tag = r.u8();
-    if (tag == kTagEmpty) continue;
-    if (tag == kTagDouble) {
-      grid::CCVariable<double> v;
-      if (!readCCVar(r, v)) return false;
-      if (patchInto) patchInto->put(label, id, std::move(v));
-    } else if (tag == kTagCellType) {
-      grid::CCVariable<grid::CellType> v;
-      if (!readCCVar(r, v)) return false;
-      if (patchInto) patchInto->put(label, id, std::move(v));
-    } else {
-      r.ok = false;
-    }
-  }
-  const std::uint64_t nLevel = r.u64();
-  for (std::uint64_t i = 0; r.ok && i < nLevel; ++i) {
-    const std::string label = r.str();
-    const int lvl = r.i32();
-    const std::uint8_t tag = r.u8();
-    if (tag == kTagEmpty) continue;
-    if (tag == kTagDouble) {
-      grid::CCVariable<double> v;
-      if (!readCCVar(r, v)) return false;
-      if (levelInto) levelInto->putLevel(label, lvl, std::move(v));
-    } else if (tag == kTagCellType) {
-      grid::CCVariable<grid::CellType> v;
-      if (!readCCVar(r, v)) return false;
-      if (levelInto) levelInto->putLevel(label, lvl, std::move(v));
-    } else {
-      r.ok = false;
-    }
-  }
-  return r.ok;
-}
+// --- ReliableChannel state ------------------------------------------------
 
-// --- ReliableChannel state <-> bytes ------------------------------------
-
-void serializeChannel(std::string& b, const comm::ReliableChannel& ch) {
+void putChannel(std::string& b, const comm::ReliableChannel& ch) {
   const comm::ReliableChannel::ChannelState cs = ch.saveState();
-  putU32(b, static_cast<std::uint32_t>(cs.sendLinks.size()));
+  put<std::uint64_t>(b, cs.sendLinks.size());
   for (const auto& sl : cs.sendLinks) {
-    putI32(b, sl.dst);
-    putU64(b, sl.nextSeq);
-    putU8(b, sl.dead ? 1 : 0);
-    putU32(b, static_cast<std::uint32_t>(sl.unacked.size()));
+    put<std::int32_t>(b, sl.dst);
+    put(b, sl.nextSeq);
+    put<std::uint8_t>(b, sl.dead ? 1 : 0);
+    put<std::uint64_t>(b, sl.unacked.size());
     for (const auto& f : sl.unacked) {
-      putU64(b, f.seq);
-      putI64(b, f.tag);
-      putU64(b, f.bytes.size());
-      putRaw(b, f.bytes.data(), f.bytes.size());
+      put(b, f.seq);
+      put(b, f.tag);
+      put<std::uint64_t>(b, f.bytes.size());
+      b.append(reinterpret_cast<const char*>(f.bytes.data()), f.bytes.size());
     }
   }
-  putU32(b, static_cast<std::uint32_t>(cs.recvLinks.size()));
+  put<std::uint64_t>(b, cs.recvLinks.size());
   for (const auto& rl : cs.recvLinks) {
-    putI32(b, rl.src);
-    putU64(b, rl.cumAck);
-    putU32(b, static_cast<std::uint32_t>(rl.ahead.size()));
-    for (std::uint64_t s : rl.ahead) putU64(b, s);
+    put<std::int32_t>(b, rl.src);
+    put(b, rl.cumAck);
+    put<std::uint64_t>(b, rl.ahead.size());
+    for (std::uint64_t s : rl.ahead) put(b, s);
   }
 }
 
-bool deserializeChannel(Reader& r, comm::ReliableChannel::ChannelState& cs) {
-  const std::uint32_t nSend = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < nSend; ++i) {
-    comm::ReliableChannel::ChannelState::SendLinkState sl;
-    sl.dst = r.i32();
-    sl.nextSeq = r.u64();
-    sl.dead = r.u8() != 0;
-    const std::uint32_t nUnacked = r.u32();
-    for (std::uint32_t j = 0; r.ok && j < nUnacked; ++j) {
-      comm::ReliableChannel::ChannelState::Frame f;
-      f.seq = r.u64();
-      f.tag = r.i64();
-      const std::uint64_t nb = r.u64();
-      const char* p = r.raw(static_cast<std::size_t>(nb));
-      if (!p) break;
-      f.bytes.resize(static_cast<std::size_t>(nb));
-      if (nb) std::memcpy(f.bytes.data(), p, static_cast<std::size_t>(nb));
-      sl.unacked.push_back(std::move(f));
-    }
-    cs.sendLinks.push_back(std::move(sl));
-  }
-  const std::uint32_t nRecv = r.u32();
-  for (std::uint32_t i = 0; r.ok && i < nRecv; ++i) {
-    comm::ReliableChannel::ChannelState::RecvLinkState rl;
-    rl.src = r.i32();
-    rl.cumAck = r.u64();
-    const std::uint32_t nAhead = r.u32();
-    for (std::uint32_t j = 0; r.ok && j < nAhead; ++j)
-      rl.ahead.push_back(r.u64());
-    cs.recvLinks.push_back(std::move(rl));
-  }
-  return r.ok;
-}
-
-// --- GPU level-database <-> bytes ---------------------------------------
-
-void serializeGpu(std::string& b, const gpu::GpuDataWarehouse& gdw) {
-  std::uint64_t n = 0;
-  gdw.forEachLevelVar([&](const std::string&, const gpu::DeviceVar&) { ++n; });
-  putU64(b, n);
-  gdw.forEachLevelVar([&](const std::string& key, const gpu::DeviceVar& dv) {
-    putString(b, key);
-    putRange(b, dv.window);
-    putU64(b, dv.elemSize);
-    putU64(b, dv.bytes);
-    putRaw(b, dv.devPtr, dv.bytes);
-  });
-}
-
-bool deserializeGpu(Reader& r, gpu::GpuDataWarehouse* gdw) {
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; r.ok && i < n; ++i) {
-    const std::string key = r.str();
-    const grid::CellRange window = r.range();
-    const std::uint64_t elemSize = r.u64();
-    const std::uint64_t nBytes = r.u64();
-    if (elemSize == 0 ||
-        nBytes != static_cast<std::uint64_t>(window.volume()) * elemSize) {
-      r.ok = false;
-      return false;
-    }
-    const char* p = r.raw(static_cast<std::size_t>(nBytes));
-    if (!p) return false;
-    if (gdw)
-      gdw->restoreLevelVarRaw(key, window,
-                              static_cast<std::size_t>(elemSize), p);
-  }
-  return r.ok;
-}
-
-// --- rank blob -----------------------------------------------------------
-
-std::string serializeRank(const Snapshot::RankStateView& v, int rank) {
-  std::string b;
-  putU64(b, kRankBlobMagic);
-  putU32(b, kSnapshotFormatVersion);
-  putI32(b, rank);
-  putU64(b, v.rngState);
-  if (v.channel) {
-    putU8(b, 1);
-    serializeChannel(b, *v.channel);
-  } else {
-    putU8(b, 0);
-  }
-  for (const DataWarehouse* dw : {static_cast<const DataWarehouse*>(v.oldDW),
-                                  static_cast<const DataWarehouse*>(v.newDW)}) {
-    if (dw) {
-      putU8(b, 1);
-      serializeDW(b, *dw);
-    } else {
-      putU8(b, 0);
+/// Decode channel state whose peers are ranks of a \p numRanks world.
+bool getChannel(ByteReader& r, int numRanks,
+                comm::ReliableChannel::ChannelState& cs) {
+  const auto peer = [&](int rank) {
+    if (rank < 0 || rank >= numRanks) r.fail();
+    return rank;
+  };
+  cs.sendLinks.resize(r.count(4 + 8 + 1 + 8));
+  for (auto& sl : cs.sendLinks) {
+    sl.dst = peer(r.get<std::int32_t>());
+    sl.nextSeq = r.get<std::uint64_t>();
+    sl.dead = r.get<std::uint8_t>() != 0;
+    sl.unacked.resize(r.count(8 + 8 + 8));
+    for (auto& f : sl.unacked) {
+      f.seq = r.get<std::uint64_t>();
+      f.tag = r.get<std::int64_t>();
+      const std::size_t n = r.count(1);
+      if (const char* p = r.bytes(n)) f.bytes.assign(p, p + n);
     }
   }
-  if (v.gpuDW) {
-    putU8(b, 1);
-    serializeGpu(b, *v.gpuDW);
-  } else {
-    putU8(b, 0);
+  cs.recvLinks.resize(r.count(4 + 8 + 8));
+  for (auto& rl : cs.recvLinks) {
+    rl.src = peer(r.get<std::int32_t>());
+    rl.cumAck = r.get<std::uint64_t>();
+    rl.ahead.resize(r.count(8));
+    for (std::uint64_t& s : rl.ahead) s = r.get<std::uint64_t>();
   }
+  return r.ok();
+}
+
+std::string encodeRank(const Snapshot::RankStateView& v, std::size_t rank) {
+  std::string b = header(kRankBlobMagic);
+  put<std::int32_t>(b, static_cast<std::int32_t>(rank));
+  put(b, v.rngState);
+  put<std::uint8_t>(b, v.channel ? 1 : 0);
+  if (v.channel) putChannel(b, *v.channel);
+  putVars(b, v.oldDW);
+  putVars(b, v.newDW);
   return b;
-}
-
-/// Decode one rank blob. In verbatim mode every section lands in the
-/// matching view member; in elastic mode (\p elasticUnion non-null) only
-/// newDW patch variables are kept — into the union warehouse — and
-/// channel/GPU/RNG sections are parsed and discarded.
-bool deserializeRank(const std::string& blob, int expectRank,
-                     Snapshot::RankStateView* view,
-                     DataWarehouse* elasticUnion) {
-  Reader r(blob);
-  if (r.u64() != kRankBlobMagic) return false;
-  if (r.u32() != kSnapshotFormatVersion) return false;
-  if (r.i32() != expectRank) return false;
-  const std::uint64_t rng = r.u64();
-  if (view) view->rngState = rng;
-  if (r.u8() != 0) {
-    comm::ReliableChannel::ChannelState cs;
-    if (!deserializeChannel(r, cs)) return false;
-    if (view && view->channel && !view->channel->restoreState(cs))
-      return false;
-  }
-  DataWarehouse* oldTarget = view ? view->oldDW : nullptr;
-  if (r.u8() != 0) {
-    if (!deserializeDW(r, oldTarget, oldTarget)) return false;
-  }
-  DataWarehouse* newTarget = view ? view->newDW : elasticUnion;
-  DataWarehouse* newLevelTarget = view ? view->newDW : nullptr;
-  if (r.u8() != 0) {
-    if (!deserializeDW(r, newTarget, newLevelTarget)) return false;
-  }
-  if (r.u8() != 0) {
-    if (!deserializeGpu(r, view ? view->gpuDW : nullptr)) return false;
-  }
-  return r.ok;
-}
-
-bool writeFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return os.good();
-}
-
-std::string rankBlobName(int rank) {
-  return "rank" + std::to_string(rank) + ".bin";
-}
-
-/// Read + checksum-verify one snapshot file against the manifest.
-bool loadVerified(const std::string& dir, const SnapshotManifest& man,
-                  const std::string& name, std::string& out) {
-  if (!readFileBytes(dir + "/" + name, out)) return false;
-  return fnv1a(out.data(), out.size()) == man.checksumOf(name);
 }
 
 }  // namespace
@@ -415,132 +261,123 @@ bool Snapshot::save(const std::string& dir, const WorldStateView& world,
   // come back last.
   std::filesystem::remove(dir + "/MANIFEST", ec);
 
-  SnapshotManifest man;
-  man.step = world.step;
-  man.numRanks = static_cast<int>(world.ranks.size());
-  man.domainSeed = world.domainSeed;
-
-  if (!DataArchiver::checkpointGrid(dir, *world.grid)) return false;
-  std::string gridBytes;
-  if (!readFileBytes(dir + "/grid.txt", gridBytes)) return false;
-  man.files.emplace_back("grid.txt", fnv1a(gridBytes.data(), gridBytes.size()));
-  std::uint64_t total = gridBytes.size();
-
-  for (int r = 0; r < man.numRanks; ++r) {
-    const std::string blob =
-        serializeRank(world.ranks[static_cast<std::size_t>(r)], r);
+  std::string man = header(kManifestMagic);
+  put<std::int32_t>(man, world.step);
+  put(man, world.domainSeed);
+  putGrid(man, *world.grid);
+  put<std::uint64_t>(man, world.ranks.size());
+  std::uint64_t total = 0;
+  for (std::size_t r = 0; r < world.ranks.size(); ++r) {
+    const std::string blob = encodeRank(world.ranks[r], r);
     if (!writeFileBytes(dir + "/" + rankBlobName(r), blob)) return false;
-    man.files.emplace_back(rankBlobName(r),
-                           fnv1a(blob.data(), blob.size()));
+    put(man, fnv1a(blob.data(), blob.size()));
     total += blob.size();
   }
-  if (!man.save(dir)) return false;
+  total += man.size() + sizeof(std::uint64_t);
+  if (!writeSealed(dir + "/MANIFEST", std::move(man))) return false;
   if (bytesOut) *bytesOut = total;
   return true;
 }
 
-bool Snapshot::peek(const std::string& dir, SnapshotManifest& out) {
-  return out.load(dir);
-}
+bool Snapshot::load(const std::string& dir, Snapshot& out) {
+  std::string man;
+  if (!readSealed(dir + "/MANIFEST", man)) return false;
+  ByteReader r(man);
+  if (!readHeader(r, kManifestMagic)) return false;
+  Snapshot s;
+  s.m_step = r.get<std::int32_t>();
+  s.m_domainSeed = r.get<std::uint64_t>();
+  s.m_grid = getGrid(r);
+  // The manifest ends with one checksum per rank blob.
+  std::vector<std::uint64_t> sums(r.count(sizeof(std::uint64_t)));
+  for (std::uint64_t& sum : sums) sum = r.get<std::uint64_t>();
+  if (!r.done() || !s.m_grid || sums.empty() || s.m_step < -1 ||
+      s.m_step == INT_MAX)
+    return false;
 
-std::shared_ptr<const grid::Grid> Snapshot::restoreGrid(
-    const std::string& dir) {
-  SnapshotManifest man;
-  if (!man.load(dir)) return nullptr;
-  std::string gridBytes;
-  if (!loadVerified(dir, man, "grid.txt", gridBytes)) return nullptr;
-  return DataArchiver::restoreGrid(dir);
-}
-
-bool Snapshot::restore(const std::string& dir, WorldStateView& world) {
-  SnapshotManifest man;
-  if (!man.load(dir)) return false;
-  if (static_cast<int>(world.ranks.size()) != man.numRanks) return false;
-  auto g = restoreGrid(dir);
-  if (!g) return false;
-
-  // Verify every blob BEFORE mutating any target: a corrupt rank must not
-  // leave the world half-restored.
-  std::vector<std::string> blobs(static_cast<std::size_t>(man.numRanks));
-  for (int r = 0; r < man.numRanks; ++r) {
-    if (!loadVerified(dir, man, rankBlobName(r),
-                      blobs[static_cast<std::size_t>(r)]))
+  s.m_ranks.resize(sums.size());
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    std::string blob;
+    if (!readFileBytes(dir + "/" + rankBlobName(i), blob) ||
+        fnv1a(blob.data(), blob.size()) != sums[i] || !s.decodeRank(blob, i))
       return false;
   }
-
-  for (int r = 0; r < man.numRanks; ++r) {
-    RankStateView& v = world.ranks[static_cast<std::size_t>(r)];
-    if (v.oldDW) v.oldDW->clear();
-    if (v.newDW) v.newDW->clear();
-    if (v.gpuDW) v.gpuDW->clear();
-    if (!deserializeRank(blobs[static_cast<std::size_t>(r)], r, &v, nullptr))
-      return false;
-  }
-  world.grid = std::move(g);
-  world.step = man.step;
-  world.domainSeed = man.domainSeed;
+  out = std::move(s);
   return true;
 }
 
-bool Snapshot::restoreElastic(const std::string& dir, WorldStateView& world,
-                              const grid::LoadBalancer& lb) {
-  SnapshotManifest man;
-  if (!man.load(dir)) return false;
-  if (static_cast<int>(world.ranks.size()) != lb.numRanks()) return false;
-  auto g = restoreGrid(dir);
-  if (!g) return false;
-
-  // Union of every saved rank's newDW patch variables.
-  DataWarehouse unionDW;
-  for (int r = 0; r < man.numRanks; ++r) {
-    std::string blob;
-    if (!loadVerified(dir, man, rankBlobName(r), blob)) return false;
-    if (!deserializeRank(blob, r, nullptr, &unionDW)) return false;
-  }
-
-  // Which (label, level, type) combinations exist, with every patch of a
-  // label mapped through the restored grid to its level.
-  std::set<std::tuple<std::string, int, int>> combos;  // label, level, tag
-  unionDW.forEachPatchVar(
-      [&](const std::string& label, int patchId, const VarSlot& slot) {
-        const int lvl = g->levelOfPatch(patchId).index();
-        if (std::holds_alternative<grid::CCVariable<double>>(slot))
-          combos.emplace(label, lvl, kTagDouble);
-        else if (std::holds_alternative<grid::CCVariable<grid::CellType>>(slot))
-          combos.emplace(label, lvl, kTagCellType);
-      });
-
-  for (auto& rank : world.ranks) {
-    if (rank.oldDW) rank.oldDW->clear();
-    if (rank.newDW) rank.newDW->clear();
-    if (rank.gpuDW) rank.gpuDW->clear();
-  }
-
-  // Re-distribute: same grid on both sides, only ownership moves. Ghost
-  // margins are not reconstructed (migrated vars are 0-ghost); the resumed
-  // pipeline re-stages whatever halo data it requires.
-  const amr::Migrator mig(*g, *g);
-  for (const auto& [label, lvl, tag] : combos) {
-    for (int nr = 0; nr < lb.numRanks(); ++nr) {
-      DataWarehouse* dst = world.ranks[static_cast<std::size_t>(nr)].newDW;
-      if (!dst) continue;
-      const std::vector<int> ids = lb.patchesOf(nr, *g, lvl);
-      if (ids.empty()) continue;
-      if (tag == kTagDouble) {
-        auto vars = mig.migratePatchVar<double>(label, lvl, unionDW, ids);
-        for (std::size_t i = 0; i < ids.size(); ++i)
-          dst->put(label, ids[i], std::move(vars[i]));
-      } else {
-        auto vars = mig.migratePatchVar<grid::CellType>(label, lvl, unionDW,
-                                                        ids);
-        for (std::size_t i = 0; i < ids.size(); ++i)
-          dst->put(label, ids[i], std::move(vars[i]));
-      }
+bool Snapshot::decodeRank(const std::string& blob, std::size_t rank) {
+  ByteReader r(blob);
+  if (!readHeader(r, kRankBlobMagic) ||
+      r.get<std::int32_t>() != static_cast<std::int32_t>(rank))
+    return false;
+  Rank& out = m_ranks[rank];
+  out.rngState = r.get<std::uint64_t>();
+  if (r.get<std::uint8_t>() != 0 &&
+      !getChannel(r, numRanks(), out.channel.emplace()))
+    return false;
+  for (std::vector<Var>* vars : {&out.oldDW, &out.newDW}) {
+    // A variable is at least its label count, id and tag.
+    vars->resize(r.count(8 + 4 + 1));
+    for (Var& v : *vars) {
+      v.label = r.string();
+      v.patchId = r.get<std::int32_t>();
+      const std::uint8_t tag = r.get<std::uint8_t>();
+      const grid::Patch* patch = m_grid->patchById(v.patchId);
+      if (!r.ok() || !patch) return false;
+      // Tags are VarSlot alternative indices.
+      const bool ok =
+          tag == 1   ? getVar<double>(r, *patch, v.value)
+          : tag == 2 ? getVar<grid::CellType>(r, *patch, v.value)
+                     : false;
+      if (!ok) return false;
     }
   }
-  world.grid = std::move(g);
-  world.step = man.step;
-  world.domainSeed = man.domainSeed;
+  return r.done();
+}
+
+bool Snapshot::restore(WorldStateView& world,
+                       const grid::LoadBalancer& lb) const {
+  if (!m_grid ||
+      world.ranks.size() != static_cast<std::size_t>(lb.numRanks()))
+    return false;
+  std::size_t owned = 0;
+  for (int r = 0; r < lb.numRanks(); ++r) owned += lb.patchesOf(r).size();
+  if (owned != static_cast<std::size_t>(m_grid->numPatches())) return false;
+
+  const bool verbatim = world.ranks.size() == m_ranks.size();
+  for (std::size_t r = 0; verbatim && r < m_ranks.size(); ++r) {
+    comm::ReliableChannel* ch = world.ranks[r].channel;
+    if (ch && m_ranks[r].channel && !ch->restoreState(*m_ranks[r].channel))
+      return false;
+  }
+  for (RankStateView& v : world.ranks) {
+    if (v.oldDW) v.oldDW->clear();
+    if (v.newDW) v.newDW->clear();
+  }
+  const auto putVar = [](DataWarehouse* dw, const Var& var) {
+    if (dw)
+      visitVar(var.value,
+               [&](const auto& v) { dw->put(var.label, var.patchId, v); });
+  };
+  for (std::size_t r = 0; r < m_ranks.size(); ++r) {
+    const Rank& saved = m_ranks[r];
+    if (verbatim) {
+      RankStateView& v = world.ranks[r];
+      v.rngState = saved.rngState;
+      for (const Var& var : saved.oldDW) putVar(v.oldDW, var);
+      for (const Var& var : saved.newDW) putVar(v.newDW, var);
+    } else {
+      // Same grid on both sides: only ownership moves.
+      for (const Var& var : saved.newDW)
+        putVar(world.ranks[static_cast<std::size_t>(lb.rankOf(var.patchId))]
+                   .newDW,
+               var);
+    }
+  }
+  world.grid = m_grid;
+  world.step = m_step;
+  world.domainSeed = m_domainSeed;
   return true;
 }
 
@@ -549,51 +386,38 @@ bool Snapshot::restoreElastic(const std::string& dir, WorldStateView& world,
 bool ReplayJournal::save(const std::string& dir) const {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  std::ofstream os(dir + "/JOURNAL", std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  os << "rmcrt-journal v1\n";
-  os << "domainSeed " << domainSeed << "\n";
-  os << "ranks " << rankDigests.size() << "\n";
-  for (std::size_t r = 0; r < rankDigests.size(); ++r) {
-    os << "rank " << r << " " << rankDigests[r].size() << "\n";
-    for (const auto& [step, digest] : rankDigests[r])
-      os << step << " " << std::hex << digest << std::dec << "\n";
+  std::string b = header(kJournalMagic);
+  put(b, domainSeed);
+  put<std::uint64_t>(b, rankDigests.size());
+  for (const auto& digests : rankDigests) {
+    put<std::uint64_t>(b, digests.size());
+    for (const auto& [step, digest] : digests) {
+      put<std::int32_t>(b, step);
+      put(b, digest);
+    }
   }
-  os << "injector " << injectorState.size() << "\n";
-  os.write(injectorState.data(),
-           static_cast<std::streamsize>(injectorState.size()));
-  return os.good();
+  putString(b, injectorState);
+  return writeSealed(dir + "/JOURNAL", std::move(b));
 }
 
 bool ReplayJournal::load(const std::string& dir) {
-  std::ifstream is(dir + "/JOURNAL", std::ios::binary);
-  if (!is) return false;
-  std::string magic, ver, word;
-  if (!(is >> magic >> ver) || magic != "rmcrt-journal" || ver != "v1")
-    return false;
-  if (!(is >> word >> domainSeed) || word != "domainSeed") return false;
-  std::size_t nRanks = 0;
-  if (!(is >> word >> nRanks) || word != "ranks") return false;
-  rankDigests.assign(nRanks, {});
-  for (std::size_t r = 0; r < nRanks; ++r) {
-    std::size_t rr = 0, n = 0;
-    if (!(is >> word >> rr >> n) || word != "rank" || rr != r) return false;
-    rankDigests[r].reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      int step = 0;
-      std::uint64_t digest = 0;
-      if (!(is >> step >> std::hex >> digest >> std::dec)) return false;
-      rankDigests[r].emplace_back(step, digest);
+  std::string b;
+  if (!readSealed(dir + "/JOURNAL", b)) return false;
+  ByteReader r(b);
+  if (!readHeader(r, kJournalMagic)) return false;
+  ReplayJournal j;
+  j.domainSeed = r.get<std::uint64_t>();
+  j.rankDigests.resize(r.count(sizeof(std::uint64_t)));
+  for (auto& digests : j.rankDigests) {
+    digests.resize(r.count(sizeof(std::int32_t) + sizeof(std::uint64_t)));
+    for (auto& [step, digest] : digests) {
+      step = r.get<std::int32_t>();
+      digest = r.get<std::uint64_t>();
     }
   }
-  std::size_t nInj = 0;
-  if (!(is >> word >> nInj) || word != "injector") return false;
-  is.get();  // the newline after the count
-  injectorState.resize(nInj);
-  if (nInj) {
-    is.read(injectorState.data(), static_cast<std::streamsize>(nInj));
-    if (static_cast<std::size_t>(is.gcount()) != nInj) return false;
-  }
+  j.injectorState = r.string();
+  if (!r.done()) return false;
+  *this = std::move(j);
   return true;
 }
 
@@ -601,7 +425,7 @@ bool ReplayJournal::load(const std::string& dir) {
 
 WorldHarness::WorldHarness(HarnessConfig cfg) : m_cfg(std::move(cfg)) {
   m_grid = m_cfg.grid;
-  buildWorld(m_cfg.numRanks, /*attachInjector=*/true);
+  buildWorld(m_cfg.numRanks);
 }
 
 WorldHarness::~WorldHarness() {
@@ -611,11 +435,11 @@ WorldHarness::~WorldHarness() {
   m_world.reset();
 }
 
-void WorldHarness::buildWorld(int numRanks, bool attachInjector) {
+void WorldHarness::buildWorld(int numRanks) {
   m_scheds.clear();
   m_world.reset();
   m_world = std::make_unique<comm::Communicator>(numRanks);
-  if (attachInjector && m_cfg.injector)
+  if (!m_killDone && m_cfg.injector)
     m_world->setFaultInjector(m_cfg.injector);
   double timeout = m_cfg.collectiveTimeoutSeconds;
   if (timeout <= 0.0 && m_cfg.killRank >= 0) timeout = 10.0;
@@ -641,6 +465,19 @@ void WorldHarness::buildWorld(int numRanks, bool attachInjector) {
   }
 }
 
+int WorldHarness::resumeFrom(const std::string& dir, int ranks) {
+  Snapshot snap;
+  if (!Snapshot::load(dir, snap)) return -1;
+  m_grid = snap.grid();
+  buildWorld(ranks);
+  Snapshot::WorldStateView view = makeView(-1);
+  if (!snap.restore(view, *m_lb)) return -1;
+  for (std::size_t r = 0; r < view.ranks.size(); ++r)
+    m_rngs[r] = Rng::fromState(view.ranks[r].rngState);
+  m_lastSnapshotPath = dir;
+  return snap.step() + 1;
+}
+
 Snapshot::WorldStateView WorldHarness::makeView(int step) {
   Snapshot::WorldStateView w;
   w.step = step;
@@ -658,15 +495,15 @@ Snapshot::WorldStateView WorldHarness::makeView(int step) {
 }
 
 std::uint64_t WorldHarness::digestRank(int rank) const {
-  const int lvl =
-      m_cfg.digestLevel < 0 ? m_grid->numLevels() - 1 : m_cfg.digestLevel;
+  static const std::string kLabel = "divQ";  // the radiation output
   DataWarehouse& dw = m_scheds[static_cast<std::size_t>(rank)]->newDW();
   std::uint64_t h = 0xcbf29ce484222325ull;
-  std::vector<int> ids = m_lb->patchesOf(rank, *m_grid, lvl);
+  std::vector<int> ids =
+      m_lb->patchesOf(rank, *m_grid, m_grid->numLevels() - 1);
   std::sort(ids.begin(), ids.end());
   for (int pid : ids) {
-    if (!dw.exists(m_cfg.digestLabel, pid)) continue;
-    const auto& v = dw.get<double>(m_cfg.digestLabel, pid);
+    if (!dw.exists(kLabel, pid)) continue;
+    const auto& v = dw.get<double>(kLabel, pid);
     h = fnv1a(&pid, sizeof pid, h);
     h = fnv1a(v.data(), static_cast<std::size_t>(v.sizeBytes()), h);
   }
@@ -686,7 +523,6 @@ void WorldHarness::maybeSnapshot(int step, int rank, HarnessResult& result) {
     std::uint64_t bytes = 0;
     if (Snapshot::save(dir, makeView(step), &bytes)) {
       m_lastSnapshotPath = dir;
-      m_lastSnapshotStep = step;
       ++result.snapshots;
       result.snapshotBytes += bytes;
       result.snapshotSeconds += t.seconds();
@@ -704,8 +540,12 @@ HarnessResult WorldHarness::run() {
   if (!m_cfg.replayDir.empty()) {
     if (!journal.load(m_cfg.replayDir)) return result;
     replaying = true;
-    if (m_cfg.injector && !journal.injectorState.empty())
-      m_cfg.injector->restoreState(journal.injectorState);
+    // A replay must reproduce the recorded faults: without an injector
+    // that accepts the recorded state it would verify a different run.
+    if (!journal.injectorState.empty() &&
+        !(m_cfg.injector &&
+          m_cfg.injector->restoreState(journal.injectorState)))
+      return result;
   }
   // Capture the injector's decision state BEFORE any traffic perturbs it:
   // this is what a later --replay run restores to reproduce the faults.
@@ -715,24 +555,8 @@ HarnessResult WorldHarness::run() {
 
   int firstStep = 0;
   if (!m_cfg.restoreDir.empty()) {
-    SnapshotManifest man;
-    auto g = Snapshot::restoreGrid(m_cfg.restoreDir);
-    if (!g || !Snapshot::peek(m_cfg.restoreDir, man)) return result;
-    m_grid = std::move(g);
-    buildWorld(m_cfg.numRanks, /*attachInjector=*/true);
-    Snapshot::WorldStateView view = makeView(-1);
-    if (m_cfg.numRanks == man.numRanks) {
-      if (!Snapshot::restore(m_cfg.restoreDir, view)) return result;
-      for (int r = 0; r < m_cfg.numRanks; ++r)
-        m_rngs[static_cast<std::size_t>(r)] = Rng::fromState(
-            view.ranks[static_cast<std::size_t>(r)].rngState);
-    } else {
-      if (!Snapshot::restoreElastic(m_cfg.restoreDir, view, *m_lb))
-        return result;
-    }
-    m_lastSnapshotPath = m_cfg.restoreDir;
-    m_lastSnapshotStep = man.step;
-    firstStep = man.step + 1;
+    firstStep = resumeFrom(m_cfg.restoreDir, m_cfg.numRanks);
+    if (firstStep < 0) return result;
   }
   for (int attempt = 0; attempt < 8; ++attempt) {
     const int R = numRanks();
@@ -811,11 +635,6 @@ HarnessResult WorldHarness::run() {
       result.digests = std::move(digests);
       break;
     }
-    if (!m_cfg.autoRecover) {
-      result.finalRanks = R;
-      return result;
-    }
-
     // --- recovery: drop the dead ranks, restore, resume -----------------
     ++result.recoveries;
     m_killDone = true;
@@ -829,26 +648,12 @@ HarnessResult WorldHarness::run() {
 
     if (m_lastSnapshotPath.empty()) {
       // No checkpoint yet: rebuild the survivors and restart from step 0.
-      buildWorld(newR, /*attachInjector=*/false);
+      buildWorld(newR);
       firstStep = 0;
       continue;
     }
-    auto g = Snapshot::restoreGrid(m_lastSnapshotPath);
-    SnapshotManifest man;
-    if (!g || !Snapshot::peek(m_lastSnapshotPath, man)) return result;
-    m_grid = std::move(g);
-    buildWorld(newR, /*attachInjector=*/false);
-    Snapshot::WorldStateView view = makeView(-1);
-    if (newR == man.numRanks) {
-      if (!Snapshot::restore(m_lastSnapshotPath, view)) return result;
-      for (int r = 0; r < newR; ++r)
-        m_rngs[static_cast<std::size_t>(r)] = Rng::fromState(
-            view.ranks[static_cast<std::size_t>(r)].rngState);
-    } else {
-      if (!Snapshot::restoreElastic(m_lastSnapshotPath, view, *m_lb))
-        return result;
-    }
-    firstStep = man.step + 1;
+    firstStep = resumeFrom(m_lastSnapshotPath, newR);
+    if (firstStep < 0) return result;
   }
 
   if (result.completed && !m_cfg.recordDir.empty()) {

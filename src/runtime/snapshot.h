@@ -7,12 +7,11 @@
 /// Three layers:
 ///
 ///  * Snapshot — serialize EVERY rank's state (both DataWarehouses,
-///    ReliableChannel link state, GPU level-database arenas, RNG stream
-///    counter) plus the shared grid into a checksummed, versioned
-///    directory (see world_state.h), and restore it bit-exactly. Restore
-///    also works *elastically* onto a different rank count: the union of
-///    all saved patch variables is re-partitioned onto the new ranks
-///    through the cost-weighted Morton LoadBalancer and amr::Migrator.
+///    ReliableChannel link state, RNG stream counter) plus the shared grid
+///    into a checksummed, versioned directory (file framing in
+///    world_state.h). Snapshot::load decodes a whole directory; restore
+///    then applies it bit-exactly onto the saved rank count, or
+///    re-partitions the saved patch variables onto any other rank count.
 ///
 ///  * ReplayJournal — the record/replay side channel: per-rank per-step
 ///    state digests plus the FaultInjector's serialized decision state, so
@@ -24,28 +23,25 @@
 ///    periodic snapshots, scripted rank kills (FaultInjector::killRank),
 ///    automatic restore-from-last-snapshot with the lost rank's patches
 ///    re-partitioned onto survivors, and record/replay wiring. This is the
-///    recovery state machine tests, examples, and the snapshot benchmark
-///    share.
+///    recovery state machine tests and examples share.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "comm/fault_injector.h"
+#include "comm/reliable_channel.h"
 #include "grid/grid.h"
 #include "grid/load_balancer.h"
+#include "runtime/data_warehouse.h"
 #include "runtime/scheduler.h"
 #include "runtime/simulation_controller.h"
-#include "runtime/world_state.h"
 #include "util/rng.h"
-
-namespace rmcrt::gpu {
-class GpuDataWarehouse;
-}
 
 namespace rmcrt::runtime {
 
@@ -67,11 +63,12 @@ class RankKilled : public std::runtime_error {
   int m_step;
 };
 
-/// Serialize/restore the whole simulated cluster. All functions are
-/// static; the caller owns the objects the views point at and guarantees
+/// A whole-cluster snapshot. save() serializes live state; load() decodes
+/// a snapshot directory into a Snapshot value and restore() applies it.
+/// The caller owns the objects the views point at and guarantees
 /// quiescence (no scheduler mid-timestep, no channel traffic in flight)
-/// for the duration of the call — the WorldHarness does this with a
-/// double barrier at a step boundary.
+/// for the duration of save() and restore() — the WorldHarness does this
+/// with a double barrier at a step boundary.
 class Snapshot {
  public:
   /// One rank's live state. Optional members may be null and are then
@@ -80,7 +77,6 @@ class Snapshot {
     DataWarehouse* oldDW = nullptr;
     DataWarehouse* newDW = nullptr;
     comm::ReliableChannel* channel = nullptr;
-    gpu::GpuDataWarehouse* gpuDW = nullptr;
     std::uint64_t rngState = 0;  ///< in (save) / out (restore)
   };
 
@@ -93,41 +89,55 @@ class Snapshot {
   };
 
   /// Write a snapshot of \p world into directory \p dir (created if
-  /// absent): grid.txt, one rank<r>.bin per rank, MANIFEST last. Returns
+  /// absent): one rank<r>.bin per rank, then the sealed MANIFEST. Every
+  /// warehouse variable must be a patch variable of world.grid. Returns
   /// false on I/O failure; \p bytesOut (optional) receives the total bytes
   /// written.
   static bool save(const std::string& dir, const WorldStateView& world,
                    std::uint64_t* bytesOut = nullptr);
 
-  /// Read just the MANIFEST (validity probe; rank count for elastic
-  /// decisions). False when missing/torn/mismatched version.
-  static bool peek(const std::string& dir, SnapshotManifest& out);
+  /// Read the manifest, rebuild the grid and decode every rank blob of
+  /// the snapshot in \p dir into \p out. Refuses (false, never throws) a
+  /// missing, torn, corrupt or wrong-version snapshot, and any variable
+  /// whose id is not a patch of the grid or whose interior is not that
+  /// patch.
+  static bool load(const std::string& dir, Snapshot& out);
 
-  /// Rebuild the archived grid, verifying grid.txt against the manifest
-  /// checksum. nullptr on any failure.
-  static std::shared_ptr<const grid::Grid> restoreGrid(
-      const std::string& dir);
+  /// Apply the loaded snapshot to \p world; \p lb partitions grid() over
+  /// world.ranks.size() ranks. On the saved rank count every rank's
+  /// DataWarehouses, channel link state and RNG counter are restored
+  /// exactly. On any other count each saved newDW variable moves to rank
+  /// lb.rankOf(patch), and channel and RNG state are left alone: at a
+  /// quiescent step boundary they regenerate, and the saved link topology
+  /// is meaningless under a new rank numbering. world.step, domainSeed and
+  /// grid are set from the snapshot. False when \p lb does not fit or a
+  /// channel refuses its state (live receives), before any warehouse is
+  /// touched.
+  bool restore(WorldStateView& world, const grid::LoadBalancer& lb) const;
 
-  /// Verbatim restore onto the SAME rank count as saved:
-  /// world.ranks.size() must equal the manifest's numRanks. Every rank's
-  /// DataWarehouses, channel link state, GPU level-database entries and
-  /// RNG counter are reloaded exactly; world.step and world.grid are set
-  /// from the snapshot. All-or-nothing: any checksum or decode failure
-  /// returns false (target warehouses may then be partially cleared but
-  /// never partially restored into).
-  static bool restore(const std::string& dir, WorldStateView& world);
+  int step() const { return m_step; }
+  int numRanks() const { return static_cast<int>(m_ranks.size()); }
+  const std::shared_ptr<const grid::Grid>& grid() const { return m_grid; }
 
-  /// Elastic restore onto a DIFFERENT rank count: \p lb is the new
-  /// partition (over the restored grid — build it via restoreGrid first)
-  /// and world.ranks.size() must equal lb.numRanks(). The union of every
-  /// saved rank's newDW *patch* variables is re-distributed so each new
-  /// rank's newDW holds exactly its lb-owned patches (amr::Migrator
-  /// windowed copy; ghost margins are not reconstructed). Channel, GPU,
-  /// and RNG state are NOT restored — at a quiescent step boundary they
-  /// regenerate, and the saved link topology is meaningless under a new
-  /// rank numbering.
-  static bool restoreElastic(const std::string& dir, WorldStateView& world,
-                             const grid::LoadBalancer& lb);
+ private:
+  struct Var {
+    std::string label;
+    int patchId = -1;
+    VarSlot value;
+  };
+  struct Rank {
+    std::uint64_t rngState = 0;
+    std::optional<comm::ReliableChannel::ChannelState> channel;
+    std::vector<Var> oldDW, newDW;
+  };
+
+  /// Decode rank \p rank's blob into m_ranks[rank] against m_grid.
+  bool decodeRank(const std::string& blob, std::size_t rank);
+
+  int m_step = -1;
+  std::uint64_t m_domainSeed = 0;
+  std::shared_ptr<const grid::Grid> m_grid;
+  std::vector<Rank> m_ranks;
 };
 
 /// The record/replay journal: what a --record run writes and a --replay
@@ -139,7 +149,10 @@ struct ReplayJournal {
   std::string injectorState;  ///< FaultInjector::saveState blob (may be "")
   std::vector<std::vector<std::pair<int, std::uint64_t>>> rankDigests;
 
+  /// Write the sealed dir/JOURNAL (dir created if absent).
   bool save(const std::string& dir) const;
+  /// Read dir/JOURNAL; false (never a throw) when it is missing, corrupt
+  /// or malformed, leaving *this unchanged.
   bool load(const std::string& dir);
 };
 
@@ -156,32 +169,27 @@ struct HarnessConfig {
   std::function<void(Scheduler&)> registerRadiation;
   std::function<void(Scheduler&)> registerCarryForward;
 
-  /// Per-step digest source: FNV over this label's patch bytes on
-  /// \p digestLevel (-1 = finest) in the rank's newDW.
-  std::string digestLabel = "divQ";
-  int digestLevel = -1;
-
   /// Snapshots: every N completed steps into snapshotDir/snap<step>.
   /// 0 disables.
   std::string snapshotDir;
   int snapshotEvery = 0;
 
-  /// Start the run from this snapshot directory instead of step 0:
-  /// verbatim restore when numRanks matches the snapshot, elastic restore
-  /// (Snapshot::restoreElastic) otherwise. The run then covers steps
-  /// [snapshot step + 1, steps).
+  /// Start the run from this snapshot directory instead of step 0,
+  /// restored onto numRanks ranks (Snapshot::restore). The run then
+  /// covers steps [snapshot step + 1, steps).
   std::string restoreDir;
 
   /// Scripted rank loss: kill global rank \p killRank at the top of step
-  /// \p killAtStep (requires \p injector). -1 disables.
+  /// \p killAtStep (requires \p injector). -1 disables. After any rank
+  /// loss the survivors restore the last snapshot and finish the run.
   int killRank = -1;
   int killAtStep = -1;
-  /// After a loss, restore from the last snapshot onto the survivors and
-  /// finish the run. false: return with completed=false instead.
-  bool autoRecover = true;
 
   /// Record/replay: write the journal into recordDir after the run, or
-  /// verify each step against the journal loaded from replayDir.
+  /// verify each step against the journal loaded from replayDir. The
+  /// per-step digest is FNV over the rank's finest-level divQ patch bytes.
+  /// A replay whose injector refuses the journal's fault state does not
+  /// run (completed = false).
   std::string recordDir;
   std::string replayDir;
 
@@ -205,7 +213,7 @@ struct HarnessResult {
   /// Final world's per-rank (step, digest) sequences.
   std::vector<std::vector<std::pair<int, std::uint64_t>>> digests;
 
-  // Snapshot overhead accounting (bench --snapshot-every).
+  // Snapshot cost accounting.
   int snapshots = 0;
   std::uint64_t snapshotBytes = 0;
   double snapshotSeconds = 0.0;
@@ -236,7 +244,10 @@ class WorldHarness {
   }
 
  private:
-  void buildWorld(int numRanks, bool attachInjector);
+  void buildWorld(int numRanks);
+  /// Rebuild the world on \p ranks ranks from the snapshot in \p dir;
+  /// returns the first step to run, or -1 when it does not load or apply.
+  int resumeFrom(const std::string& dir, int ranks);
   Snapshot::WorldStateView makeView(int step);
   /// Post-step snapshot under a double barrier: all ranks rendezvous,
   /// rank 0 serializes the quiescent cluster, all ranks rendezvous again.
@@ -249,9 +260,11 @@ class WorldHarness {
   std::unique_ptr<comm::Communicator> m_world;
   std::vector<std::unique_ptr<Scheduler>> m_scheds;
   std::vector<Rng> m_rngs;
+  /// Set by the first recovery: the scripted kill has happened, and the
+  /// rebuilt world runs without the injector, whose dead links name the
+  /// old rank numbering.
   bool m_killDone = false;
   std::string m_lastSnapshotPath;
-  int m_lastSnapshotStep = -1;
 };
 
 }  // namespace rmcrt::runtime

@@ -1,34 +1,39 @@
 #pragma once
 
 /// \file world_state.h
-/// On-disk framing for whole-cluster snapshots: the format version, the
-/// FNV-1a checksum every blob is verified against, and the MANIFEST that
-/// ties a snapshot directory together. A snapshot directory holds
+/// The one binary framing every snapshot and replay-journal file is
+/// written and read with. A snapshot directory holds
 ///
-///   grid.txt        — grid structure (DataArchiver::checkpointGrid)
-///   rank<r>.bin     — one binary blob per rank (see snapshot.cc)
-///   MANIFEST        — written LAST: version, step, rank count, domain
-///                     seed, and the checksum of every other file
+///   rank<r>.bin  — one blob per rank (see snapshot.cc)
+///   MANIFEST     — written LAST and sealed: format version, step, domain
+///                  seed, the grid record, and one checksum per rank blob
 ///
-/// The manifest-last discipline makes torn snapshots self-identifying: a
-/// crash mid-save leaves a directory with no (or truncated) MANIFEST, and
-/// loaders reject it without inspecting the blobs. Any blob whose checksum
-/// disagrees with the manifest likewise fails the whole load — a snapshot
-/// restores completely or not at all.
+/// and a journal directory holds one sealed JOURNAL. Values are
+/// host-endian (snapshots never leave the node); every count is a u64.
+///
+/// Sealed files end in the FNV-1a checksum of everything before it, so a
+/// torn or corrupted manifest or journal never decodes. The manifest-last
+/// discipline makes torn snapshots self-identifying: a crash mid-save
+/// leaves a directory with no (or a torn) MANIFEST. Decoding is
+/// bounds-checked: ByteReader refuses any count the remaining bytes cannot
+/// hold, so a hostile file fails the load instead of sizing an allocation.
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
+#include <type_traits>
+
+#include "util/range.h"
 
 namespace rmcrt::runtime {
 
-/// Bump when the rank-blob or manifest layout changes; loaders reject
-/// other versions outright rather than guessing.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// Bump when any file layout changes; loaders reject other versions
+/// outright rather than guessing.
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// FNV-1a over a byte range, chainable via \p h.
 inline std::uint64_t fnv1a(const void* data, std::size_t n,
@@ -41,66 +46,90 @@ inline std::uint64_t fnv1a(const void* data, std::size_t n,
   return h;
 }
 
-/// The snapshot directory's table of contents.
-struct SnapshotManifest {
-  std::uint32_t version = kSnapshotFormatVersion;
-  int step = -1;        ///< last completed timestep the snapshot captures
-  int numRanks = 0;
-  std::uint64_t domainSeed = 0;
-  /// (file name, FNV-1a of its bytes) for every file in the directory.
-  std::vector<std::pair<std::string, std::uint64_t>> files;
+// --- encoding -------------------------------------------------------------
 
-  std::uint64_t checksumOf(const std::string& name) const {
-    for (const auto& [n, c] : files)
-      if (n == name) return c;
-    return 0;
+template <typename T>
+void put(std::string& b, const T& v) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  b.append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+inline void putString(std::string& b, const std::string& s) {
+  put<std::uint64_t>(b, s.size());
+  b.append(s);
+}
+inline void putRange(std::string& b, const CellRange& r) {
+  for (int d = 0; d < 3; ++d) put<std::int32_t>(b, r.low()[d]);
+  for (int d = 0; d < 3; ++d) put<std::int32_t>(b, r.high()[d]);
+}
+
+// --- decoding -------------------------------------------------------------
+
+/// Bounds-checked sequential decoder. Any short read or refused count
+/// latches !ok() and every later read yields zeros, so a decoder can read
+/// a whole record and test ok() once.
+class ByteReader {
+ public:
+  explicit ByteReader(std::string_view bytes) : m_bytes(bytes) {}
+
+  bool ok() const { return m_ok; }
+  /// Every byte consumed without error: trailing bytes are a decode error.
+  bool done() const { return m_ok && m_pos == m_bytes.size(); }
+  /// Latch a failure found by the caller (a value out of range).
+  void fail() { m_ok = false; }
+
+  template <typename T>
+  T get() {
+    static_assert(std::is_trivially_copyable_v<T>);
+    T v{};
+    if (const char* p = bytes(sizeof v)) std::memcpy(&v, p, sizeof v);
+    return v;
   }
 
-  /// Write the MANIFEST file. Call only after every listed file is on
-  /// disk — the manifest's existence is the snapshot's commit record.
-  bool save(const std::string& dir) const {
-    std::ofstream os(dir + "/MANIFEST");
-    if (!os) return false;
-    os << "rmcrt-snapshot v" << version << "\n";
-    os << "step " << step << "\n";
-    os << "numRanks " << numRanks << "\n";
-    os << "domainSeed " << domainSeed << "\n";
-    os << "files " << files.size() << "\n";
-    for (const auto& [name, sum] : files)
-      os << name << " " << std::hex << sum << std::dec << "\n";
-    return os.good();
-  }
-
-  /// Parse a MANIFEST; false on absence, truncation, or version mismatch.
-  bool load(const std::string& dir) {
-    std::ifstream is(dir + "/MANIFEST");
-    if (!is) return false;
-    std::string magic, ver, word;
-    if (!(is >> magic >> ver) || magic != "rmcrt-snapshot") return false;
-    // Piecewise compare: GCC 12's -Wrestrict trips a false positive on
-    // the inlined "v" + to_string concatenation.
-    if (ver.empty() || ver.front() != 'v' ||
-        ver.compare(1, std::string::npos,
-                    std::to_string(kSnapshotFormatVersion)) != 0)
-      return false;
-    version = kSnapshotFormatVersion;
-    if (!(is >> word >> step) || word != "step") return false;
-    if (!(is >> word >> numRanks) || word != "numRanks") return false;
-    if (!(is >> word >> domainSeed) || word != "domainSeed") return false;
-    std::size_t n = 0;
-    if (!(is >> word >> n) || word != "files") return false;
-    files.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      std::string name;
-      std::uint64_t sum;
-      if (!(is >> name >> std::hex >> sum >> std::dec)) return false;
-      files.emplace_back(std::move(name), sum);
+  /// A u64 element count, refused (0 and !ok()) unless the remaining
+  /// bytes can hold that many elements of at least \p elemBytes each.
+  std::size_t count(std::size_t elemBytes) {
+    const std::uint64_t n = get<std::uint64_t>();
+    if (!m_ok || (elemBytes > 0 && n > remaining() / elemBytes)) {
+      m_ok = false;
+      return 0;
     }
-    return true;
+    return static_cast<std::size_t>(n);
   }
+
+  /// The next \p n bytes, or nullptr when fewer remain.
+  const char* bytes(std::size_t n) {
+    if (!m_ok || n > remaining()) {
+      m_ok = false;
+      return nullptr;
+    }
+    const char* p = m_bytes.data() + m_pos;
+    m_pos += n;
+    return p;
+  }
+
+  std::string string() {
+    const std::size_t n = count(1);
+    const char* p = bytes(n);
+    return p ? std::string(p, n) : std::string();
+  }
+
+  CellRange range() {
+    int v[6] = {};
+    for (int& c : v) c = get<std::int32_t>();
+    return CellRange(IntVector(v[0], v[1], v[2]), IntVector(v[3], v[4], v[5]));
+  }
+
+ private:
+  std::size_t remaining() const { return m_bytes.size() - m_pos; }
+
+  std::string_view m_bytes;
+  std::size_t m_pos = 0;
+  bool m_ok = true;
 };
 
-/// Read a whole file into \p out and return true; false when unreadable.
+// --- files ----------------------------------------------------------------
+
+/// Read a whole file into \p out; false when unreadable.
 inline bool readFileBytes(const std::string& path, std::string& out) {
   std::ifstream is(path, std::ios::binary);
   if (!is) return false;
@@ -108,6 +137,30 @@ inline bool readFileBytes(const std::string& path, std::string& out) {
   buf << is.rdbuf();
   out = buf.str();
   return true;
+}
+
+inline bool writeFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  if (!os) return false;
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  return os.good();
+}
+
+/// Write \p body followed by its FNV-1a checksum.
+inline bool writeSealed(const std::string& path, std::string body) {
+  put(body, fnv1a(body.data(), body.size()));
+  return writeFileBytes(path, body);
+}
+
+/// Read a file written by writeSealed into \p body (checksum stripped);
+/// false when missing, shorter than a checksum, or not matching it.
+inline bool readSealed(const std::string& path, std::string& body) {
+  std::uint64_t sum = 0;
+  if (!readFileBytes(path, body) || body.size() < sizeof sum) return false;
+  const std::size_t n = body.size() - sizeof sum;
+  std::memcpy(&sum, body.data() + n, sizeof sum);
+  body.resize(n);
+  return sum == fnv1a(body.data(), n);
 }
 
 }  // namespace rmcrt::runtime

@@ -4,7 +4,9 @@
 /// bench baselines (sim/calibration.cc loads per-segment cost from
 /// BENCH_rmcrt_kernel.json) and to let tests validate emitter output by
 /// parsing it. Throws std::runtime_error on any syntax error (so
-/// EXPECT_NO_THROW(parse(...)) is the well-formedness check).
+/// EXPECT_NO_THROW(parse(...)) is the well-formedness check), and on
+/// arrays/objects nested deeper than Parser::kMaxDepth, so a hostile file
+/// cannot overflow the stack of this recursive parser.
 
 #include <cctype>
 #include <cstdlib>
@@ -36,6 +38,9 @@ struct Value {
 
 class Parser {
  public:
+  /// Far above any committed file (BENCH_scaling.json nests 8 levels).
+  static constexpr int kMaxDepth = 256;
+
   explicit Parser(const std::string& text) : m_s(text) {}
 
   Value parse() {
@@ -80,9 +85,12 @@ class Parser {
     Value v;
     switch (c) {
       case '{':
-        return parseObject();
-      case '[':
-        return parseArray();
+      case '[': {
+        if (++m_depth > kMaxDepth) fail("nested too deeply");
+        v = c == '{' ? parseObject() : parseArray();
+        --m_depth;
+        return v;
+      }
       case '"':
         v.type = Value::Type::String;
         v.str = parseString();
@@ -204,6 +212,7 @@ class Parser {
 
   const std::string& m_s;
   std::size_t m_i = 0;
+  int m_depth = 0;
 };
 
 inline Value parse(const std::string& text) { return Parser(text).parse(); }

@@ -10,18 +10,6 @@
 namespace rmcrt::grid {
 namespace {
 
-TEST(Regridder, ChangesOnlyFinePatchSize) {
-  auto old = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(32),
-                                IntVector(4), IntVector(16), IntVector(4));
-  auto fresh = regridWithPatchSize(*old, 8);
-  EXPECT_EQ(fresh->numLevels(), 2);
-  EXPECT_EQ(fresh->fineLevel().patchSize(), IntVector(8));
-  EXPECT_EQ(fresh->coarseLevel().patchSize(), IntVector(4));
-  EXPECT_EQ(fresh->fineLevel().cells(), old->fineLevel().cells());
-  EXPECT_EQ(fresh->coarseLevel().cells(), old->coarseLevel().cells());
-  EXPECT_EQ(fresh->fineLevel().numPatches(), 64u);  // (32/8)^3
-}
-
 TEST(Regridder, ScatterGatherRoundTrip) {
   auto g = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                  IntVector(4));
@@ -56,15 +44,16 @@ TEST(Regridder, ScatterWithGhostsClipsAtBoundary) {
 }
 
 TEST(Regridder, MigrationAcrossPatchSizes) {
-  // Full D4 workflow: gather from the old decomposition, regrid, scatter
-  // to the new one — data identical cell by cell.
+  // Full D4 workflow: gather from the old decomposition, scatter to the
+  // new one — data identical cell by cell.
   auto old = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                    IntVector(8));
   CCVariable<double> levelVar(old->fineLevel().cells(), 0.0);
   for (const auto& c : levelVar.window()) levelVar[c] = 3.0 * c.x() - c.z();
   auto oldPatchVars = scatterToPatches(levelVar, old->fineLevel());
 
-  auto fresh = regridWithPatchSize(*old, 4);
+  auto fresh = Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(16),
+                                     IntVector(4));
   const auto image = gatherFromPatches(oldPatchVars, old->fineLevel());
   auto newPatchVars = scatterToPatches(image, fresh->fineLevel());
   for (std::size_t i = 0; i < newPatchVars.size(); ++i) {

@@ -41,17 +41,6 @@ TEST(DataWarehouse, CellTypeVariable) {
             grid::CellType::Wall);
 }
 
-TEST(DataWarehouse, LevelVariables) {
-  DataWarehouse dw;
-  dw.putLevel("abskg", 0,
-              grid::CCVariable<double>(
-                  CellRange(IntVector(0), IntVector(16)), 0.25));
-  EXPECT_TRUE(dw.existsLevel("abskg", 0));
-  EXPECT_FALSE(dw.existsLevel("abskg", 1));
-  EXPECT_DOUBLE_EQ(
-      dw.getLevel<double>("abskg", 0)[IntVector(15, 15, 15)], 0.25);
-}
-
 TEST(DataWarehouse, RegionVariablesKeyedByWindow) {
   DataWarehouse dw;
   const CellRange w1(IntVector(0), IntVector(4));
@@ -70,20 +59,20 @@ TEST(DataWarehouse, LiveBytesAccounting) {
   EXPECT_EQ(dw.liveBytes(), 0);
   dw.put("a", 0, grid::CCVariable<double>(makePatch(), 0, 0.0));
   EXPECT_EQ(dw.liveBytes(), 8 * 8 * 8 * 8);
-  dw.putLevel("b", 0,
-              grid::CCVariable<grid::CellType>(
-                  CellRange(IntVector(0), IntVector(4)), grid::CellType::Flow));
+  dw.putRegion("b", 0,
+               grid::CCVariable<grid::CellType>(
+                   CellRange(IntVector(0), IntVector(4)), grid::CellType::Flow));
   EXPECT_EQ(dw.liveBytes(), 8 * 8 * 8 * 8 + 4 * 4 * 4 * 4);
 }
 
 TEST(DataWarehouse, ClearDropsEverything) {
   DataWarehouse dw;
   dw.put("a", 0, grid::CCVariable<double>(makePatch(), 0, 0.0));
-  dw.putLevel("b", 0, grid::CCVariable<double>(
-                          CellRange(IntVector(0), IntVector(2)), 0.0));
+  const CellRange window(IntVector(0), IntVector(2));
+  dw.putRegion("b", 0, grid::CCVariable<double>(window, 0.0));
   dw.clear();
   EXPECT_FALSE(dw.exists("a", 0));
-  EXPECT_FALSE(dw.existsLevel("b", 0));
+  EXPECT_FALSE(dw.existsRegion("b", 0, window));
   EXPECT_EQ(dw.liveBytes(), 0);
 }
 

@@ -122,6 +122,17 @@ TEST(Calibration, MalformedOrKeylessJsonYieldsFallback) {
       << keyless.detail;
 }
 
+TEST(Calibration, DeeplyNestedJsonYieldsFallback) {
+  // 50,000 nested arrays overflowed the recursive parser's stack; past its
+  // depth bound it now reports a parse error like any other bad file.
+  const Calibration c = calibrationFromBenchJson(
+      writeBaseline("cal_nested.json", std::string(50000, '[')));
+  EXPECT_EQ(c.source, CalibrationSource::Fallback);
+  EXPECT_DOUBLE_EQ(c.hostSegmentsPerSecond, 36.0e6);
+  EXPECT_NE(c.detail.find("nested too deeply"), std::string::npos)
+      << c.detail;
+}
+
 TEST(Calibration, CommittedKernelBaselineLoads) {
   // The repo's own committed baseline must calibrate, and from the SIMD
   // key — this is the exact chain bench_scaling_* and the scaling shape

@@ -145,7 +145,7 @@ class UnusableInput(Exception):
     """A bench JSON exists but is missing a key/sample the gate needs.
 
     Distinct from a regression: the measurement never happened (wrong
-    bench binary, a mode like --snapshot-every that writes a different
+    bench binary, a mode like --adaptive-rays that writes a different
     schema, a half-written file), so the gate must say exactly what is
     missing and exit 2, not crash with a traceback or report FAIL.
     """

@@ -273,71 +273,6 @@ void Communicator::barrier(int rank) {
   }
 }
 
-double Communicator::allReduceSum(int rank, double value) {
-  std::unique_lock<std::mutex> lk(m_collMutex);
-  if (aborted()) throw CommAborted(m_abortReason);
-  ++m_collEntries[static_cast<std::size_t>(rank)];
-  const std::uint64_t epoch = m_reduceEpoch;
-  if (m_reduceCount == 0) m_reduceAcc = 0.0;
-  m_reduceAcc += value;
-  if (++m_reduceCount == m_size) {
-    m_reduceResult = m_reduceAcc;
-    m_reduceCount = 0;
-    ++m_reduceEpoch;
-    m_collCv.notify_all();
-    return m_reduceResult;
-  }
-  collectiveWaitLocked(lk, rank,
-                       [&] { return m_reduceEpoch != epoch || aborted(); });
-  if (m_reduceEpoch == epoch) throw CommAborted(m_abortReason);
-  return m_reduceResult;
-}
-
-double Communicator::allReduceMax(int rank, double value) {
-  std::unique_lock<std::mutex> lk(m_collMutex);
-  if (aborted()) throw CommAborted(m_abortReason);
-  ++m_collEntries[static_cast<std::size_t>(rank)];
-  const std::uint64_t epoch = m_reduceEpoch;
-  if (m_reduceCount == 0)
-    m_reduceAcc = value;
-  else
-    m_reduceAcc = std::max(m_reduceAcc, value);
-  if (++m_reduceCount == m_size) {
-    m_reduceResult = m_reduceAcc;
-    m_reduceCount = 0;
-    ++m_reduceEpoch;
-    m_collCv.notify_all();
-    return m_reduceResult;
-  }
-  collectiveWaitLocked(lk, rank,
-                       [&] { return m_reduceEpoch != epoch || aborted(); });
-  if (m_reduceEpoch == epoch) throw CommAborted(m_abortReason);
-  return m_reduceResult;
-}
-
-void Communicator::allGather(int rank, const void* mine, std::size_t bytes,
-                             void* out) {
-  std::unique_lock<std::mutex> lk(m_collMutex);
-  if (aborted()) throw CommAborted(m_abortReason);
-  ++m_collEntries[static_cast<std::size_t>(rank)];
-  const std::uint64_t epoch = m_gatherEpoch;
-  std::vector<std::byte>& buf = m_gatherBuf[epoch & 1];
-  if (m_gatherCount == 0)
-    buf.assign(static_cast<std::size_t>(m_size) * bytes, std::byte{0});
-  std::memcpy(buf.data() + static_cast<std::size_t>(rank) * bytes, mine,
-              bytes);
-  if (++m_gatherCount == m_size) {
-    m_gatherCount = 0;
-    ++m_gatherEpoch;
-    m_collCv.notify_all();
-  } else {
-    collectiveWaitLocked(lk, rank,
-                         [&] { return m_gatherEpoch != epoch || aborted(); });
-    if (m_gatherEpoch == epoch) throw CommAborted(m_abortReason);
-  }
-  std::memcpy(out, buf.data(), static_cast<std::size_t>(m_size) * bytes);
-}
-
 CommStats Communicator::stats() const {
   CommStats s;
   s.messagesSent = m_messagesSent.load(std::memory_order_relaxed);

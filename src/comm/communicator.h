@@ -150,17 +150,6 @@ class Communicator {
   /// Dissemination barrier across all ranks; call once per rank.
   void barrier(int rank);
 
-  /// Allreduce(sum) of a double per rank; returns the global sum.
-  double allReduceSum(int rank, double value);
-
-  /// Allreduce(max).
-  double allReduceMax(int rank, double value);
-
-  /// Gather equally-sized blobs from every rank to every rank.
-  /// \p mine has \p bytes bytes; \p out receives size()*bytes bytes laid
-  /// out by rank.
-  void allGather(int rank, const void* mine, std::size_t bytes, void* out);
-
   /// Bound the time any rank may wait inside a collective. <= 0 (the
   /// default) waits forever — correct when every rank is known alive. With
   /// a timeout set, a rank that waits longer aborts the whole world with a
@@ -233,7 +222,7 @@ class Communicator {
 
   std::atomic<bool> m_aborted{false};
 
-  // Collectives state (sense-reversing barrier + reduction slots).
+  // Barrier state; the barrier is the only collective.
   mutable std::mutex m_collMutex;
   std::condition_variable m_collCv;
   std::string m_abortReason;
@@ -244,15 +233,6 @@ class Communicator {
   std::vector<std::uint64_t> m_collEntries;
   int m_barrierCount = 0;
   std::uint64_t m_barrierEpoch = 0;
-  double m_reduceAcc = 0.0;
-  int m_reduceCount = 0;
-  std::uint64_t m_reduceEpoch = 0;
-  double m_reduceResult = 0.0;
-  // Double-buffered by epoch parity: a rank can be at most one collective
-  // ahead of the slowest waiter, so two buffers prevent reuse races.
-  std::vector<std::byte> m_gatherBuf[2];
-  int m_gatherCount = 0;
-  std::uint64_t m_gatherEpoch = 0;
 
   std::atomic<std::uint64_t> m_messagesSent{0};
   std::atomic<std::uint64_t> m_bytesSent{0};

@@ -38,12 +38,6 @@ void FaultInjector::setDefaultProbabilities(const FaultProbabilities& p) {
   m_default = p;
 }
 
-void FaultInjector::setLinkProbabilities(int src, int dst,
-                                         const FaultProbabilities& p) {
-  std::lock_guard<std::mutex> lk(m_mutex);
-  m_linkProbs[{src, dst}] = p;
-}
-
 void FaultInjector::script(const ScriptedFault& f) {
   std::lock_guard<std::mutex> lk(m_mutex);
   m_scripts.push_back(ScriptState{f, 0});
@@ -94,14 +88,10 @@ FaultInjector::Plan FaultInjector::plan(int src, int dst, std::int64_t tag) {
           case FaultAction::Reorder:
             m_reordered.fetch_add(1, std::memory_order_relaxed);
             return p;
-          case FaultAction::Delay: {
-            const auto it = m_linkProbs.find({src, dst});
-            const FaultProbabilities& probs =
-                it != m_linkProbs.end() ? it->second : m_default;
-            p.delayMs = 0.5 * (probs.delayMinMs + probs.delayMaxMs);
+          case FaultAction::Delay:
+            p.delayMs = 0.5 * (m_default.delayMinMs + m_default.delayMaxMs);
             m_delayed.fetch_add(1, std::memory_order_relaxed);
             return p;
-          }
           case FaultAction::Deliver:
             return p;
         }
@@ -109,9 +99,7 @@ FaultInjector::Plan FaultInjector::plan(int src, int dst, std::int64_t tag) {
     }
   }
 
-  const auto probsIt = m_linkProbs.find({src, dst});
-  const FaultProbabilities& probs =
-      probsIt != m_linkProbs.end() ? probsIt->second : m_default;
+  const FaultProbabilities& probs = m_default;
   if (probs.drop <= 0 && probs.delay <= 0 && probs.duplicate <= 0 &&
       probs.reorder <= 0) {
     return Plan{};

@@ -7,10 +7,10 @@
 /// timer thread), duplicate, or reorder (held until the next message on
 /// the same link overtakes it). Two ways to trigger faults:
 ///
-///  * per-link probabilities — each (src,dst) link draws from its own
-///    seeded RNG stream, so a fixed seed plus a fixed per-link send order
-///    reproduces the exact same fault pattern regardless of cross-link
-///    thread interleaving;
+///  * probabilities, one set for every link — each (src,dst) link draws
+///    from its own seeded RNG stream, so a fixed seed plus a fixed
+///    per-link send order reproduces the exact same fault pattern
+///    regardless of cross-link thread interleaving;
 ///  * scripted one-shot faults — "drop the 3rd message from rank 2 with
 ///    tag T" (optionally permanent from the nth match onward), so tests
 ///    can target exact code paths.
@@ -84,10 +84,9 @@ class FaultInjector {
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
 
-  /// Probabilities applied to every link without an explicit override.
+  /// Probabilities applied to every link; each (src,dst) link draws from
+  /// its own RNG stream.
   void setDefaultProbabilities(const FaultProbabilities& p);
-  /// Override for one (src,dst) link.
-  void setLinkProbabilities(int src, int dst, const FaultProbabilities& p);
   /// Register a scripted fault (matched before the probabilistic draw).
   void script(const ScriptedFault& f);
 
@@ -158,7 +157,6 @@ class FaultInjector {
 
   mutable std::mutex m_mutex;  // guards link/script state + config
   FaultProbabilities m_default;
-  std::map<std::pair<int, int>, FaultProbabilities> m_linkProbs;
   std::map<std::pair<int, int>, LinkState> m_links;
   std::vector<ScriptState> m_scripts;
   std::set<int> m_killed;

@@ -57,12 +57,6 @@ WallProperties wallsOf(const RadiationProblem& problem) {
   return {problem.wallSigmaT4OverPi, problem.wallEmissivity};
 }
 
-/// The pool a trace task should tile on: the scheduler-provided one when
-/// present (bounds node-wide parallelism), else the setup's.
-ThreadPool* tracePool(const TaskContext& ctx, const RmcrtSetup& st) {
-  return ctx.pool != nullptr ? ctx.pool : st.pool;
-}
-
 /// The host divQ trace shared by every CPU trace task and the serial
 /// solvers; returns the traced segment count (the measured-cost model's
 /// input).
@@ -189,8 +183,9 @@ void traceOnHost(const TaskContext& ctx, const RmcrtSetup& st, int fineLevel,
                  amr::CostModel* costs) {
   const grid::Level& fine = ctx.grid->level(fineLevel);
   if (!fine.uniformlyTiled()) {
-    const CellRange roi =
-        ctx.patch->ghostWindow(st.roiHalo).intersect(fine.cells());
+    const CellRange roi = runtime::requiredWindow(
+        *ctx.grid, *ctx.patch,
+        Requires{RmcrtLabels::abskg, VarType::Double, fineLevel, st.roiHalo});
     fillUncovered<double>(ctx, RmcrtLabels::abskg, fineLevel, roi);
     fillUncovered<double>(ctx, RmcrtLabels::sigmaT4, fineLevel, roi);
     fillUncovered<CellType>(ctx, RmcrtLabels::cellType, fineLevel, roi);
@@ -213,7 +208,7 @@ void traceOnHost(const TaskContext& ctx, const RmcrtSetup& st, int fineLevel,
       ctx.newDW->getModifiable<double>(RmcrtLabels::divQ, ctx.patch->id());
   const std::uint64_t segments =
       traceDivQ(std::move(levels), st, ctx.patch->cells(),
-                MutableFieldView<double>::fromHost(divQ), tracePool(ctx, st));
+                MutableFieldView<double>::fromHost(divQ), st.pool);
   if (costs)
     costs->record(ctx.patch->id(), static_cast<double>(segments));
 }
@@ -250,8 +245,7 @@ Task makeSingleLevelTraceTask(SetupPtr st, int fineLevel) {
            auto& divQ = ctx.newDW->getModifiable<double>(
                RmcrtLabels::divQ, ctx.patch->id());
            traceDivQ({tl}, *st, ctx.patch->cells(),
-                     MutableFieldView<double>::fromHost(divQ),
-                     tracePool(ctx, *st));
+                     MutableFieldView<double>::fromHost(divQ), st->pool);
          });
   for (const PropertyLabel& p : kProperties)
     t.addRequires(Requires{p.label, p.type, fineLevel, 0, true});

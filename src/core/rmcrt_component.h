@@ -56,9 +56,9 @@ struct RmcrtSetup {
   /// region of interest; beyond it rays march the coarse level.
   int roiHalo = 4;
   /// Optional worker pool for tiled CPU tracing (non-owning; nullptr =
-  /// serial). Scheduler-driven pipelines prefer the pool the scheduler
-  /// hands tasks through TaskContext::pool; this one serves the serial
-  /// solve* entry points and schedulers configured without a pool.
+  /// serial): CPU trace tasks and the serial solve* entry points tile on
+  /// it. Ranks sharing one setup share the pool, so it bounds the node's
+  /// trace threads.
   ThreadPool* pool = nullptr;
   /// Optional per-rank cache of the coarse level's fused PackedCell
   /// records for the CPU trace task (and the GPU task's CPU fallback).

@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file gpu_device.h
-/// A simulated GPU device (DESIGN.md §2): bounded "device global memory",
-/// in-order streams executed by a worker pool (kernels from different
-/// streams may interleave, as on the K20X's concurrent-kernel hardware),
-/// and two copy engines whose transferred bytes are metered so the
-/// benchmarks can model PCIe cost. Device memory is host memory mapped
+/// A simulated GPU device (DESIGN.md §2): bounded "device global memory"
+/// and in-order streams executed by a worker pool (kernels from different
+/// streams may interleave, as on the K20X's concurrent-kernel hardware).
+/// Copies are stream operations on the same workers; their bytes are
+/// metered, and sim::MachineModel turns them into PCIe cost over its
+/// modeled copy engines. Device memory is host memory mapped
 /// through the mmap arena; the *accounting* (capacity, failure on
 /// exhaustion, peak usage) reproduces the 6 GB constraint that motivated
 /// the paper's level-database design.
@@ -76,13 +77,12 @@ class GpuStream;
 
 /// The simulated device.
 ///
-/// Nvidia K20X defaults: 6 GB global memory, 2 copy engines, 14 SMX units
-/// (worker slots for concurrent kernels).
+/// The memory default is the Nvidia K20X's 6 GB; worker slots stand in
+/// for its 14 SMX units at a host-sized count.
 class GpuDevice {
  public:
   struct Config {
     std::size_t globalMemoryBytes = 6ull << 30;
-    int copyEngines = 2;
     int workerSlots = 2;  ///< threads executing stream operations
   };
 

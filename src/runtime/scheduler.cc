@@ -1,10 +1,9 @@
 #include "runtime/scheduler.h"
 
-#include <cassert>
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <sstream>
-#include <unordered_set>
 
 #include "util/backoff.h"
 #include "util/logger.h"
@@ -23,37 +22,6 @@ void withType(VarType t, F&& f) {
     f.template operator()<grid::CellType>();
 }
 
-/// Deterministic ordered list of (source patch, staged window, overlap)
-/// transfers that satisfy requirement \p req for all of \p receiverRank's
-/// patches of \p task. Both sender and receiver ranks compute this list
-/// identically, so the index of an entry is a collision-free message tag
-/// component.
-struct TransferEntry {
-  int srcPatchId;
-  grid::CellRange window;   ///< staged region (receiver side key)
-  grid::CellRange overlap;  ///< srcPatch interior ∩ window (the payload)
-};
-
-std::vector<TransferEntry> transferList(
-    const grid::Grid& grid, const grid::LoadBalancer& lb,
-    const Scheduler& sched, const Task& task, const Requires& req,
-    int receiverRank) {
-  std::vector<TransferEntry> out;
-  std::unordered_set<std::string> seen;
-  const grid::Level& srcLevel = grid.level(req.level);
-  for (int rp : lb.patchesOf(receiverRank, grid, task.level())) {
-    const grid::Patch* p = grid.patchById(rp);
-    const grid::CellRange window = sched.requiredRegion(task, *p, req);
-    for (const auto& o : srcLevel.patchesIntersecting(window)) {
-      std::string key = std::to_string(o.patch->id()) + "|" +
-                        window.low().toString() + window.high().toString();
-      if (seen.insert(std::move(key)).second)
-        out.push_back(TransferEntry{o.patch->id(), window, o.region});
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 /// Per-patch execution record for the current phase.
@@ -61,6 +29,17 @@ struct Scheduler::PendingTask {
   const grid::Patch* patch = nullptr;
   std::atomic<int> outstanding{0};  ///< staged regions still incomplete
   bool ran = false;
+};
+
+/// One staged window of a requirement on one rank: the rank's patches
+/// whose tasks wait on it (positions in its patchesOf list) and the
+/// source-patch overlaps that fill it, in patchesIntersecting order. A
+/// message's tag is the position of its source in the receiver's stages,
+/// counted across them in order, so sender and receiver number it alike.
+struct Scheduler::Stage {
+  grid::CellRange window;
+  std::vector<std::size_t> waiters;
+  std::vector<grid::Level::Overlap> sources;
 };
 
 Scheduler::Scheduler(std::shared_ptr<const grid::Grid> grid,
@@ -87,28 +66,27 @@ void Scheduler::addTask(Task task) {
   m_tasks.push_back(std::move(task));
 }
 
-grid::CellRange Scheduler::requiredRegion(const Task& task,
-                                          const grid::Patch& patch,
-                                          const Requires& req) const {
-  const grid::Level& reqLevel = m_grid->level(req.level);
-  if (req.wholeLevel) return reqLevel.cells();
-  grid::CellRange region;
-  if (req.level == task.level()) {
-    region = patch.ghostWindow(req.numGhost);
-  } else if (req.level > task.level()) {
-    // Finer level: the fine cells covered by this patch.
-    grid::CellRange r = patch.cells();
-    for (int l = task.level() + 1; l <= req.level; ++l)
-      r = r.refined(m_grid->level(l).refinementRatio());
-    region = r.grown(req.numGhost);
-  } else {
-    // Coarser level: the coarse cells covering this patch.
-    grid::CellRange r = patch.cells();
-    for (int l = task.level(); l > req.level; --l)
-      r = r.coarsened(m_grid->level(l).refinementRatio());
-    region = r.grown(req.numGhost);
+Scheduler::Plan Scheduler::compilePlan(const Task& task,
+                                       const Requires& req) const {
+  const grid::Level& srcLevel = m_grid->level(req.level);
+  Plan plan(static_cast<std::size_t>(m_world.size()));
+  for (int r = 0; r < m_world.size(); ++r) {
+    std::vector<Stage>& stages = plan[static_cast<std::size_t>(r)];
+    const std::vector<int> patches =
+        m_lb->patchesOf(r, *m_grid, task.level());
+    for (std::size_t i = 0; i < patches.size(); ++i) {
+      const grid::CellRange window =
+          requiredWindow(*m_grid, *m_grid->patchById(patches[i]), req);
+      auto it =
+          std::find_if(stages.begin(), stages.end(),
+                       [&](const Stage& s) { return s.window == window; });
+      if (it == stages.end())
+        it = stages.insert(
+            it, Stage{window, {}, srcLevel.patchesIntersecting(window)});
+      it->waiters.push_back(i);
+    }
   }
-  return region.intersect(reqLevel.cells());
+  return plan;
 }
 
 void Scheduler::preallocateComputes(const Task& task,
@@ -126,8 +104,8 @@ void Scheduler::preallocateComputes(const Task& task,
 
 std::int64_t Scheduler::messageTag(std::size_t phaseIdx, std::size_t reqIdx,
                                    std::size_t seqIdx) {
-  // Sequence indices come from the shared deterministic transfer list;
-  // addTask bounds reqIdx, so only the sequence slot can overflow here.
+  // Sequence indices come from the shared deterministic plan; addTask
+  // bounds reqIdx, so only the sequence slot can overflow here.
   if (seqIdx >= kMaxTransfersPerRequirement)
     throw std::length_error(
         "requirement " + std::to_string(reqIdx) + " of phase " +
@@ -140,119 +118,89 @@ std::int64_t Scheduler::messageTag(std::size_t phaseIdx, std::size_t reqIdx,
 }
 
 void Scheduler::stageRequirement(
-    std::size_t phaseIdx, std::size_t reqIdx, const Task& task,
-    const Requires& req, const std::vector<int>& localPatches,
+    std::size_t phaseIdx, std::size_t reqIdx, const Requires& req,
+    const std::vector<Stage>& stages,
     std::vector<std::shared_ptr<PendingTask>>& pending) {
   DataWarehouse& dw = dwFor(req);
-
-  // 1. Collect the distinct staged windows and which pending tasks wait on
-  //    each.
-  struct Stage {
-    grid::CellRange window;
+  // Shared by a stage's receive callbacks: the last arrival releases the
+  // stage's waiters.
+  struct Arrivals {
+    std::atomic<int> remaining{0};
     std::vector<PendingTask*> waiters;
-    std::shared_ptr<std::atomic<int>> remainingMsgs =
-        std::make_shared<std::atomic<int>>(0);
   };
-  std::vector<Stage> stages;
-  auto findStage = [&stages](const grid::CellRange& w) -> Stage* {
-    for (auto& s : stages)
-      if (s.window == w) return &s;
-    return nullptr;
-  };
-  for (std::size_t i = 0; i < localPatches.size(); ++i) {
-    const grid::Patch* p = m_grid->patchById(localPatches[i]);
-    const grid::CellRange window = requiredRegion(task, *p, req);
-    Stage* s = findStage(window);
-    if (!s) {
-      stages.push_back(
-          Stage{window, {}, std::make_shared<std::atomic<int>>(0)});
-      s = &stages.back();
-    }
-    s->waiters.push_back(pending[i].get());
-  }
-
-  // 2. Allocate each staged region, fill the locally-owned pieces, and
-  //    post receives for the remote pieces. The transfer list gives the
-  //    same sequence numbering the senders use.
-  const auto transfers =
-      transferList(*m_grid, *m_lb, *this, task, req, m_rank);
-  for (Stage& s : stages) {
+  std::size_t seq = 0;
+  for (const Stage& s : stages) {
+    auto arrivals = std::make_shared<Arrivals>();
+    for (std::size_t i : s.waiters)
+      arrivals->waiters.push_back(pending[i].get());
     withType(req.type, [&]<typename T>() {
+      // Allocate the staged region, fill the locally-owned pieces, and
+      // post receives for the remote ones.
       if (!dw.existsRegion(req.label, req.level, s.window))
         dw.putRegion(req.label, req.level,
                      grid::CCVariable<T>(s.window, T{}));
-    });
-  }
-  for (std::size_t seq = 0; seq < transfers.size(); ++seq) {
-    const TransferEntry& e = transfers[seq];
-    Stage* s = findStage(e.window);
-    assert(s && "transfer window not staged");
-    const int owner = m_lb->rankOf(e.srcPatchId);
-    withType(req.type, [&]<typename T>() {
-      auto& staged =
-          dw.getRegionModifiable<T>(req.label, req.level, e.window);
-      if (owner == m_rank) {
-        const auto& src = dw.get<T>(req.label, e.srcPatchId);
-        staged.copyRegion(src, e.overlap);
-      } else {
-        s->remainingMsgs->fetch_add(1, std::memory_order_relaxed);
+      auto* staged =
+          &dw.getRegionModifiable<T>(req.label, req.level, s.window);
+      for (const grid::Level::Overlap& src : s.sources) {
+        const std::size_t srcSeq = seq++;
+        const int owner = m_lb->rankOf(src.patch->id());
+        if (owner == m_rank) {
+          staged->copyRegion(dw.get<T>(req.label, src.patch->id()),
+                             src.region);
+          continue;
+        }
+        arrivals->remaining.fetch_add(1, std::memory_order_relaxed);
         const std::size_t bytes =
-            static_cast<std::size_t>(e.overlap.volume()) * sizeof(T);
+            static_cast<std::size_t>(src.region.volume()) * sizeof(T);
         auto buf = std::make_shared<comm::Buffer>(bytes);
         comm::Request r = m_channel.postRecv(
-            owner, messageTag(phaseIdx, reqIdx, seq), buf->data(), bytes);
-        auto* stagedPtr = &staged;
-        auto remaining = s->remainingMsgs;
-        auto waiters = s->waiters;  // copy: Stage dies before callbacks run
-        grid::CellRange overlap = e.overlap;
+            owner, messageTag(phaseIdx, reqIdx, srcSeq), buf->data(), bytes);
         m_pool.add(comm::CommNode(
-            std::move(r),
-            [this, stagedPtr, buf, overlap, remaining,
-             waiters](const comm::Request& req2) {
+            std::move(r), [this, staged, buf, overlap = src.region,
+                           arrivals](const comm::Request& req2) {
               m_stats.messagesReceived++;
               m_stats.bytesReceived += req2.bytes();
-              stagedPtr->storage().unpackRegion(
+              staged->storage().unpackRegion(
                   overlap, reinterpret_cast<const T*>(buf->data()));
-              if (remaining->fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                for (PendingTask* w : waiters)
+              if (arrivals->remaining.fetch_sub(
+                      1, std::memory_order_acq_rel) == 1) {
+                for (PendingTask* w : arrivals->waiters)
                   w->outstanding.fetch_sub(1, std::memory_order_acq_rel);
               }
             }));
       }
     });
-  }
-  // 3. Arm the waiter counts for stages with remote pieces. (Done after
-  //    posting: our single polling loop only processes completions from
-  //    this thread, so no decrement can race ahead of the increments.)
-  for (Stage& s : stages) {
-    if (s.remainingMsgs->load(std::memory_order_relaxed) > 0) {
-      for (PendingTask* w : s.waiters)
+    // Arm the waiters after posting: our single polling loop processes
+    // completions only on this thread, so no decrement can race ahead.
+    if (arrivals->remaining.load(std::memory_order_relaxed) > 0) {
+      for (PendingTask* w : arrivals->waiters)
         w->outstanding.fetch_add(1, std::memory_order_acq_rel);
     }
   }
 }
 
-void Scheduler::postSendsFor(std::size_t phaseIdx, std::size_t reqIdx,
-                             const Task& task, const Requires& req) {
+void Scheduler::postSends(std::size_t phaseIdx, std::size_t reqIdx,
+                          const Requires& req, const Plan& plan) {
   DataWarehouse& dw = dwFor(req);
   for (int r = 0; r < m_world.size(); ++r) {
     if (r == m_rank) continue;
-    const auto transfers =
-        transferList(*m_grid, *m_lb, *this, task, req, r);
-    for (std::size_t seq = 0; seq < transfers.size(); ++seq) {
-      const TransferEntry& e = transfers[seq];
-      if (m_lb->rankOf(e.srcPatchId) != m_rank) continue;
-      withType(req.type, [&]<typename T>() {
-        const auto& src = dw.get<T>(req.label, e.srcPatchId);
-        const std::size_t n = static_cast<std::size_t>(e.overlap.volume());
-        comm::Buffer buf(n * sizeof(T));
-        src.storage().packRegion(e.overlap,
-                                 reinterpret_cast<T*>(buf.data()));
-        m_channel.send(r, messageTag(phaseIdx, reqIdx, seq), buf.data(),
-                       buf.size());
-        m_stats.messagesSent++;
-        m_stats.bytesSent += buf.size();
-      });
+    std::size_t seq = 0;
+    for (const Stage& s : plan[static_cast<std::size_t>(r)]) {
+      for (const grid::Level::Overlap& src : s.sources) {
+        const std::size_t srcSeq = seq++;
+        if (m_lb->rankOf(src.patch->id()) != m_rank) continue;
+        withType(req.type, [&]<typename T>() {
+          const auto& var = dw.get<T>(req.label, src.patch->id());
+          comm::Buffer buf(static_cast<std::size_t>(src.region.volume()) *
+                           sizeof(T));
+          var.storage().packRegion(src.region,
+                                   reinterpret_cast<T*>(buf.data()));
+          m_channel.send(r, messageTag(phaseIdx, reqIdx, srcSeq), buf.data(),
+                         buf.size());
+          m_stats.messagesSent++;
+          m_stats.bytesSent += buf.size();
+        });
+      }
     }
   }
 }
@@ -325,16 +273,28 @@ void Scheduler::runPhase(std::size_t phaseIdx) {
     pending.push_back(std::move(pt));
   }
 
-  // Post receives (staging) and sends — the paper's "local communication"
-  // (time spent posting MPI messages).
+  // Plan, stage and send: the paper's "local communication" (time spent
+  // posting MPI messages). One plan per requirement serves both sides.
   {
-    RMCRT_TRACE_SPAN("sched", "post_mpi");
     ScopedTimer timer(m_localCommAcc);
-    for (std::size_t ri = 0; ri < task.requiresList().size(); ++ri)
-      stageRequirement(phaseIdx, ri, task, task.requiresList()[ri],
-                       localPatches, pending);
-    for (std::size_t ri = 0; ri < task.requiresList().size(); ++ri)
-      postSendsFor(phaseIdx, ri, task, task.requiresList()[ri]);
+    const std::vector<Requires>& reqs = task.requiresList();
+    std::vector<Plan> plans;
+    {
+      RMCRT_TRACE_SPAN("sched", "plan");
+      plans.reserve(reqs.size());
+      for (const Requires& req : reqs) plans.push_back(compilePlan(task, req));
+    }
+    {
+      RMCRT_TRACE_SPAN("sched", "stage");
+      for (std::size_t ri = 0; ri < reqs.size(); ++ri)
+        stageRequirement(phaseIdx, ri, reqs[ri],
+                         plans[ri][static_cast<std::size_t>(m_rank)], pending);
+    }
+    {
+      RMCRT_TRACE_SPAN("sched", "send");
+      for (std::size_t ri = 0; ri < reqs.size(); ++ri)
+        postSends(phaseIdx, ri, reqs[ri], plans[ri]);
+    }
   }
 
   // Execute patches as their inputs arrive, overlapping with completion
@@ -360,7 +320,7 @@ void Scheduler::runPhase(std::size_t phaseIdx) {
       if (!pt->ran &&
           pt->outstanding.load(std::memory_order_acquire) == 0) {
         TaskContext ctx{m_rank, m_grid.get(), pt->patch, m_oldDW.get(),
-                        m_newDW.get(), m_config.taskPool};
+                        m_newDW.get()};
         {
           RMCRT_TRACE_SPAN("sched", "exec:" + task.name());
           ScopedTimer timer(m_taskExecAcc);

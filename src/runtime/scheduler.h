@@ -45,10 +45,6 @@
 #include "util/metrics.h"
 #include "util/timers.h"
 
-namespace rmcrt {
-class ThreadPool;
-}
-
 namespace rmcrt::runtime {
 
 /// Thrown by executeTimestep() when the watchdog declares the timestep
@@ -83,13 +79,6 @@ struct SchedulerConfig {
   double watchdogDeadlineSeconds = 60.0;
   /// Strikes before the timestep fails with TimestepStalled.
   int watchdogMaxStrikes = 3;
-  /// Worker pool handed to task actions (TaskContext::pool) for
-  /// intra-task tiled parallelism. Non-owning and may be shared by many
-  /// ranks' schedulers; tasks themselves still execute on the scheduler
-  /// thread, so one pool bounds the node's total trace parallelism (no
-  /// oversubscription when ranks and tiles compose). nullptr = serial
-  /// task actions.
-  ThreadPool* taskPool = nullptr;
 };
 
 /// Wall-clock and traffic totals for one scheduler (one rank).
@@ -188,22 +177,23 @@ class Scheduler {
   /// carried on TimestepStalled for the recovery layer.
   std::vector<TimestepStalled::Suspect> stallSuspects() const;
 
-  /// The region window a requirement resolves to for one task patch;
-  /// exposed so task actions can call DataWarehouse::getRegion with the
-  /// identical key the scheduler staged.
-  grid::CellRange requiredRegion(const Task& task, const grid::Patch& patch,
-                                 const Requires& req) const;
-
  private:
   struct PendingTask;
+  struct Stage;
+  /// One requirement's plan: every rank's stages, indexed by rank.
+  using Plan = std::vector<std::vector<Stage>>;
 
   void runPhase(std::size_t phaseIdx);
+  /// Every rank's stages for \p req, compiled once per phase.
+  Plan compilePlan(const Task& task, const Requires& req) const;
+  /// Allocate this rank's staged windows, copy the local sources in and
+  /// post receives for the remote ones.
   void stageRequirement(std::size_t phaseIdx, std::size_t reqIdx,
-                        const Task& task, const Requires& req,
-                        const std::vector<int>& localPatches,
+                        const Requires& req, const std::vector<Stage>& stages,
                         std::vector<std::shared_ptr<PendingTask>>& pending);
-  void postSendsFor(std::size_t phaseIdx, std::size_t reqIdx,
-                    const Task& task, const Requires& req);
+  /// Send every peer the sources this rank owns in that peer's stages.
+  void postSends(std::size_t phaseIdx, std::size_t reqIdx,
+                 const Requires& req, const Plan& plan);
   void preallocateComputes(const Task& task,
                            const std::vector<int>& localPatches);
 

@@ -14,10 +14,6 @@
 #include "grid/grid.h"
 #include "runtime/data_warehouse.h"
 
-namespace rmcrt {
-class ThreadPool;
-}
-
 namespace rmcrt::runtime {
 
 /// Variable payload type, needed by the scheduler to pack/unpack messages.
@@ -47,32 +43,54 @@ struct Computes {
   int numGhost = 0;
 };
 
-/// Execution context handed to a task's action for one patch.
+/// The cells requirement \p req needs for a task on \p patch: the one
+/// geometry rule behind staging, message planning and every TaskContext
+/// accessor. On the patch's own level, the patch grown by numGhost; on a
+/// finer level, the patch refined down to req.level, then grown; on a
+/// coarser level, the coarse cells covering the patch, then grown. A
+/// wholeLevel requirement needs the whole level. Always clipped to the
+/// level's extent.
+inline grid::CellRange requiredWindow(const grid::Grid& grid,
+                                      const grid::Patch& patch,
+                                      const Requires& req) {
+  const grid::Level& level = grid.level(req.level);
+  if (req.wholeLevel) return level.cells();
+  grid::CellRange r = patch.cells();
+  for (int l = patch.levelIndex() + 1; l <= req.level; ++l)
+    r = r.refined(grid.level(l).refinementRatio());
+  for (int l = patch.levelIndex(); l > req.level; --l)
+    r = r.coarsened(grid.level(l).refinementRatio());
+  return r.grown(req.numGhost).intersect(level.cells());
+}
+
+/// Execution context handed to a task's action for one patch. Actions
+/// run on the scheduler thread; the accessors return the regions the
+/// scheduler staged for the matching Requires.
 struct TaskContext {
   int rank;
   const grid::Grid* grid;
   const grid::Patch* patch;  ///< the patch to operate on
   DataWarehouse* oldDW;      ///< previous timestep state
   DataWarehouse* newDW;      ///< this timestep's results
-  /// Worker pool for intra-task parallelism (tiled tracing), when the
-  /// scheduler was configured with one. Task actions run on the scheduler
-  /// thread; only loops inside an action fan out here, so patch-level
-  /// execution and intra-patch tiles share one set of execution slots
-  /// without oversubscription. nullptr = run serially.
-  ThreadPool* pool = nullptr;
 
-  /// Staged same-level data with \p numGhost ghost cells (window clipped
-  /// to the level extent) — matches the scheduler's staging key for a
-  /// Requires{label, numGhost}.
+  /// Staged data for \p req, over requiredWindow(*grid, *patch, req).
+  /// req.type plays no part in the window, so the accessors below pass
+  /// VarType::Double whatever T is.
+  template <typename T>
+  const grid::CCVariable<T>& getRequired(const Requires& req) const {
+    return (req.fromOldDW ? oldDW : newDW)
+        ->getRegion<T>(req.label, req.level,
+                       requiredWindow(*grid, *patch, req));
+  }
+
+  /// Staged same-level data with \p numGhost ghost cells.
   template <typename T>
   const grid::CCVariable<T>& getGhosted(const std::string& label,
                                         int numGhost,
                                         bool fromOld = false) const {
-    const grid::Level& level = grid->level(patch->levelIndex());
-    const grid::CellRange window =
-        patch->ghostWindow(numGhost).intersect(level.cells());
-    return (fromOld ? oldDW : newDW)
-        ->getRegion<T>(label, patch->levelIndex(), window);
+    return getRequired<T>(Requires{label, VarType::Double,
+                                   patch->levelIndex(), numGhost, false,
+                                   fromOld});
   }
 
   /// Staged whole-level data (the "infinite ghost cells" requirement).
@@ -80,8 +98,8 @@ struct TaskContext {
   const grid::CCVariable<T>& getWholeLevel(const std::string& label,
                                            int levelIndex,
                                            bool fromOld = false) const {
-    const grid::CellRange window = grid->level(levelIndex).cells();
-    return (fromOld ? oldDW : newDW)->getRegion<T>(label, levelIndex, window);
+    return getRequired<T>(
+        Requires{label, VarType::Double, levelIndex, 0, true, fromOld});
   }
 
   /// Staged finer-level data covering this patch (inter-level requires,
@@ -90,12 +108,8 @@ struct TaskContext {
   const grid::CCVariable<T>& getFineRegion(const std::string& label,
                                            int fineLevel, int numGhost = 0,
                                            bool fromOld = false) const {
-    grid::CellRange r = patch->cells();
-    for (int l = patch->levelIndex() + 1; l <= fineLevel; ++l)
-      r = r.refined(grid->level(l).refinementRatio());
-    const grid::CellRange window =
-        r.grown(numGhost).intersect(grid->level(fineLevel).cells());
-    return (fromOld ? oldDW : newDW)->getRegion<T>(label, fineLevel, window);
+    return getRequired<T>(
+        Requires{label, VarType::Double, fineLevel, numGhost, false, fromOld});
   }
 };
 

@@ -1,8 +1,7 @@
 #include "runtime/task_graph.h"
 
-#include <algorithm>
 #include <deque>
-#include <sstream>
+#include <map>
 
 namespace rmcrt::runtime {
 
@@ -14,12 +13,12 @@ std::string computeKey(const std::string& label, int level) {
 
 }  // namespace
 
-TaskGraph::TaskGraph(const std::vector<Task>& tasks) : m_tasks(tasks) {
+TaskGraph::TaskGraph(const std::vector<Task>& tasks) {
   // Index producers by (label, level).
   std::map<std::string, std::size_t> producerOf;
-  for (std::size_t i = 0; i < m_tasks.size(); ++i) {
-    for (const Computes& c : m_tasks[i].computesList()) {
-      const std::string key = computeKey(c.label, m_tasks[i].level());
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    for (const Computes& c : tasks[i].computesList()) {
+      const std::string key = computeKey(c.label, tasks[i].level());
       auto [it, inserted] = producerOf.emplace(key, i);
       if (!inserted) {
         // Re-computing a label in a later task (e.g. carryForward then
@@ -27,34 +26,34 @@ TaskGraph::TaskGraph(const std::vector<Task>& tasks) : m_tasks(tasks) {
         // one graph it is a declaration error.
         m_diagnostics.push_back(GraphDiagnostic{
             GraphDiagnostic::Kind::DuplicateCompute,
-            key + " computed by both '" + m_tasks[it->second].name() +
-                "' and '" + m_tasks[i].name() + "'"});
+            key + " computed by both '" + tasks[it->second].name() +
+                "' and '" + tasks[i].name() + "'"});
       }
     }
   }
 
   // Edges from requires.
-  for (std::size_t i = 0; i < m_tasks.size(); ++i) {
-    for (const Requires& r : m_tasks[i].requiresList()) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    for (const Requires& r : tasks[i].requiresList()) {
       if (r.fromOldDW) continue;  // satisfied by the previous timestep
       const std::string key = computeKey(r.label, r.level);
       auto it = producerOf.find(key);
       if (it == producerOf.end()) {
         m_diagnostics.push_back(GraphDiagnostic{
             GraphDiagnostic::Kind::MissingProducer,
-            "task '" + m_tasks[i].name() + "' requires " + key +
+            "task '" + tasks[i].name() + "' requires " + key +
                 " which no task computes"});
         continue;
       }
       if (it->second == i) continue;  // self-dependency via modifies: skip
       m_edges.push_back(TaskEdge{it->second, i, r.label,
-                                 r.level != m_tasks[i].level()});
+                                 r.level != tasks[i].level()});
     }
   }
 
   // Kahn topological sort.
-  std::vector<int> inDegree(m_tasks.size(), 0);
-  std::vector<std::vector<std::size_t>> out(m_tasks.size());
+  std::vector<int> inDegree(tasks.size(), 0);
+  std::vector<std::vector<std::size_t>> out(tasks.size());
   for (const TaskEdge& e : m_edges) {
     // Duplicate edges (several labels between same pair) inflate the
     // degree; that's fine for Kahn.
@@ -62,7 +61,7 @@ TaskGraph::TaskGraph(const std::vector<Task>& tasks) : m_tasks(tasks) {
     out[e.producer].push_back(e.consumer);
   }
   std::deque<std::size_t> ready;
-  for (std::size_t i = 0; i < m_tasks.size(); ++i)
+  for (std::size_t i = 0; i < tasks.size(); ++i)
     if (inDegree[i] == 0) ready.push_back(i);
   while (!ready.empty()) {
     const std::size_t t = ready.front();
@@ -71,7 +70,7 @@ TaskGraph::TaskGraph(const std::vector<Task>& tasks) : m_tasks(tasks) {
     for (std::size_t c : out[t])
       if (--inDegree[c] == 0) ready.push_back(c);
   }
-  if (m_order.size() != m_tasks.size()) {
+  if (m_order.size() != tasks.size()) {
     m_diagnostics.push_back(GraphDiagnostic{GraphDiagnostic::Kind::Cycle,
                                             "dependency cycle detected"});
     m_order.clear();
@@ -93,78 +92,6 @@ bool TaskGraph::declaredOrderIsValid() const {
   for (const TaskEdge& e : m_edges)
     if (e.producer > e.consumer) return false;
   return true;
-}
-
-std::vector<TaskCommEstimate> TaskGraph::estimateCommunication(
-    const grid::Grid& grid, const grid::LoadBalancer& lb, int rank) const {
-  std::vector<TaskCommEstimate> out;
-  for (std::size_t i = 0; i < m_tasks.size(); ++i) {
-    const Task& t = m_tasks[i];
-    TaskCommEstimate est;
-    est.taskIndex = i;
-    est.taskName = t.name();
-    const auto localPatches = lb.patchesOf(rank, grid, t.level());
-    for (const Requires& r : t.requiresList()) {
-      const grid::Level& srcLevel = grid.level(r.level);
-      std::set<std::string> seen;
-      for (int pid : localPatches) {
-        const grid::Patch* p = grid.patchById(pid);
-        // Reproduce Scheduler::requiredRegion geometry.
-        grid::CellRange region;
-        if (r.wholeLevel) {
-          region = srcLevel.cells();
-        } else if (r.level == t.level()) {
-          region = p->ghostWindow(r.numGhost).intersect(srcLevel.cells());
-        } else if (r.level > t.level()) {
-          grid::CellRange g = p->cells();
-          for (int l = t.level() + 1; l <= r.level; ++l)
-            g = g.refined(grid.level(l).refinementRatio());
-          region = g.grown(r.numGhost).intersect(srcLevel.cells());
-        } else {
-          grid::CellRange g = p->cells();
-          for (int l = t.level(); l > r.level; --l)
-            g = g.coarsened(grid.level(l).refinementRatio());
-          region = g.grown(r.numGhost).intersect(srcLevel.cells());
-        }
-        for (const auto& o : srcLevel.patchesIntersecting(region)) {
-          if (lb.rankOf(o.patch->id()) == rank) continue;
-          const std::string key =
-              std::to_string(o.patch->id()) + "|" +
-              region.low().toString() + region.high().toString();
-          if (!seen.insert(key).second) continue;
-          est.recvMessagesPerRank += 1;
-          const double elemBytes =
-              r.type == VarType::Double ? 8.0 : 4.0;
-          est.recvBytesPerRank +=
-              static_cast<double>(o.region.volume()) * elemBytes;
-        }
-      }
-    }
-    out.push_back(est);
-  }
-  return out;
-}
-
-std::string TaskGraph::toDot() const {
-  std::ostringstream os;
-  os << "digraph taskgraph {\n  rankdir=LR;\n";
-  for (std::size_t i = 0; i < m_tasks.size(); ++i) {
-    os << "  t" << i << " [label=\"" << m_tasks[i].name() << "\\nL"
-       << m_tasks[i].level() << "\", shape=box];\n";
-  }
-  // Merge parallel edges (same pair) into one label list.
-  std::map<std::pair<std::size_t, std::size_t>, std::vector<std::string>>
-      merged;
-  for (const TaskEdge& e : m_edges)
-    merged[{e.producer, e.consumer}].push_back(e.label);
-  for (const auto& [pc, labels] : merged) {
-    os << "  t" << pc.first << " -> t" << pc.second << " [label=\"";
-    for (std::size_t k = 0; k < labels.size(); ++k)
-      os << (k ? "," : "") << labels[k];
-    os << "\"];\n";
-  }
-  os << "}\n";
-  return os.str();
 }
 
 }  // namespace rmcrt::runtime

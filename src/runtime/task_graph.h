@@ -12,17 +12,14 @@
 ///    from the old DataWarehouse; no label is computed twice on a level;
 ///    no dependency cycles);
 ///  * emits a topological phase order (the execution order the
-///    phase-based Scheduler runs) and per-task metadata: which
-///    requirements cross rank boundaries, estimated message counts;
-///  * can render the graph as Graphviz DOT for documentation/debugging.
+///    phase-based Scheduler runs).
+///
+/// SimulationController recompiles the graph after every regrid. The
+/// message plan that satisfies the requires is the Scheduler's.
 
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "grid/grid.h"
-#include "grid/load_balancer.h"
 #include "runtime/task.h"
 
 namespace rmcrt::runtime {
@@ -46,15 +43,6 @@ struct GraphDiagnostic {
   std::string detail;
 };
 
-/// Per-task communication estimate for a given decomposition.
-struct TaskCommEstimate {
-  std::size_t taskIndex = 0;
-  std::string taskName;
-  /// Messages one rank receives to satisfy this task's requires.
-  double recvMessagesPerRank = 0;
-  double recvBytesPerRank = 0;
-};
-
 /// The compiled graph.
 class TaskGraph {
  public:
@@ -76,19 +64,7 @@ class TaskGraph {
   /// correct as declared.
   bool declaredOrderIsValid() const;
 
-  /// Estimate per-rank message counts/volumes per task for a concrete
-  /// grid + load balance (uses the same transfer enumeration the
-  /// Scheduler executes).
-  std::vector<TaskCommEstimate> estimateCommunication(
-      const grid::Grid& grid, const grid::LoadBalancer& lb, int rank) const;
-
-  /// Graphviz DOT rendering of tasks and labeled edges.
-  std::string toDot() const;
-
  private:
-  const std::vector<Task>& tasksRef() const { return m_tasks; }
-
-  std::vector<Task> m_tasks;  // copy: graphs outlive builders in tests
   std::vector<TaskEdge> m_edges;
   std::vector<GraphDiagnostic> m_diagnostics;
   std::vector<std::size_t> m_order;

@@ -205,9 +205,9 @@ TEST(Determinism, BoundaryFluxPoolMatchesSerialBitwise) {
 }
 
 TEST(Determinism, ScheduledPipelineWithPoolMatchesSerialExactly) {
-  // End-to-end plumbing: a scheduler configured with a worker pool hands
-  // it to trace tasks through TaskContext; the distributed result must
-  // still match the serial solve bitwise.
+  // End-to-end plumbing: both ranks' trace tasks tile on the one pool
+  // their shared setup names; the distributed result must still match
+  // the pool-free serial solve bitwise.
   auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                  IntVector(4), IntVector(4), IntVector(4));
   RmcrtSetup setup;
@@ -217,16 +217,16 @@ TEST(Determinism, ScheduledPipelineWithPoolMatchesSerialExactly) {
   setup.trace.tileSize = IntVector(4, 4, 4);
   setup.roiHalo = 3;
 
+  const RmcrtSetup serialSetup = setup;
   ThreadPool pool(4);
+  setup.pool = &pool;
   const int numRanks = 2;
   auto lb = std::make_shared<grid::LoadBalancer>(*grid, numRanks);
   comm::Communicator world(numRanks);
-  runtime::SchedulerConfig schedCfg;
-  schedCfg.taskPool = &pool;
   std::vector<std::unique_ptr<runtime::Scheduler>> scheds;
   for (int r = 0; r < numRanks; ++r)
     scheds.push_back(
-        std::make_unique<runtime::Scheduler>(grid, lb, world, r, schedCfg));
+        std::make_unique<runtime::Scheduler>(grid, lb, world, r));
   std::vector<std::thread> threads;
   for (int r = 0; r < numRanks; ++r) {
     threads.emplace_back([&, r] {
@@ -237,7 +237,7 @@ TEST(Determinism, ScheduledPipelineWithPoolMatchesSerialExactly) {
   for (auto& t : threads) t.join();
 
   const CCVariable<double> serial =
-      RmcrtComponent::solveSerialTwoLevel(*grid, setup);
+      RmcrtComponent::solveSerialTwoLevel(*grid, serialSetup);
   for (auto& s : scheds) {
     for (int pid : s->loadBalancer().patchesOf(s->rank(), *grid,
                                                grid->numLevels() - 1)) {

@@ -1,6 +1,7 @@
 /// Integration tests of the per-rank scheduler: multi-rank halo exchange,
 /// whole-level ("infinite ghost cells") replication, and inter-level
-/// requires — the three communication patterns the RMCRT pipeline needs.
+/// requires to a finer and to a coarser level — the communication
+/// patterns the RMCRT pipeline needs.
 /// Each test spawns one thread per rank over a shared Communicator, runs
 /// identical task declarations, and checks the staged data is exactly what
 /// a serial computation would produce.
@@ -155,6 +156,45 @@ TEST(Scheduler, InterLevelRequiresForCoarsen) {
             for (const auto& fc : CellRange(fLo, fLo + IntVector(4)))
               sum += fingerprint(fc, 1);
             EXPECT_NEAR(v[cc], sum / 64.0, 1e-9) << "coarse cell " << cc;
+          }
+        }
+      });
+}
+
+TEST(Scheduler, CoarserLevelRequiresWithGhostCells) {
+  // A fine-level task reads the coarse cells under its patch plus one
+  // coarse ghost cell. 6^3 fine patches at ratio 4 cover coarse cells only
+  // partly, and with 3 ranks a fine patch's coarse cells mostly live on
+  // other ranks.
+  auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(24),
+                                 IntVector(4), IntVector(6), IntVector(3));
+  const Requires coarse{"phi", VarType::Double, 0, 1, false};
+  runRanks(
+      grid, 3,
+      [&](Scheduler& s) {
+        s.addTask(makeFillTask("phi", 0));
+        Task read("readCoarse", 1, [&](const TaskContext& ctx) {
+          const auto& staged = ctx.getRequired<double>(coarse);
+          for (const auto& c : staged.window())
+            if (staged[c] != fingerprint(c, 0))
+              ADD_FAILURE() << "bad coarse value at " << c;
+        });
+        read.addRequires(coarse);
+        s.addTask(std::move(read));
+      },
+      [&](Scheduler& s) {
+        EXPECT_GT(s.stats().messagesReceived, 0u);
+        // The interior patch [6,12)^3 covers coarse [1,3)^3; the corner
+        // patch [18,24)^3 covers [4,6)^3, clipped after growing.
+        for (int pid : s.loadBalancer().patchesOf(s.rank(), *grid, 1)) {
+          const IntVector low = grid->patchById(pid)->low();
+          if (low == IntVector(6)) {
+            EXPECT_TRUE(s.newDW().existsRegion(
+                "phi", 0, CellRange(IntVector(0), IntVector(4))));
+          }
+          if (low == IntVector(18)) {
+            EXPECT_TRUE(s.newDW().existsRegion(
+                "phi", 0, CellRange(IntVector(3), IntVector(6))));
           }
         }
       });

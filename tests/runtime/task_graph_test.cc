@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/problems.h"
 #include "core/rmcrt_component.h"
+#include "gpu/gpu_data_warehouse.h"
 #include "runtime/scheduler.h"
 
 namespace rmcrt::runtime {
@@ -114,70 +117,61 @@ TEST(TaskGraph, TopologicalOrderRespectsDependencies) {
 }
 
 TEST(TaskGraph, RmcrtPipelineCompilesCleanly) {
-  // The production pipeline must compile with no diagnostics and a valid
-  // declared order; the coarsen edge is inter-level.
-  auto grid = grid::Grid::makeTwoLevel(Vector(0.0), Vector(1.0),
-                                       IntVector(16), IntVector(4),
-                                       IntVector(8), IntVector(4));
-  auto lb = std::make_shared<grid::LoadBalancer>(*grid, 2);
-  comm::Communicator world(2);
-  Scheduler sched(grid, lb, world, 0);
+  // Every production registration compiles with no diagnostics and a
+  // valid declared order. Two-level: coarsen reads the three fine
+  // properties (inter-level), and trace reads them over its ROI plus the
+  // three coarse ones over the whole coarse level (inter-level).
+  // Single-level: trace reads the three fine properties over the level.
+  auto twoLevel = grid::Grid::makeTwoLevel(Vector(0.0), Vector(1.0),
+                                           IntVector(16), IntVector(4),
+                                           IntVector(8), IntVector(4));
+  auto oneLevel = grid::Grid::makeSingleLevel(Vector(0.0), Vector(1.0),
+                                              IntVector(16), IntVector(8));
   core::RmcrtSetup setup;
   setup.problem = core::burnsChriston();
-  core::RmcrtComponent::registerTwoLevelPipeline(sched, setup);
+  gpu::GpuDevice device;
+  gpu::GpuDataWarehouse gdw(device);
+  comm::Communicator world(2);
 
-  // Rebuild the declarations for analysis (the scheduler keeps them
-  // private; re-register into a bare vector via a scratch scheduler is
-  // equivalent — use the component's declarations directly).
-  std::vector<Task> tasks;
-  {
-    Scheduler scratch(grid, lb, world, 1);
-    core::RmcrtComponent::registerTwoLevelPipeline(scratch, setup);
-    // Tasks aren't exposed; construct the equivalent declaration list
-    // here (mirrors rmcrt_component.cc).
+  struct Case {
+    const char* name;
+    std::shared_ptr<grid::Grid> grid;
+    std::function<void(Scheduler&)> registerPipeline;
+    std::size_t tasks, edges, interLevelEdges;
+  };
+  const Case cases[] = {
+      {"cpu two-level", twoLevel,
+       [&](Scheduler& s) {
+         core::RmcrtComponent::registerTwoLevelPipeline(s, setup);
+       },
+       3, 9, 6},
+      {"gpu two-level", twoLevel,
+       [&](Scheduler& s) {
+         core::RmcrtComponent::registerTwoLevelGpuPipeline(s, setup, gdw);
+       },
+       3, 9, 6},
+      {"single-level", oneLevel,
+       [&](Scheduler& s) {
+         core::RmcrtComponent::registerSingleLevelPipeline(s, setup);
+       },
+       2, 3, 0},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Scheduler sched(c.grid,
+                    std::make_shared<grid::LoadBalancer>(*c.grid, 2), world,
+                    0);
+    c.registerPipeline(sched);
+    ASSERT_EQ(sched.tasks().size(), c.tasks);
+    TaskGraph g(sched.tasks());
+    EXPECT_TRUE(g.valid());
+    EXPECT_TRUE(g.diagnostics().empty());
+    EXPECT_TRUE(g.declaredOrderIsValid());
+    EXPECT_EQ(g.edges().size(), c.edges);
+    std::size_t interLevel = 0;
+    for (const auto& e : g.edges()) interLevel += e.interLevel ? 1 : 0;
+    EXPECT_EQ(interLevel, c.interLevelEdges);
   }
-  Task init("init", 1, [](const TaskContext&) {});
-  init.addComputes(Computes{"abskg", VarType::Double, 0});
-  init.addComputes(Computes{"sigmaT4OverPi", VarType::Double, 0});
-  init.addComputes(Computes{"cellType", VarType::CellTypeVar, 0});
-  Task coarsen("coarsen", 0, [](const TaskContext&) {});
-  coarsen.addRequires(Requires{"abskg", VarType::Double, 1, 0, false});
-  coarsen.addComputes(Computes{"abskg", VarType::Double, 0});
-  Task trace("trace", 1, [](const TaskContext&) {});
-  trace.addRequires(Requires{"abskg", VarType::Double, 1, 4, false});
-  trace.addRequires(Requires{"abskg", VarType::Double, 0, 0, true});
-  trace.addComputes(Computes{"divQ", VarType::Double, 0});
-  tasks.push_back(std::move(init));
-  tasks.push_back(std::move(coarsen));
-  tasks.push_back(std::move(trace));
-
-  TaskGraph g(tasks);
-  EXPECT_TRUE(g.valid());
-  EXPECT_TRUE(g.declaredOrderIsValid());
-  bool sawInterLevel = false;
-  for (const auto& e : g.edges()) sawInterLevel |= e.interLevel;
-  EXPECT_TRUE(sawInterLevel);
-
-  const auto estimates = g.estimateCommunication(*grid, *lb, 0);
-  ASSERT_EQ(estimates.size(), 3u);
-  EXPECT_EQ(estimates[0].recvMessagesPerRank, 0);   // init: local
-  EXPECT_GT(estimates[1].recvMessagesPerRank, 0);   // coarsen: fine pulls
-  EXPECT_GT(estimates[2].recvBytesPerRank, 0);      // trace: halo + level
-}
-
-TEST(TaskGraph, DotOutputContainsTasksAndEdges) {
-  std::vector<Task> tasks;
-  Task produce = simpleTask("produce", 0);
-  produce.addComputes(Computes{"phi", VarType::Double, 0});
-  Task consume = simpleTask("consume", 0);
-  consume.addRequires(Requires{"phi", VarType::Double, 0, 0, false});
-  tasks.push_back(std::move(produce));
-  tasks.push_back(std::move(consume));
-  const std::string dot = TaskGraph(tasks).toDot();
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("produce"), std::string::npos);
-  EXPECT_NE(dot.find("t0 -> t1"), std::string::npos);
-  EXPECT_NE(dot.find("phi"), std::string::npos);
 }
 
 }  // namespace

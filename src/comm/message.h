@@ -3,8 +3,8 @@
 /// \file message.h
 /// Message envelope and buffer types for the in-process message-passing
 /// layer (see comm/communicator.h). Payloads are reference-counted byte
-/// buffers allocated from the mmap arena (they are exactly the paper's
-/// "large transient" MPI-buffer class).
+/// buffers allocated through mem::PoolRouter: a small message takes a
+/// recycled pool block, a large one its own mapping.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,9 +20,9 @@ namespace rmcrt::comm {
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
 
-/// A contiguous payload buffer. Uses the mmap-backed allocator so message
+/// A contiguous payload buffer. Uses the pooled allocator so message
 /// traffic never touches (or fragments) the general heap.
-using Buffer = std::vector<std::byte, mem::MmapAllocator<std::byte>>;
+using Buffer = std::vector<std::byte, mem::PooledAllocator<std::byte>>;
 
 /// An in-flight message: envelope plus shared payload. The payload is
 /// shared so a completed send can hand the bytes to the matching receive

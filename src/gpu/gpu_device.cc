@@ -3,6 +3,7 @@
 #include <cassert>
 #include <utility>
 
+#include "mem/allocators.h"
 #include "util/logger.h"
 #include "util/trace_recorder.h"
 
@@ -34,7 +35,7 @@ void* GpuDevice::allocate(std::size_t bytes) {
          !m_peak.compare_exchange_weak(peak, now,
                                        std::memory_order_relaxed)) {
   }
-  void* p = mem::MmapArena::map(bytes);
+  void* p = mem::PoolRouter::instance().allocate(bytes);
   if (!p) {
     m_inUse.fetch_sub(rounded, std::memory_order_relaxed);
     throw DeviceOutOfMemory(bytes, 0);
@@ -44,7 +45,7 @@ void* GpuDevice::allocate(std::size_t bytes) {
 
 void GpuDevice::free(void* p, std::size_t bytes) {
   if (!p) return;
-  mem::MmapArena::unmap(p, bytes);
+  mem::PoolRouter::instance().deallocate(p, bytes);
   m_inUse.fetch_sub(mem::MmapArena::roundToPages(bytes),
                     std::memory_order_relaxed);
 }

@@ -6,8 +6,8 @@
 /// streams may interleave, as on the K20X's concurrent-kernel hardware).
 /// Copies are stream operations on the same workers; their bytes are
 /// metered, and sim::MachineModel turns them into PCIe cost over its
-/// modeled copy engines. Device memory is host memory mapped
-/// through the mmap arena; the *accounting* (capacity, failure on
+/// modeled copy engines. Device memory is uninitialised host memory from
+/// mem::PoolRouter; the *accounting* (capacity in whole pages, failure on
 /// exhaustion, peak usage) reproduces the 6 GB constraint that motivated
 /// the paper's level-database design.
 
@@ -23,7 +23,6 @@
 #include <mutex>
 #include <stdexcept>
 
-#include "mem/mmap_arena.h"
 #include "util/metrics.h"
 #include "util/thread_pool.h"
 
@@ -99,8 +98,9 @@ class GpuDevice {
   }
   std::size_t bytesFree() const { return capacity() - bytesInUse(); }
 
-  /// Allocate device global memory. Throws DeviceOutOfMemory when the
-  /// capacity would be exceeded.
+  /// Allocate uninitialised device global memory. Throws
+  /// DeviceOutOfMemory when the capacity would be exceeded. free() takes
+  /// the same \p bytes.
   void* allocate(std::size_t bytes);
   void free(void* p, std::size_t bytes);
 

@@ -2,9 +2,10 @@
 
 /// \file variable.h
 /// Cell-centered grid variables (Uintah's CCVariable) and variable labels.
-/// A CCVariable allocates the patch interior plus a ghost margin from the
-/// mmap-backed allocator — GridVariables are the paper's canonical "large
-/// transient" allocation class (Section IV-B.1).
+/// A CCVariable allocates the patch interior plus a ghost margin through
+/// mem::PoolRouter — GridVariables are the paper's canonical "large
+/// transient" allocation class (Section IV-B.1), and a small one takes a
+/// recycled pool block.
 
 #include <cstdint>
 #include <memory>
@@ -32,13 +33,12 @@ class VarLabel {
 
 /// A cell-centered variable on one patch (plus ghost margin).
 ///
-/// Storage comes from the mmap allocator by default so repeated
-/// create/destroy cycles (every timestep, every patch) never touch the
-/// heap.
+/// Storage comes from the pooled allocator so repeated create/destroy
+/// cycles (every timestep, every patch) never touch the heap.
 template <typename T>
 class CCVariable {
  public:
-  using Storage = Array3<T, mem::MmapAllocator<T>>;
+  using Storage = Array3<T, mem::PooledAllocator<T>>;
 
   CCVariable() = default;
 

@@ -1,17 +1,24 @@
 #pragma once
 
 /// \file allocators.h
-/// The allocation policy layer the paper's Section IV-B describes:
-/// frequent small transient objects go to lock-free pools, large buffers
-/// (MPI messages, GridVariables) go straight to mmap, and everything else
-/// stays on the general heap. Exposed both as a singleton router
-/// (PoolRouter) and as std::allocator-compatible adapters usable by
-/// Array3/CCVariable and the comm layer's buffers.
+/// The allocation policy the paper's Section IV-B describes, and the one
+/// policy for every host buffer the runtime allocates: frequent small
+/// transient objects go to lock-free pools, large buffers go straight to
+/// mmap, and everything else stays on the general heap. Comm buffers,
+/// CCVariable storage and simulated device memory all allocate through
+/// PoolRouter, so which memory backs a buffer is decided here alone.
+///
+/// Pool blocks are recycled, not zeroed. In an AddressSanitizer build the
+/// router poisons a small block while it is free and the class slack past
+/// the requested size while it is live, so a use-after-free or an overrun
+/// of a pooled buffer is reported as it would be on the heap.
 
 #include <array>
 #include <cstddef>
 #include <memory>
 #include <new>
+
+#include <sanitizer/asan_interface.h>  // no-op macros outside ASan builds
 
 #include "mem/lockfree_pool.h"
 #include "mem/mmap_arena.h"
@@ -28,27 +35,37 @@ class PoolRouter {
   static constexpr std::size_t kSmallLimit = 4096;
   static constexpr std::size_t kNumClasses = 9;  // 16,32,...,4096
 
+  /// Never destroyed, so a buffer freed by another static's destructor at
+  /// exit still finds its pool.
   static PoolRouter& instance() {
-    static PoolRouter g;
-    return g;
+    static PoolRouter* const g = new PoolRouter;
+    return *g;
   }
 
   void* allocate(std::size_t bytes) {
     if (bytes == 0) bytes = 1;
-    if (bytes <= kSmallLimit) {
-      return m_pools[classOf(bytes)]->allocate();
+    if (bytes > kSmallLimit) return MmapArena::map(bytes);
+    LockFreePool& pool = *m_pools[classOf(bytes)];
+    void* p = pool.allocate();
+    if (p) {
+      ASAN_UNPOISON_MEMORY_REGION(p, bytes);
+      ASAN_POISON_MEMORY_REGION(static_cast<std::byte*>(p) + bytes,
+                                pool.blockSize() - bytes);
     }
-    return MmapArena::map(bytes);
+    return p;
   }
 
   void deallocate(void* p, std::size_t bytes) {
     if (!p) return;
     if (bytes == 0) bytes = 1;
-    if (bytes <= kSmallLimit) {
-      m_pools[classOf(bytes)]->deallocate(p);
-    } else {
+    if (bytes > kSmallLimit) {
       MmapArena::unmap(p, bytes);
+      return;
     }
+    LockFreePool& pool = *m_pools[classOf(bytes)];
+    // Before the push: once the block is free another thread may pop it.
+    ASAN_POISON_MEMORY_REGION(p, pool.blockSize());
+    pool.deallocate(p);
   }
 
   /// Size class index for a small allocation.
@@ -81,7 +98,7 @@ class PoolRouter {
 
 /// std::allocator adapter over PoolRouter — small element batches come
 /// from the lock-free pools, large arrays from mmap. Stateless; all
-/// instances compare equal.
+/// instances compare equal. Pool blocks are 16-byte aligned.
 template <typename T>
 class PooledAllocator {
  public:
@@ -92,6 +109,7 @@ class PooledAllocator {
   PooledAllocator(const PooledAllocator<U>&) {}
 
   T* allocate(std::size_t n) {
+    static_assert(alignof(T) <= 16, "pool blocks are 16-byte aligned");
     void* p = PoolRouter::instance().allocate(n * sizeof(T));
     if (!p) throw std::bad_alloc();
     return static_cast<T*>(p);
@@ -102,32 +120,6 @@ class PooledAllocator {
 
   template <typename U>
   bool operator==(const PooledAllocator<U>&) const {
-    return true;
-  }
-};
-
-/// std::allocator adapter that always uses mmap — for GridVariables and
-/// MPI buffers, which are the "large transient" class in the paper.
-template <typename T>
-class MmapAllocator {
- public:
-  using value_type = T;
-
-  MmapAllocator() = default;
-  template <typename U>
-  MmapAllocator(const MmapAllocator<U>&) {}
-
-  T* allocate(std::size_t n) {
-    void* p = MmapArena::map(n * sizeof(T));
-    if (!p) throw std::bad_alloc();
-    return static_cast<T*>(p);
-  }
-  void deallocate(T* p, std::size_t n) {
-    MmapArena::unmap(p, n * sizeof(T));
-  }
-
-  template <typename U>
-  bool operator==(const MmapAllocator<U>&) const {
     return true;
   }
 };

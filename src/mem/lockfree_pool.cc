@@ -1,5 +1,7 @@
 #include "mem/lockfree_pool.h"
 
+#include <new>
+
 namespace rmcrt::mem {
 
 namespace {
@@ -34,22 +36,27 @@ void LockFreePool::growSlab() {
   // non-empty again; growing anyway is harmless, so proceed (keeps the
   // logic simple and growth rare).
   assert(slabIdx < kMaxSlabs && "LockFreePool exceeded slab capacity");
+  const std::size_t blockBytes =
+      static_cast<std::size_t>(m_blocksPerSlab) * m_blockSize;
   Slab slab;
-  slab.bytes = static_cast<std::size_t>(m_blocksPerSlab) * m_blockSize;
+  slab.bytes =
+      blockBytes + m_blocksPerSlab * sizeof(std::atomic<std::uint32_t>);
   slab.base = static_cast<std::byte*>(MmapArena::map(slab.bytes));
   if (!slab.base) {
     m_growLock.clear(std::memory_order_release);
     return;  // exhaustion: allocate() will return nullptr
   }
-  m_slabs.push_back(slab);
-  m_slabCount.store(slabIdx + 1, std::memory_order_release);
+  slab.next = reinterpret_cast<std::atomic<std::uint32_t>*>(slab.base +
+                                                            blockBytes);
 
   // Thread the new slab's blocks into a local chain, then splice the whole
   // chain onto the global free stack with a single CAS loop.
   const std::uint32_t firstId = slabIdx * m_blocksPerSlab;
   const std::uint32_t lastId = firstId + m_blocksPerSlab - 1;
-  for (std::uint32_t id = firstId; id < lastId; ++id)
-    nextOf(id).store(id + 1, std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < m_blocksPerSlab; ++i)
+    new (&slab.next[i]) std::atomic<std::uint32_t>(firstId + i + 1);
+  m_slabs.push_back(slab);
+  m_slabCount.store(slabIdx + 1, std::memory_order_release);
 
   std::uint64_t head = m_head.load(std::memory_order_acquire);
   for (;;) {
@@ -95,7 +102,7 @@ void LockFreePool::deallocate(void* p) {
   auto* bp = static_cast<std::byte*>(p);
   for (std::uint32_t s = 0; s < nSlabs; ++s) {
     const Slab& slab = m_slabs[s];
-    if (bp >= slab.base && bp < slab.base + slab.bytes) {
+    if (bp >= slab.base && bp < reinterpret_cast<std::byte*>(slab.next)) {
       id = s * m_blocksPerSlab +
            static_cast<std::uint32_t>((bp - slab.base) / m_blockSize);
       break;

@@ -13,6 +13,12 @@
 /// plain 8-byte CAS suffices on every platform. Slabs are only ever added,
 /// never removed, so ids stay valid for the pool's lifetime; slab growth
 /// is the one (rare) path that takes a spinlock.
+///
+/// The stack's links live in an array of atomics at the tail of each slab,
+/// never in the blocks themselves: a thread that loses the pop race still
+/// reads the link of a block another thread now owns, and that read must
+/// not touch the owner's bytes. It also leaves free blocks free of
+/// allocator state, so a sanitizer build may poison them (PoolRouter).
 
 #include <atomic>
 #include <cassert>
@@ -34,23 +40,12 @@ struct PoolStats {
   std::uint64_t liveBlocks = 0;
 };
 
-/// Publish a pool snapshot into \p reg as gauges under \p prefix
-/// (e.g. "mem.pool.").
-inline void exportMetrics(const PoolStats& s, MetricsRegistry& reg,
-                          const std::string& prefix) {
-  reg.setGauge(prefix + "allocations", static_cast<double>(s.allocations));
-  reg.setGauge(prefix + "deallocations",
-               static_cast<double>(s.deallocations));
-  reg.setGauge(prefix + "slab_count", static_cast<double>(s.slabCount));
-  reg.setGauge(prefix + "live_blocks", static_cast<double>(s.liveBlocks));
-}
-
 /// Lock-free pool of equally-sized blocks.
 ///
 /// allocate()/deallocate() are lock-free in the steady state (every step,
 /// at least one contending thread makes progress); only the path that maps
-/// a fresh slab serializes briefly. Blocks are at least 8 bytes and
-/// 16-byte aligned.
+/// a fresh slab serializes briefly. Blocks are at least 16 bytes and
+/// 16-byte aligned; the pool never reads or writes a block's bytes.
 class LockFreePool {
  public:
   /// \param blockSize      usable bytes per block (rounded up to 16)
@@ -96,17 +91,19 @@ class LockFreePool {
     return m_slabs[slab].base + static_cast<std::size_t>(off) * m_blockSize;
   }
 
-  /// The first 4 bytes of a *free* block store the id of the next free
-  /// block. (Reused as payload when allocated.)
+  /// The id of the free block after \p id on the stack; meaningful only
+  /// while \p id is free.
   std::atomic<std::uint32_t>& nextOf(std::uint32_t id) const {
-    return *reinterpret_cast<std::atomic<std::uint32_t>*>(blockAddress(id));
+    return m_slabs[id / m_blocksPerSlab].next[id % m_blocksPerSlab];
   }
 
   void growSlab();
 
+  /// One mapping: blocksPerSlab blocks, then blocksPerSlab links.
   struct Slab {
     std::byte* base = nullptr;
     std::size_t bytes = 0;
+    std::atomic<std::uint32_t>* next = nullptr;
   };
 
   std::size_t m_blockSize;

@@ -6,6 +6,8 @@
 #include <cstring>
 #include <vector>
 
+#include "mem/mmap_arena.h"
+
 namespace rmcrt::gpu {
 namespace {
 
@@ -45,6 +47,15 @@ TEST(GpuDevice, PeakTracksHighWater) {
   dev.free(b, 64 * 1024);
   EXPECT_EQ(dev.stats().peakBytesInUse, peak);
   EXPECT_GE(peak, 128u * 1024);
+}
+
+TEST(GpuDevice, SmallAllocationCyclesMapNothingAfterWarmUp) {
+  GpuDevice dev(smallConfig());
+  dev.free(dev.allocate(512), 512);
+  const auto before = mem::MmapArena::stats().totalMapCalls;
+  for (int i = 0; i < 1000; ++i) dev.free(dev.allocate(512), 512);
+  EXPECT_EQ(mem::MmapArena::stats().totalMapCalls - before, 0u);
+  EXPECT_EQ(dev.bytesInUse(), 0u);
 }
 
 TEST(GpuDevice, SynchronousCopiesMeterBytes) {

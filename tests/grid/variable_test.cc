@@ -29,6 +29,17 @@ TEST(CCVariable, UsesMmapStorage) {
   EXPECT_EQ(mem::MmapArena::stats().bytesMapped, before);
 }
 
+TEST(CCVariable, SmallVariableCyclesMapNothingAfterWarmUp) {
+  const CellRange window(IntVector(0), IntVector(4));
+  { CCVariable<double> warm(window, 0.0); }
+  const auto before = mem::MmapArena::stats().totalMapCalls;
+  for (int i = 0; i < 1000; ++i) {
+    CCVariable<double> v(window, 1.0);
+    v[IntVector(3, 3, 3)] = 2.0;
+  }
+  EXPECT_EQ(mem::MmapArena::stats().totalMapCalls - before, 0u);
+}
+
 TEST(CCVariable, WindowConstructorForLevelWideVars) {
   CCVariable<float> v(CellRange(IntVector(0), IntVector(64)), 3.0f);
   EXPECT_EQ(v.sizeCells(), 64 * 64 * 64);

@@ -54,19 +54,8 @@ TEST(PooledAllocator, MapWithPooledNodes) {
   EXPECT_EQ(m[22], 484);
 }
 
-TEST(MmapAllocatorAdapter, VectorUsesAnonymousMemory) {
-  const auto before = MmapArena::stats().bytesMapped;
-  {
-    std::vector<double, MmapAllocator<double>> v(1 << 16, 1.0);
-    EXPECT_GT(MmapArena::stats().bytesMapped, before);
-    EXPECT_DOUBLE_EQ(v.back(), 1.0);
-  }
-  EXPECT_EQ(MmapArena::stats().bytesMapped, before);
-}
-
 TEST(Allocators, EqualityIsStateless) {
   EXPECT_TRUE(PooledAllocator<int>() == PooledAllocator<double>());
-  EXPECT_TRUE(MmapAllocator<int>() == MmapAllocator<char>());
 }
 
 TEST(PoolRouter, ConcurrentMixedSizes) {

@@ -154,5 +154,35 @@ TEST(LockFreePool, AbaStressNoDuplicateLiveBlocks) {
   EXPECT_EQ(pool.stats().liveBlocks, 0u);
 }
 
+// A block's bytes belong to its owner alone: the free-list links live
+// outside the blocks, so a thread that loses the pop race never reads a
+// byte the block's new owner is writing. Plain byte stores over the whole
+// block (not memset) are what lets ThreadSanitizer see a link kept inside
+// a block; tiny slabs keep many threads popping the same few blocks.
+TEST(LockFreePool, OwnerStoresNeverRaceThePopOfAnotherThread) {
+  LockFreePool pool(16, 4);
+  constexpr int kThreads = 8;
+  constexpr int kCycles = 200000;
+  std::atomic<bool> exhausted{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&pool, &exhausted, t] {
+      const auto stamp = static_cast<unsigned char>(t + 1);
+      for (int i = 0; i < kCycles; ++i) {
+        auto* bytes = static_cast<unsigned char*>(pool.allocate());
+        if (!bytes) {
+          exhausted.store(true);
+          return;
+        }
+        for (std::size_t k = 0; k < pool.blockSize(); ++k) bytes[k] = stamp;
+        pool.deallocate(bytes);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_FALSE(exhausted.load());
+  EXPECT_EQ(pool.stats().liveBlocks, 0u);
+}
+
 }  // namespace
 }  // namespace rmcrt::mem

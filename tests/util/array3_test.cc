@@ -94,8 +94,8 @@ TEST(Array3, NonTrivialElementType) {
   EXPECT_EQ(b[IntVector(0, 0, 0)], "x");
 }
 
-TEST(Array3, WithMmapAllocator) {
-  using A = Array3<double, mem::MmapAllocator<double>>;
+TEST(Array3, WithPooledAllocator) {
+  using A = Array3<double, mem::PooledAllocator<double>>;
   const auto before = mem::MmapArena::stats().bytesMapped;
   {
     A a(CellRange(IntVector(0, 0, 0), IntVector(32, 32, 32)), 1.0);

@@ -529,17 +529,18 @@ void Tracer::computeDivQTile(const CellRange& tile,
   }
 }
 
-void Tracer::publishRayGauges() const {
-  const std::uint64_t cells = m_cellsTraced.load(std::memory_order_relaxed);
+void Tracer::publishRayGauges(std::initializer_list<const Tracer*> tracers) {
+  std::uint64_t rays = 0, cells = 0, maxBudget = 0;
+  for (const Tracer* t : tracers) {
+    rays += t->raysTraced();
+    cells += t->cellsTraced();
+    maxBudget = std::max(maxBudget, t->maxRayBudget());
+  }
   if (cells == 0) return;
   auto& reg = MetricsRegistry::global();
   reg.setGauge("tracer.rays_per_cell_mean",
-               static_cast<double>(m_raysTraced.load(
-                   std::memory_order_relaxed)) /
-                   static_cast<double>(cells));
-  reg.setGauge("tracer.rays_per_cell_max",
-               static_cast<double>(
-                   m_maxBudget.load(std::memory_order_relaxed)));
+               static_cast<double>(rays) / static_cast<double>(cells));
+  reg.setGauge("tracer.rays_per_cell_max", static_cast<double>(maxBudget));
 }
 
 void Tracer::computeDivQ(const CellRange& cells,
@@ -548,7 +549,7 @@ void Tracer::computeDivQ(const CellRange& cells,
   RMCRT_TRACE_SPAN("tracer", "computeDivQ");
   if (pool == nullptr || pool->size() <= 1) {
     computeDivQTile(cells, divQ);
-    publishRayGauges();
+    publishRayGauges({this});
     return;
   }
   // Adapt the tile size to the pool so small sweeps don't undersubscribe
@@ -583,7 +584,7 @@ void Tracer::computeDivQBatch(const std::vector<DivQTileJob>& jobs,
   for (const DivQTileJob& j : jobs) {
     if (std::find(seen.begin(), seen.end(), j.tracer) == seen.end()) {
       seen.push_back(j.tracer);
-      j.tracer->publishRayGauges();
+      publishRayGauges({j.tracer});
     }
   }
 }

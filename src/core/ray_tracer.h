@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <vector>
 
@@ -384,6 +385,13 @@ class Tracer {
     m_maxBudget.store(0, std::memory_order_relaxed);
   }
 
+  /// Publish tracer.rays_per_cell_{mean,max} from the combined ray
+  /// statistics of \p tracers, so one sweep split across Tracers (the GPU
+  /// trace task's kernel and rank-thread halves) reports as one. Called
+  /// once a sweep has returned (computeDivQ, computeDivQBatch), never per
+  /// tile, so concurrent tiles never race on the gauges.
+  static void publishRayGauges(std::initializer_list<const Tracer*> tracers);
+
  private:
   /// The packet kernels' view of this tracer (ray_tracer_simd.cc): reads
   /// the level-0 records and config, and finishes handed-off rays through
@@ -453,11 +461,6 @@ class Tracer {
                      std::vector<Vector>& dirs,
                      std::vector<double>& intensities,
                      std::uint64_t& segments) const;
-
-  /// Publish tracer.rays_per_cell_{mean,max} from the ray statistics —
-  /// called at the end of computeDivQ / computeDivQBatch (not per tile,
-  /// so concurrent tiles never race on the gauges).
-  void publishRayGauges() const;
 
   std::vector<TraceLevel> m_levels;
   WallProperties m_walls;

@@ -1,9 +1,12 @@
 #include "core/rmcrt_component.h"
 
+#include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "amr/migrator.h"
 #include "grid/operators.h"
@@ -253,19 +256,26 @@ Task makeSingleLevelTraceTask(SetupPtr st, int fineLevel) {
   return t;
 }
 
-/// One attempt at the device path of the GPU trace task. Throws
-/// DeviceOutOfMemory when the device cannot hold the inputs; the caller
-/// owns recovery. The per-attempt stream is a local, so stack unwinding
-/// drains it before the caller frees any device memory it references.
+/// One attempt at the device path of the GPU trace task, co-traced: the
+/// kernel and the rank thread claim tiles of the patch from one shared
+/// counter until none remain. The kernel marches the device records; the
+/// rank thread, instead of blocking on the stream, marches the host
+/// records it packed for the H2D. Both are the same bytes and every cell's
+/// rays are fixed by (seed, cell, ray), so divQ is bitwise the serial
+/// result however the tiles split. Throws DeviceOutOfMemory when the
+/// device cannot hold the inputs; the caller owns recovery. Co-tracing
+/// starts only after every device allocation has succeeded.
 void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
                         int fineLevel, gpu::GpuDataWarehouse* gdw) {
   RMCRT_TRACE_SPAN("gpu", "trace_attempt");
   const int pid = ctx.patch->id();
+  const CellRange patchCells = ctx.patch->cells();
 
-  // Fuse the property triplets into PackedCell records on the host
-  // BEFORE creating the stream: stack unwinding then drains the stream
-  // before these buffers die, so in-flight H2D copies never read freed
-  // memory.
+  // Everything the stream's operations touch is declared BEFORE the
+  // stream: stack unwinding then drains the stream before these die, so
+  // in-flight copies and the kernel never reach freed memory. First the
+  // property triplets fused into PackedCell records (the H2D sources and
+  // the host half's input) ...
   const auto& fAbs = ctx.getGhosted<double>(RmcrtLabels::abskg, st.roiHalo);
   const auto& fSig = ctx.getGhosted<double>(RmcrtLabels::sigmaT4, st.roiHalo);
   const auto& fCt =
@@ -281,6 +291,22 @@ void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
       RadiationFieldsView{FieldView<double>::fromHost(cAbs),
                           FieldView<double>::fromHost(cSig),
                           FieldView<CellType>::fromHost(cCt)});
+
+  // ... then the co-trace state: tiles of at most 64 cells (the floor
+  // adaptiveTileSize stops at, 4^3 from the default 8^3, so a 16^3 patch
+  // splits 64 ways), the shared claim counter, which tiles the kernel
+  // took, its tracer (read for the ray gauges) and the D2H staging those
+  // tiles merge from. The host never writes device memory, and the D2H
+  // never lands on a cell the host traced.
+  const std::vector<CellRange> tiles = tileCells(
+      patchCells,
+      adaptiveTileSize(patchCells, st.trace.tileSize,
+                       static_cast<std::size_t>(patchCells.volume())));
+  std::atomic<std::size_t> nextTile{0};
+  const auto claimTile = [&nextTile] { return nextTile.fetch_add(1); };
+  std::vector<char> kernelTile(tiles.size(), 0);
+  std::optional<Tracer> kernelTracer;
+  grid::CCVariable<double> staged(patchCells, 0.0);
 
   auto stream = gdw->device().createStream();
 
@@ -298,37 +324,65 @@ void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
       sizeof(PackedCell), pid, stream.get());
 
   gpu::DeviceVar& dDivQ = gdw->allocatePatchVar(
-      RmcrtLabels::divQ, pid, ctx.patch->cells(), sizeof(double));
+      RmcrtLabels::divQ, pid, patchCells, sizeof(double));
 
   // Kernel: the same packed marching code, over device-resident records.
+  // Packed-only levels leave `fields` invalid, so neither Tracer re-packs;
+  // every band marches the same records, so the one H2D upload above
+  // serves the whole spectrum.
   const LevelGeom fineGeom = LevelGeom::from(ctx.grid->level(fineLevel));
   const LevelGeom coarseGeom = LevelGeom::from(ctx.grid->level(0));
-  const CellRange patchCells = ctx.patch->cells();
   const WallProperties walls = wallsOf(st.problem);
-  const TraceConfig cfg = st.trace;
-  stream->enqueueKernel([=, &dPackedF, &dPackedC, &dDivQ] {
-    // Packed-only levels: `fields` stays invalid, so the Tracer marches
-    // the device records without re-packing.
-    TraceLevel fineTL{fineGeom, RadiationFieldsView{}, dPackedF.window,
-                      PackedFieldView::fromDevice(dPackedF)};
-    TraceLevel coarseTL{coarseGeom, RadiationFieldsView{}, coarseGeom.cells,
-                        PackedFieldView::fromDevice(dPackedC)};
+  const TraceConfig& cfg = st.trace;
+  stream->enqueueKernel([&tiles, claimTile, &kernelTile, &kernelTracer,
+                         &dPackedF, &dPackedC, &dDivQ, fineGeom, coarseGeom,
+                         walls, cfg] {
+    const Tracer& tracer = kernelTracer.emplace(
+        std::vector<TraceLevel>{
+            {fineGeom, RadiationFieldsView{}, dPackedF.window,
+             PackedFieldView::fromDevice(dPackedF)},
+            {coarseGeom, RadiationFieldsView{}, coarseGeom.cells,
+             PackedFieldView::fromDevice(dPackedC)}},
+        walls, cfg);
     gpu::DeviceVar out = dDivQ;
-    // Serial inside the simulated kernel: the device executor's SM
-    // workers are the parallelism on this path. Every band marches these
-    // device-resident records, so the one H2D upload above serves the
-    // whole spectrum.
-    Tracer tracer({fineTL, coarseTL}, walls, cfg);
-    tracer.computeDivQ(patchCells, MutableFieldView<double>::fromDevice(out));
+    for (std::size_t i = claimTile(); i < tiles.size(); i = claimTile()) {
+      kernelTile[i] = 1;
+      tracer.computeDivQTile(tiles[i],
+                             MutableFieldView<double>::fromDevice(out));
+    }
   });
 
-  // D2H: the result.
+  // D2H: the kernel's result, staged.
+  gdw->fetchPatchVar(RmcrtLabels::divQ, pid, staged, stream.get());
+
+  // The host half: claim tiles beside the kernel, straight into divQ.
   auto& divQ = ctx.newDW->getModifiable<double>(RmcrtLabels::divQ, pid);
-  gdw->fetchPatchVar(RmcrtLabels::divQ, pid, divQ, stream.get());
+  const Tracer hostTracer(
+      {{fineGeom, RadiationFieldsView{}, finePacked.window(),
+        finePacked.view()},
+       {coarseGeom, RadiationFieldsView{}, coarseGeom.cells,
+        coarsePacked.view()}},
+      walls, cfg);
+  std::uint64_t hostTiles = 0;
+  {
+    RMCRT_TRACE_SPAN("tracer", "cotrace_host");
+    for (std::size_t i = claimTile(); i < tiles.size(); i = claimTile()) {
+      hostTracer.computeDivQTile(tiles[i],
+                                 MutableFieldView<double>::fromHost(divQ));
+      ++hostTiles;
+    }
+  }
   {
     RMCRT_TRACE_SPAN("gpu", "stream_sync_wait");
     stream->synchronize();
   }
+
+  // Merge the kernel's tiles; the host's are already in place.
+  for (std::size_t i = 0; i < tiles.size(); ++i)
+    if (kernelTile[i])
+      for (const IntVector& c : tiles[i]) divQ[c] = staged[c];
+  gdw->device().noteCoTracedTiles(tiles.size() - hostTiles, hostTiles);
+  Tracer::publishRayGauges({&*kernelTracer, &hostTracer});
 
   // Free the per-patch device variables; the level database stays
   // resident for the next patch task.
@@ -426,6 +480,10 @@ void RmcrtComponent::registerTwoLevelGpuPipeline(
     runtime::Scheduler& sched, const RmcrtSetup& setup,
     gpu::GpuDataWarehouse& gdw) {
   validateSetup(setup);
+  // The coarse level-database copy lives one radiation step: the step's
+  // first patch task re-uploads this step's coarse properties, which the
+  // kernel must march exactly as the host half does.
+  gdw.invalidateLevel(0);
   auto st = std::make_shared<const RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
   sched.addTask(makeInitTask(st, fineLevel));

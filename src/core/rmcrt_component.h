@@ -111,8 +111,11 @@ class RmcrtComponent {
 
   /// 2-level pipeline whose trace task runs on the simulated GPU: fine
   /// patch data H2D per task, coarse properties through the shared level
-  /// database, divQ D2H. The device path expects a uniformly tiled fine
-  /// level. \p gdw must outlive the scheduler run.
+  /// database, divQ D2H; the rank thread co-traces each patch beside the
+  /// kernel (DESIGN.md §9). The device path expects a uniformly tiled
+  /// fine level. Registering evicts \p gdw's level-0 entries, so the
+  /// coarse copy lives one radiation step: register only while no patch
+  /// task is running on \p gdw. \p gdw must outlive the scheduler run.
   static void registerTwoLevelGpuPipeline(runtime::Scheduler& sched,
                                           const RmcrtSetup& setup,
                                           gpu::GpuDataWarehouse& gdw);

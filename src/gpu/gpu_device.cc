@@ -79,6 +79,8 @@ DeviceStats GpuDevice::stats() const {
   s.peakBytesInUse = m_peak.load(std::memory_order_relaxed);
   s.allocFailures = m_allocFailures.load(std::memory_order_relaxed);
   s.cpuFallbacks = m_cpuFallbacks.load(std::memory_order_relaxed);
+  s.deviceTiles = m_deviceTiles.load(std::memory_order_relaxed);
+  s.hostTiles = m_hostTiles.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -90,6 +92,8 @@ void GpuDevice::resetStats() {
   m_kernels.store(0, std::memory_order_relaxed);
   m_allocFailures.store(0, std::memory_order_relaxed);
   m_cpuFallbacks.store(0, std::memory_order_relaxed);
+  m_deviceTiles.store(0, std::memory_order_relaxed);
+  m_hostTiles.store(0, std::memory_order_relaxed);
   m_peak.store(m_inUse.load(std::memory_order_relaxed),
                std::memory_order_relaxed);
 }

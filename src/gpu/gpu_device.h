@@ -49,6 +49,10 @@ struct DeviceStats {
   std::uint64_t peakBytesInUse = 0;
   std::uint64_t allocFailures = 0;
   std::uint64_t cpuFallbacks = 0;  ///< patches rerouted to the CPU tracer
+  /// Tiles of co-traced patches marched by the kernel and by the rank
+  /// thread beside it (DESIGN.md §9).
+  std::uint64_t deviceTiles = 0;
+  std::uint64_t hostTiles = 0;
 };
 
 /// Publish one device's counters into \p reg as gauges under \p prefix
@@ -70,6 +74,8 @@ inline void exportMetrics(const DeviceStats& s, MetricsRegistry& reg,
                static_cast<double>(s.allocFailures));
   reg.setGauge(prefix + "cpu_fallbacks",
                static_cast<double>(s.cpuFallbacks));
+  reg.setGauge(prefix + "device_tiles", static_cast<double>(s.deviceTiles));
+  reg.setGauge(prefix + "host_tiles", static_cast<double>(s.hostTiles));
 }
 
 class GpuStream;
@@ -121,6 +127,13 @@ class GpuDevice {
     m_cpuFallbacks.fetch_add(1, std::memory_order_relaxed);
   }
 
+  /// Record one co-traced patch: \p deviceTiles marched by the kernel and
+  /// \p hostTiles by the rank thread while the kernel ran.
+  void noteCoTracedTiles(std::uint64_t deviceTiles, std::uint64_t hostTiles) {
+    m_deviceTiles.fetch_add(deviceTiles, std::memory_order_relaxed);
+    m_hostTiles.fetch_add(hostTiles, std::memory_order_relaxed);
+  }
+
   DeviceStats stats() const;
   void resetStats();
 
@@ -140,6 +153,8 @@ class GpuDevice {
   std::atomic<std::uint64_t> m_kernels{0};
   std::atomic<std::uint64_t> m_allocFailures{0};
   std::atomic<std::uint64_t> m_cpuFallbacks{0};
+  std::atomic<std::uint64_t> m_deviceTiles{0};
+  std::atomic<std::uint64_t> m_hostTiles{0};
 };
 
 /// An in-order operation queue on a device (CUDA-stream-like). Operations

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -157,6 +159,27 @@ Calibration fallbackCalibration() {
 
 namespace {
 
+/// \p obj's \p key, a throughput in Mseg/s, as segments per second; 0
+/// unless that is a finite positive number. strtod turns an exponent past
+/// the double range into inf, and a finite rate can still overflow when
+/// scaled; neither may reach the machine model.
+double segmentsPerSecond(const minijson::Value& obj, const char* key) {
+  if (!obj.has(key) || obj.at(key).type != minijson::Value::Type::Number)
+    return 0.0;
+  const double rate = obj.at(key).number * 1e6;
+  return std::isfinite(rate) && rate > 0.0 ? rate : 0.0;
+}
+
+/// The fixture edge \p n as text, or "?" unless it is a number that fits
+/// in an int (casting any other double to int is undefined).
+std::string gridLabel(const minijson::Value& n) {
+  if (n.type != minijson::Value::Type::Number || !std::isfinite(n.number) ||
+      n.number < std::numeric_limits<int>::min() ||
+      n.number > std::numeric_limits<int>::max())
+    return "?";
+  return std::to_string(static_cast<int>(n.number));
+}
+
 /// threads==1 sample of the sweep array, or nullptr.
 const minijson::Value* serialSweepSample(const minijson::Value& doc) {
   if (!doc.has("sweep")) return nullptr;
@@ -189,12 +212,6 @@ Calibration calibrationFromBenchJson(const std::string& path) {
     return c;
   }
 
-  const auto numeric = [](const minijson::Value& obj, const char* key) {
-    return obj.has(key) &&
-           obj.at(key).type == minijson::Value::Type::Number &&
-           obj.at(key).number > 0.0;
-  };
-
   Calibration c;
   c.source = CalibrationSource::BenchJson;
   if (doc.has("simd_microbench")) {
@@ -205,25 +222,27 @@ Calibration calibrationFromBenchJson(const std::string& path) {
                            simd.at("supported").boolean;
     const std::string isa = simd.has("isa") ? simd.at("isa").str : "?";
     const std::string grid =
-        simd.has("grid_n")
-            ? std::to_string(static_cast<int>(simd.at("grid_n").number))
-            : "?";
-    if (supported && numeric(simd, "simd_mseg_per_s")) {
-      c.hostSegmentsPerSecond = simd.at("simd_mseg_per_s").number * 1e6;
+        simd.has("grid_n") ? gridLabel(simd.at("grid_n")) : "?";
+    if (const double rate = segmentsPerSecond(simd, "simd_mseg_per_s");
+        supported && rate > 0.0) {
+      c.hostSegmentsPerSecond = rate;
       c.detail = "simd_microbench.simd_mseg_per_s [" + isa + " @" + grid +
                  "^3] from " + path;
       return c;
     }
-    if (numeric(simd, "scalar_mseg_per_s")) {
-      c.hostSegmentsPerSecond = simd.at("scalar_mseg_per_s").number * 1e6;
+    if (const double rate = segmentsPerSecond(simd, "scalar_mseg_per_s");
+        rate > 0.0) {
+      c.hostSegmentsPerSecond = rate;
       c.detail = "simd_microbench.scalar_mseg_per_s [@" + grid +
                  "^3] from " + path;
       return c;
     }
   }
-  if (const minijson::Value* serial = serialSweepSample(doc);
-      serial && serial->at("mseg_per_s").number > 0.0) {
-    c.hostSegmentsPerSecond = serial->at("mseg_per_s").number * 1e6;
+  const minijson::Value* serial = serialSweepSample(doc);
+  if (const double rate =
+          serial ? segmentsPerSecond(*serial, "mseg_per_s") : 0.0;
+      rate > 0.0) {
+    c.hostSegmentsPerSecond = rate;
     c.detail = "sweep[threads==1].mseg_per_s from " + path;
     return c;
   }

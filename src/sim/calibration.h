@@ -69,9 +69,10 @@ Calibration fallbackCalibration();
 ///      packed kernel at the 128^3 per-rank fixture, the production path)
 ///   2. simd_microbench.scalar_mseg_per_s (host without SIMD support)
 ///   3. sweep[threads==1].mseg_per_s      (pre-SIMD baselines)
-/// Any missing file, parse error, or absent key returns
-/// fallbackCalibration() with the reason recorded in .detail — the
-/// result is always usable and always deterministic. Container costs are
+/// Only a finite positive rate counts. Any missing file, parse error, or
+/// absent or unusable key returns fallbackCalibration() with the reason
+/// recorded in .detail — the result is always usable and always
+/// deterministic, and no input makes this throw. Container costs are
 /// not part of the kernel baseline and stay 0 (calibrate() then keeps
 /// the machine-model defaults).
 Calibration calibrationFromBenchJson(const std::string& path);

@@ -55,7 +55,8 @@ TEST_P(QuadratureOrders, SecondMomentIsIsotropic) {
 
 INSTANTIATE_TEST_SUITE_P(S2S4, QuadratureOrders, ::testing::Values(2, 4),
                          [](const auto& info) {
-                           return "S" + std::to_string(info.param);
+                           return std::string("S").append(
+                               std::to_string(info.param));
                          });
 
 TEST(QuadratureCounts, S2Has8S4Has24) {

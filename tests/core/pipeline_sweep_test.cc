@@ -73,8 +73,12 @@ std::string sweepName(
                       ? "Block"
                       : (strategy == LbStrategy::RoundRobin ? "RoundRobin"
                                                             : "Morton");
-  return "p" + std::to_string(patch) + "_r" + std::to_string(ranks) + "_" +
-         s;
+  return std::string("p")
+      .append(std::to_string(patch))
+      .append("_r")
+      .append(std::to_string(ranks))
+      .append("_")
+      .append(s);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -141,7 +145,8 @@ TEST_P(RayCountSweep, DivQWithinPhysicalBounds) {
 INSTANTIATE_TEST_SUITE_P(Rays, RayCountSweep,
                          ::testing::Values(1, 10, 50, 100),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param);
+                           return std::string("n").append(
+                               std::to_string(info.param));
                          });
 
 }  // namespace

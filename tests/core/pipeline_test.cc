@@ -80,6 +80,18 @@ void compareToSerial(const Grid& grid, const RmcrtSetup& setup,
   }
 }
 
+/// One simulated device and level-database warehouse per rank.
+void makeDevices(int numRanks,
+                 std::vector<std::unique_ptr<gpu::GpuDevice>>& devices,
+                 std::vector<std::unique_ptr<gpu::GpuDataWarehouse>>& gdws) {
+  for (int r = 0; r < numRanks; ++r) {
+    gpu::GpuDevice::Config cfg;
+    cfg.globalMemoryBytes = 256 << 20;
+    devices.push_back(std::make_unique<gpu::GpuDevice>(cfg));
+    gdws.push_back(std::make_unique<gpu::GpuDataWarehouse>(*devices.back()));
+  }
+}
+
 TEST(RmcrtPipeline, DistributedCpuMatchesSerialExactly) {
   // Gray and banded: the band loop runs inside the same trace task.
   auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
@@ -128,13 +140,7 @@ TEST(RmcrtPipeline, GpuPipelineMatchesSerialExactly) {
     const int numRanks = 2;
     std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
     std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
-    for (int r = 0; r < numRanks; ++r) {
-      gpu::GpuDevice::Config cfg;
-      cfg.globalMemoryBytes = 256 << 20;
-      devices.push_back(std::make_unique<gpu::GpuDevice>(cfg));
-      gdws.push_back(
-          std::make_unique<gpu::GpuDataWarehouse>(*devices.back()));
-    }
+    makeDevices(numRanks, devices, gdws);
     auto scheds =
         runDistributed(grid, numRanks, setup, true, &devices, &gdws);
     compareToSerial(*grid, setup, scheds);
@@ -153,6 +159,51 @@ TEST(RmcrtPipeline, GpuPipelineMatchesSerialExactly) {
       EXPECT_GT(dev->stats().d2hBytes, 0u);
     }
   }
+}
+
+TEST(RmcrtPipeline, GpuCoTraceOfMultiTilePatchesMatchesSerialExactly) {
+  // 8^3 patches split into eight 64-cell tiles, which the kernel and the
+  // rank thread claim between them; the merged divQ must be the serial
+  // one, and every tile is counted on exactly one side.
+  auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
+                                 IntVector(4), IntVector(8), IntVector(4));
+  const int numRanks = 2;
+  for (const BandModel& bands : {grayBand(), threeband()}) {
+    SCOPED_TRACE(bands.size() == 1 ? "gray" : "three bands");
+    const RmcrtSetup setup = smallSetup(bands);
+    std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
+    std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
+    makeDevices(numRanks, devices, gdws);
+    auto scheds =
+        runDistributed(grid, numRanks, setup, true, &devices, &gdws);
+    compareToSerial(*grid, setup, scheds);
+    std::uint64_t tiles = 0;
+    for (auto& dev : devices) {
+      EXPECT_EQ(dev->stats().cpuFallbacks, 0u);
+      tiles += dev->stats().deviceTiles + dev->stats().hostTiles;
+    }
+    const std::size_t patches = grid->fineLevel().patches().size();
+    EXPECT_EQ(tiles, patches * 8);
+  }
+}
+
+TEST(RmcrtPipeline, GpuLevelDatabaseRefreshesEachStep) {
+  // The coarse level-database copy lives one radiation step: a problem
+  // that changes between two steps on the same devices must reach the
+  // kernel, which would otherwise march the first step's coarse records.
+  auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
+                                 IntVector(4), IntVector(4), IntVector(4));
+  const int numRanks = 2;
+  std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
+  std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
+  makeDevices(numRanks, devices, gdws);
+  runDistributed(grid, numRanks, smallSetup(), true, &devices, &gdws);
+  RmcrtSetup changed = smallSetup();
+  changed.problem = uniformMedium(0.5, 2.0);
+  auto scheds =
+      runDistributed(grid, numRanks, changed, true, &devices, &gdws);
+  compareToSerial(*grid, changed, scheds);
+  for (auto& gdw : gdws) EXPECT_EQ(gdw->numLevelVarCopies(), 1u);
 }
 
 TEST(RmcrtPipeline, RegistrationRejectsInvalidSetup) {

@@ -65,8 +65,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(0, 1, 2, 4, 6),
                        ::testing::Values(1, 3)),
     [](const auto& info) {
-      return "g" + std::to_string(std::get<0>(info.param)) + "_r" +
-             std::to_string(std::get<1>(info.param));
+      return std::string("g")
+          .append(std::to_string(std::get<0>(info.param)))
+          .append("_r")
+          .append(std::to_string(std::get<1>(info.param)));
     });
 
 TEST(SchedulerSweep, GhostWiderThanPatchStillExact) {

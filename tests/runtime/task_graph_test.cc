@@ -69,7 +69,7 @@ TEST(TaskGraph, OldDwRequiresNeedNoProducer) {
 TEST(TaskGraph, DuplicateComputeDiagnosed) {
   std::vector<Task> tasks;
   for (int i = 0; i < 2; ++i) {
-    Task t = simpleTask("t" + std::to_string(i), 0);
+    Task t = simpleTask(std::string("t").append(std::to_string(i)), 0);
     t.addComputes(Computes{"phi", VarType::Double, 0});
     tasks.push_back(std::move(t));
   }

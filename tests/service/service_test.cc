@@ -121,8 +121,8 @@ TEST(ServiceTest, ExactlyOneCoarseUploadPerGenerationUnderConcurrentLoad) {
     for (int t = 0; t < 8; ++t) {
       clients.emplace_back([&, t] {
         for (int rep = 0; rep < 3; ++rep) {
-          auto f = svc.submitDivQ(
-              DivQQuery{"t" + std::to_string(t), h.id, 0, slabs[t]});
+          auto f = svc.submitDivQ(DivQQuery{
+              std::string("t").append(std::to_string(t)), h.id, 0, slabs[t]});
           std::lock_guard<std::mutex> lk(mu);
           futs.push_back(std::move(f));
         }
@@ -346,8 +346,8 @@ TEST(ServiceTest, ThreeBandSceneMatchesOneShotBitwise) {
   std::vector<std::future<Outcome<DivQResult>>> futs;
   svc.pause();  // every band tile of every tenant rides one drain
   for (int t = 0; t < 4; ++t)
-    futs.push_back(
-        svc.submitDivQ(DivQQuery{"t" + std::to_string(t), h.id, 0, slabs[t]}));
+    futs.push_back(svc.submitDivQ(DivQQuery{
+        std::string("t").append(std::to_string(t)), h.id, 0, slabs[t]}));
   svc.resume();
 
   RmcrtSetup gray = setup;
@@ -572,8 +572,8 @@ TEST(ServiceTest, FaultInjectedSubmissionsStillReconcileExactly) {
   for (int t = 0; t < 4; ++t) {
     clients.emplace_back([&, t] {
       for (int rep = 0; rep < 6; ++rep)
-        futs[t * 6 + rep] = svc.submitDivQ(
-            DivQQuery{"t" + std::to_string(t), h.id, 0, slabs[t]});
+        futs[t * 6 + rep] = svc.submitDivQ(DivQQuery{
+            std::string("t").append(std::to_string(t)), h.id, 0, slabs[t]});
     });
   }
   for (auto& c : clients) c.join();

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cmath>
 #include <fstream>
+#include <random>
+#include <sstream>
 #include <string>
 
 namespace rmcrt::sim {
@@ -131,6 +135,95 @@ TEST(Calibration, DeeplyNestedJsonYieldsFallback) {
   EXPECT_DOUBLE_EQ(c.hostSegmentsPerSecond, 36.0e6);
   EXPECT_NE(c.detail.find("nested too deeply"), std::string::npos)
       << c.detail;
+}
+
+TEST(Calibration, NonFiniteRatesYieldFallback) {
+  // strtod reads an exponent past the double range as inf; no key may
+  // hand the model an infinite segment rate.
+  const Calibration c = calibrationFromBenchJson(writeBaseline(
+      "cal_inf.json",
+      R"({"simd_microbench": {"supported": true, "grid_n": 128,
+           "simd_mseg_per_s": 1e999, "scalar_mseg_per_s": 1e999},
+          "sweep": [{"threads": 1, "mseg_per_s": 1e999}]})"));
+  EXPECT_EQ(c.source, CalibrationSource::Fallback) << c.detail;
+  EXPECT_DOUBLE_EQ(c.hostSegmentsPerSecond, 36.0e6);
+
+  // A finite rate that overflows once scaled to segments per second.
+  const Calibration big = calibrationFromBenchJson(writeBaseline(
+      "cal_big.json", R"({"sweep": [{"threads": 1, "mseg_per_s": 1e305}]})"));
+  EXPECT_EQ(big.source, CalibrationSource::Fallback) << big.detail;
+}
+
+TEST(Calibration, OutOfRangeGridSizeIsNotFormatted) {
+  // grid_n only labels the detail; casting inf or 1e10 to int is
+  // undefined, so such a label reads "?" and the rate still loads.
+  for (const char* n : {"1e999", "1e10", "-1e10"}) {
+    SCOPED_TRACE(n);
+    const Calibration c = calibrationFromBenchJson(writeBaseline(
+        "cal_grid.json",
+        std::string(R"({"simd_microbench": {"supported": true, "grid_n": )") +
+            n + R"(, "isa": "avx2", "simd_mseg_per_s": 20.0}})"));
+    EXPECT_EQ(c.source, CalibrationSource::BenchJson);
+    EXPECT_DOUBLE_EQ(c.hostSegmentsPerSecond, 20.0e6);
+    EXPECT_NE(c.detail.find("[avx2 @?^3]"), std::string::npos) << c.detail;
+  }
+}
+
+/// One random corruption of \p b: a truncation, a bit flip, a byte
+/// insertion, or a digit inflation (a run of nines after a digit, which
+/// can push a number past the double range).
+void mutate(std::string& b, std::mt19937_64& rng) {
+  const auto at = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  switch (rng() % 4) {
+    case 0:
+      b.resize(at(b.size()));
+      break;
+    case 1:
+      b[at(b.size())] ^= static_cast<char>(1u << (rng() % 8));
+      break;
+    case 2:
+      b.insert(at(b.size() + 1), 1, static_cast<char>(rng()));
+      break;
+    default:
+      for (int tries = 0; tries < 64; ++tries) {
+        const std::size_t p = at(b.size());
+        if (std::isdigit(static_cast<unsigned char>(b[p]))) {
+          b.insert(p + 1, 300 + at(40), '9');
+          break;
+        }
+      }
+  }
+}
+
+TEST(Calibration, MutatedKernelBaselinesNeverThrow) {
+  // The committed baseline, corrupted at random: every result is either
+  // the fallback or a finite positive rate, and nothing throws.
+  std::ifstream in(std::string(RMCRT_REPO_DIR) + "/BENCH_rmcrt_kernel.json");
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string baseline = buf.str();
+  ASSERT_FALSE(baseline.empty());
+
+  std::mt19937_64 rng(20261018);
+  int loaded = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string bytes = baseline;
+    mutate(bytes, rng);
+    if (rng() % 2 == 0) mutate(bytes, rng);
+    const std::string path = writeBaseline("cal_mutated.json", bytes);
+    Calibration c;
+    ASSERT_NO_THROW(c = calibrationFromBenchJson(path)) << "iteration " << i;
+    if (c.source == CalibrationSource::Fallback) continue;
+    ASSERT_EQ(c.source, CalibrationSource::BenchJson) << "iteration " << i;
+    ASSERT_TRUE(std::isfinite(c.hostSegmentsPerSecond) &&
+                c.hostSegmentsPerSecond > 0.0)
+        << "iteration " << i << ": " << c.hostSegmentsPerSecond;
+    ++loaded;
+  }
+  // Most mutations (a flipped bit in a label, say) still calibrate.
+  EXPECT_GT(loaded, 0);
 }
 
 TEST(Calibration, CommittedKernelBaselineLoads) {

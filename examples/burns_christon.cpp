@@ -158,15 +158,11 @@ int main(int argc, char** argv) {
     for (int r = 0; r < numRanks; ++r) {
       threads.emplace_back([&, r] {
         Scheduler& sched = *scheds[r];
-        // Per-rank coarse-record cache: each radiation step's
-        // re-registration repacks only regrid-migrated coverage.
-        RmcrtSetup rankSetup = setup;
-        rankSetup.packedCache = std::make_shared<PackedLevelCache>();
         SimulationController ctl(
             sched,
-            [&, rankSetup](Scheduler& s) {
+            [&](Scheduler& s) {
               RmcrtComponent::registerTwoLevelPipeline(
-                  s, rankSetup, &engine->costModel());
+                  s, setup, &engine->costModel());
             },
             [&](Scheduler& s) {
               s.addTask(runtime::makeCarryForwardTask(

@@ -9,6 +9,19 @@
 
 namespace rmcrt::amr {
 
+namespace {
+
+/// Rebalance only when the measured imbalance exceeds this...
+constexpr double kRebalanceThreshold = 1.10;
+/// ...and the predicted imbalance improves by at least this fraction of
+/// the current value (hysteresis: predicted gain must beat the migration
+/// cost of moving patches between ranks).
+constexpr double kRebalanceMinGain = 0.05;
+/// Regrids and rebalances partition along the Morton SFC.
+constexpr grid::LbStrategy kStrategy = grid::LbStrategy::Morton;
+
+}  // namespace
+
 AmrEngine::AmrEngine(std::shared_ptr<const grid::Grid> initial,
                      std::shared_ptr<const grid::LoadBalancer> lb,
                      int numRanks, AmrConfig cfg)
@@ -139,7 +152,7 @@ void AmrEngine::computeDecision(int step) {
     const std::vector<double> predicted =
         m_costs.predictCosts(*newGrid, *m_grid);
     auto newLb = std::make_shared<grid::LoadBalancer>(
-        *newGrid, m_numRanks, predicted, m_cfg.strategy);
+        *newGrid, m_numRanks, predicted, kStrategy);
     m_stats.lastPredictedImbalance = newLb->imbalance(*newGrid, predicted);
     m_costs.remapAfterRegrid(*m_grid, *newGrid);
 
@@ -170,11 +183,11 @@ void AmrEngine::computeDecision(int step) {
   }
 
   // Same patch set: rebalance on measured costs, with hysteresis.
-  if (imbalance > m_cfg.rebalanceThreshold) {
+  if (imbalance > kRebalanceThreshold) {
     auto candidate = std::make_shared<grid::LoadBalancer>(
-        *m_grid, m_numRanks, measured, m_cfg.strategy);
+        *m_grid, m_numRanks, measured, kStrategy);
     const double predicted = candidate->imbalance(*m_grid, measured);
-    if (imbalance - predicted > m_cfg.rebalanceMinGain * imbalance) {
+    if (imbalance - predicted > kRebalanceMinGain * imbalance) {
       m_stats.lastPredictedImbalance = predicted;
       m_decision.rebalance = true;
       m_decision.newGrid = m_grid;

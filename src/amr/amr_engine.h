@@ -49,13 +49,6 @@ struct AmrConfig {
   int regridEvery = 4;
   EstimatorConfig estimator;
   ClusterConfig cluster;
-  /// Rebalance only when the measured imbalance exceeds this...
-  double rebalanceThreshold = 1.10;
-  /// ...and the predicted imbalance improves by at least this fraction
-  /// of the current value (hysteresis: predicted gain must beat the
-  /// migration cost of moving patches between ranks).
-  double rebalanceMinGain = 0.05;
-  grid::LbStrategy strategy = grid::LbStrategy::Morton;
   /// Labels migrated (rank-locally) across a regrid on every level.
   std::vector<std::string> migrateDoubleLabels = {"divQ"};
 };

@@ -9,7 +9,8 @@
 ///    a shared (read) lock, so multiple threads can observe the same
 ///    request as ready and each "process" it, double-running completion
 ///    and leaking all but one staging buffer. The race is probabilistic;
-///    tests amplify it with many threads and verify a BufferLedger leak.
+///    tests hold one record's completion open until a second thread
+///    enters it, so every run shows the leak in a BufferLedger.
 ///  * Mode::Serialized — the "more coarse-grained critical section [that]
 ///    was not feasible [because] it would have serialized a substantial
 ///    portion of the algorithm": the whole scan-and-process runs under an

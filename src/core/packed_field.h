@@ -15,11 +15,10 @@
 ///                      simulated-GPU device storage)
 ///   PackedFieldView  — non-owning view + the per-axis linear strides the
 ///                      incremental DDA bumps by
-///   PackedLevelField — owning host-side storage; packs from a
-///                      RadiationFieldsView and repacks sub-regions
-///   PackedLevelCache — persistent per-rank cache for the adaptive
-///                      pipeline: repacks only coarse regions whose fine
-///                      coverage changed across a regrid
+///   PackedLevelField — owning host-side storage, packed from a
+///                      RadiationFieldsView: a trace task's ROI, or the
+///                      whole-level set one pipeline registration shares
+///                      across its trace tasks
 ///
 /// Packing copies double bit patterns verbatim, so a record carries
 /// exactly the values of its source fields (packed_field_test).
@@ -140,10 +139,6 @@ class PackedLevelField {
   /// supplied views must share that window.
   void pack(const RadiationFieldsView& fields);
 
-  /// Re-fuse only \p region (clipped to the window) from \p fields —
-  /// the regrid path repacks just the migrated patches' footprints.
-  void repack(const RadiationFieldsView& fields, const CellRange& region);
-
   bool valid() const { return !m_cells.empty(); }
   const CellRange& window() const { return m_window; }
   const PackedCell* data() const { return m_cells.data(); }
@@ -155,40 +150,6 @@ class PackedLevelField {
  private:
   std::vector<PackedCell> m_cells;
   CellRange m_window;
-};
-
-/// Persistent packed copy of one level for pipelines that rebuild their
-/// Tracer every task (the adaptive AMR path). Between regrids the coarse
-/// property values are step-invariant, so the cache hands back the same
-/// records; when the fine-level coverage changes, only the coarse regions
-/// entering or leaving coverage are repacked — the migrated patches.
-///
-/// Correctness contract: property values outside the supplied coverage
-/// regions must not change between refresh calls with an unchanged
-/// window (true for the analytic samplers driving this pipeline; a
-/// time-dependent CFD coupling must drop the cache or widen coverage).
-/// Not thread-safe: use one cache per rank (task actions within a rank
-/// run sequentially; the returned view is safe for concurrent read-only
-/// tile workers).
-class PackedLevelCache {
- public:
-  /// Refresh against the current field values. \p coverage lists the
-  /// regions (in this level's index space) whose values depend on finer
-  /// data — for the RMCRT coarse level, the coarsened fine patch boxes.
-  /// The returned view stays valid until the next refresh with a
-  /// different window.
-  PackedFieldView refresh(const RadiationFieldsView& fields,
-                          const std::vector<CellRange>& coverage);
-
-  /// Observability hooks (and test seams).
-  int fullPacks() const { return m_fullPacks; }
-  int regionRepacks() const { return m_regionRepacks; }
-
- private:
-  PackedLevelField m_field;
-  std::vector<CellRange> m_coverage;
-  int m_fullPacks = 0;
-  int m_regionRepacks = 0;
 };
 
 }  // namespace rmcrt::core

@@ -233,8 +233,9 @@ struct TraceLevel {
   CellRange allowed;
   /// Fused property records covering the same window as `fields`. Leave
   /// invalid to have the Tracer pack (and own) the records itself at
-  /// construction; supply one to share packing across Tracers — the
-  /// CPU trace task's PackedLevelCache and the GPU level database.
+  /// construction; supply one to share packing across Tracers — every
+  /// pipeline trace task's ROI and per-registration level records, the
+  /// GPU level database and the service's per-generation records.
   PackedFieldView packed;
 };
 

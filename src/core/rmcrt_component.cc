@@ -26,9 +26,7 @@ using runtime::VarType;
 
 namespace {
 
-/// Every task captures one immutable copy of the setup. Its packedCache
-/// outlives the copy a re-registration replaces, so packed coarse records
-/// persist across radiation steps.
+/// Every task captures one immutable copy of the setup.
 using SetupPtr = std::shared_ptr<const RmcrtSetup>;
 
 /// The radiative properties every level carries, in staging order.
@@ -60,9 +58,9 @@ WallProperties wallsOf(const RadiationProblem& problem) {
   return {problem.wallSigmaT4OverPi, problem.wallEmissivity};
 }
 
-/// The host divQ trace shared by every CPU trace task and the serial
-/// solvers; returns the traced segment count (the measured-cost model's
-/// input).
+/// The host divQ trace shared by every CPU trace task (and the GPU task's
+/// CPU fallback) and the serial solvers; returns the traced segment count
+/// (the measured-cost model's input).
 std::uint64_t traceDivQ(std::vector<TraceLevel> levels, const RmcrtSetup& st,
                         const CellRange& cells, MutableFieldView<double> divQ,
                         ThreadPool* pool) {
@@ -136,33 +134,6 @@ Task makeCoarsenTask(SetupPtr st, int fineLevel) {
   return t;
 }
 
-/// Assemble the fine-level (ROI) and coarse-level (whole domain) trace
-/// inputs from the staged DataWarehouse regions.
-std::vector<TraceLevel> buildTraceLevels(const TaskContext& ctx,
-                                         int fineLevel, int roiHalo) {
-  const auto& fAbs = ctx.getGhosted<double>(RmcrtLabels::abskg, roiHalo);
-  const auto& fSig = ctx.getGhosted<double>(RmcrtLabels::sigmaT4, roiHalo);
-  const auto& fCt = ctx.getGhosted<CellType>(RmcrtLabels::cellType, roiHalo);
-  TraceLevel fineTL;
-  fineTL.geom = LevelGeom::from(ctx.grid->level(fineLevel));
-  fineTL.fields = RadiationFieldsView{
-      FieldView<double>::fromHost(fAbs), FieldView<double>::fromHost(fSig),
-      FieldView<CellType>::fromHost(fCt)};
-  fineTL.allowed = fAbs.window();
-
-  const grid::Level& coarse = ctx.grid->level(0);
-  const auto& cAbs = ctx.getWholeLevel<double>(RmcrtLabels::abskg, 0);
-  const auto& cSig = ctx.getWholeLevel<double>(RmcrtLabels::sigmaT4, 0);
-  const auto& cCt = ctx.getWholeLevel<CellType>(RmcrtLabels::cellType, 0);
-  TraceLevel coarseTL;
-  coarseTL.geom = LevelGeom::from(coarse);
-  coarseTL.fields = RadiationFieldsView{
-      FieldView<double>::fromHost(cAbs), FieldView<double>::fromHost(cSig),
-      FieldView<CellType>::fromHost(cCt)};
-  coarseTL.allowed = coarse.cells();
-  return {fineTL, coarseTL};
-}
-
 /// Prolong the whole-level coarse \p label into the cells of the staged
 /// fine \p roi window that no fine patch covers.
 template <typename T>
@@ -173,53 +144,93 @@ void fillUncovered(const TaskContext& ctx, const char* label, int fineLevel,
       ctx.grid->level(fineLevel), ctx.getWholeLevel<T>(label, 0));
 }
 
-/// The host trace of one fine patch: the CPU trace task's action and the
-/// GPU trace task's CPU fallback. On an adaptive fine level the staged ROI
-/// window may contain cells no fine patch covers. Those cells arrive
-/// zero-filled from staging, so the coarse radiation properties are
-/// prolonged into them before marching and rays never cross transparent
-/// space. The in-place fill is safe: task actions run sequentially on the
-/// scheduler thread, and the fill is deterministic and idempotent. With a
-/// packedCache the coarse records are reused across steps; with \p costs
-/// the patch's traced-segment count feeds the measured-cost model.
-void traceOnHost(const TaskContext& ctx, const RmcrtSetup& st, int fineLevel,
-                 amr::CostModel* costs) {
+/// A registration's record set of the whole \p level, shared by every
+/// trace task it registered on one rank: the first task packs \p records
+/// from the staged whole-level variables and later tasks read them. The
+/// set dies with the tasks (the next step's clearTasks), so it lives one
+/// registration, like the level database's device copy. Task actions run
+/// one at a time on the rank's scheduler thread (Scheduler::runPhase), so
+/// packing on first use needs no lock, and the set is complete before any
+/// task creates a stream that reads it.
+const PackedLevelField& sharedRecords(const TaskContext& ctx, int level,
+                                      PackedLevelField& records) {
+  if (!records.valid())
+    records.pack(RadiationFieldsView{
+        FieldView<double>::fromHost(
+            ctx.getWholeLevel<double>(RmcrtLabels::abskg, level)),
+        FieldView<double>::fromHost(
+            ctx.getWholeLevel<double>(RmcrtLabels::sigmaT4, level)),
+        FieldView<CellType>::fromHost(
+            ctx.getWholeLevel<CellType>(RmcrtLabels::cellType, level))});
+  return records;
+}
+
+/// The inputs of one two-level trace task: the patch's ROI records (the
+/// H2D source of the GPU task) and the registration's coarse records (the
+/// level database's upload source).
+struct TraceInput {
+  PackedLevelField roi;
+  const PackedLevelField* coarse = nullptr;
+  LevelGeom fineGeom;
+  LevelGeom coarseGeom;
+
+  /// The host tracer's levels: packed records only, so no Tracer packs.
+  std::vector<TraceLevel> levels() const {
+    return {{fineGeom, RadiationFieldsView{}, roi.window(), roi.view()},
+            {coarseGeom, RadiationFieldsView{}, coarseGeom.cells,
+             coarse->view()}};
+  }
+};
+
+/// The one input routine of every two-level trace task. On an adaptive
+/// fine level the staged ROI window may contain cells no fine patch
+/// covers; they arrive zero-filled, so the coarse properties are first
+/// prolonged into them and rays never cross transparent space. The
+/// in-place fill is deterministic and idempotent. Then the ROI is packed,
+/// and the coarse records come from \p coarse, the registration's set.
+TraceInput traceInput(const TaskContext& ctx, const RmcrtSetup& st,
+                      int fineLevel, PackedLevelField& coarse) {
   const grid::Level& fine = ctx.grid->level(fineLevel);
+  const CellRange roi = runtime::requiredWindow(
+      *ctx.grid, *ctx.patch,
+      Requires{RmcrtLabels::abskg, VarType::Double, fineLevel, st.roiHalo});
   if (!fine.uniformlyTiled()) {
-    const CellRange roi = runtime::requiredWindow(
-        *ctx.grid, *ctx.patch,
-        Requires{RmcrtLabels::abskg, VarType::Double, fineLevel, st.roiHalo});
     fillUncovered<double>(ctx, RmcrtLabels::abskg, fineLevel, roi);
     fillUncovered<double>(ctx, RmcrtLabels::sigmaT4, fineLevel, roi);
     fillUncovered<CellType>(ctx, RmcrtLabels::cellType, fineLevel, roi);
   }
-
-  auto levels = buildTraceLevels(ctx, fineLevel, st.roiHalo);
-  if (st.packedCache) {
-    // Reuse the rank's fused coarse records across steps: only regions
-    // whose fine coverage changed (regrid-migrated patches) re-fuse;
-    // everything else is value-identical because the analytic sampler is
-    // step-invariant.
-    const IntVector rr = fine.refinementRatio();
-    std::vector<CellRange> coverage;
-    coverage.reserve(fine.patches().size());
-    for (const grid::Patch& p : fine.patches())
-      coverage.push_back(p.cells().coarsened(rr));
-    levels[1].packed = st.packedCache->refresh(levels[1].fields, coverage);
-  }
-  auto& divQ =
-      ctx.newDW->getModifiable<double>(RmcrtLabels::divQ, ctx.patch->id());
-  const std::uint64_t segments =
-      traceDivQ(std::move(levels), st, ctx.patch->cells(),
-                MutableFieldView<double>::fromHost(divQ), st.pool);
-  if (costs)
-    costs->record(ctx.patch->id(), static_cast<double>(segments));
+  return TraceInput{
+      PackedLevelField(RadiationFieldsView{
+          FieldView<double>::fromHost(
+              ctx.getGhosted<double>(RmcrtLabels::abskg, st.roiHalo)),
+          FieldView<double>::fromHost(
+              ctx.getGhosted<double>(RmcrtLabels::sigmaT4, st.roiHalo)),
+          FieldView<CellType>::fromHost(
+              ctx.getGhosted<CellType>(RmcrtLabels::cellType, st.roiHalo))}),
+      &sharedRecords(ctx, 0, coarse), LevelGeom::from(fine),
+      LevelGeom::from(ctx.grid->level(0))};
 }
 
+/// The host trace of one fine patch: the CPU trace task's action and the
+/// GPU trace task's CPU fallback. Returns the traced segment count.
+std::uint64_t traceOnHost(const TaskContext& ctx, const RmcrtSetup& st,
+                          const TraceInput& in) {
+  auto& divQ =
+      ctx.newDW->getModifiable<double>(RmcrtLabels::divQ, ctx.patch->id());
+  return traceDivQ(in.levels(), st, ctx.patch->cells(),
+                   MutableFieldView<double>::fromHost(divQ), st.pool);
+}
+
+/// With \p costs, each patch's traced-segment count feeds the
+/// measured-cost model.
 Task makeCpuTraceTask(SetupPtr st, int fineLevel, amr::CostModel* costs) {
   Task t("RMCRT::rayTrace", fineLevel,
-         [st, fineLevel, costs](const TaskContext& ctx) {
-           traceOnHost(ctx, *st, fineLevel, costs);
+         [st, fineLevel, costs, coarse = std::make_shared<PackedLevelField>()](
+             const TaskContext& ctx) {
+           const std::uint64_t segments = traceOnHost(
+               ctx, *st, traceInput(ctx, *st, fineLevel, *coarse));
+           if (costs)
+             costs->record(ctx.patch->id(), static_cast<double>(segments));
          });
   addTraceRequires(t, fineLevel, st->roiHalo);
   t.addComputes(Computes{RmcrtLabels::divQ, VarType::Double, 0});
@@ -227,24 +238,16 @@ Task makeCpuTraceTask(SetupPtr st, int fineLevel, amr::CostModel* costs) {
 }
 
 /// Single-level trace: the whole fine level is replicated on every rank
-/// ("infinite ghost cells" on the only level).
+/// ("infinite ghost cells" on the only level), and its records are shared
+/// by every patch task of the registration.
 Task makeSingleLevelTraceTask(SetupPtr st, int fineLevel) {
   Task t("RMCRT::rayTraceSingleLevel", fineLevel,
-         [st, fineLevel](const TaskContext& ctx) {
+         [st, fineLevel, records = std::make_shared<PackedLevelField>()](
+             const TaskContext& ctx) {
            const grid::Level& fine = ctx.grid->level(fineLevel);
-           const auto& abs =
-               ctx.getWholeLevel<double>(RmcrtLabels::abskg, fineLevel);
-           const auto& sig =
-               ctx.getWholeLevel<double>(RmcrtLabels::sigmaT4, fineLevel);
-           const auto& ct = ctx.getWholeLevel<CellType>(
-               RmcrtLabels::cellType, fineLevel);
-           TraceLevel tl;
-           tl.geom = LevelGeom::from(fine);
-           tl.fields = RadiationFieldsView{
-               FieldView<double>::fromHost(abs),
-               FieldView<double>::fromHost(sig),
-               FieldView<CellType>::fromHost(ct)};
-           tl.allowed = fine.cells();
+           const TraceLevel tl(LevelGeom::from(fine), RadiationFieldsView{},
+                               fine.cells(),
+                               sharedRecords(ctx, fineLevel, *records).view());
            auto& divQ = ctx.newDW->getModifiable<double>(
                RmcrtLabels::divQ, ctx.patch->id());
            traceDivQ({tl}, *st, ctx.patch->cells(),
@@ -260,44 +263,28 @@ Task makeSingleLevelTraceTask(SetupPtr st, int fineLevel) {
 /// kernel and the rank thread claim tiles of the patch from one shared
 /// counter until none remain. The kernel marches the device records; the
 /// rank thread, instead of blocking on the stream, marches the host
-/// records it packed for the H2D. Both are the same bytes and every cell's
-/// rays are fixed by (seed, cell, ray), so divQ is bitwise the serial
-/// result however the tiles split. Throws DeviceOutOfMemory when the
-/// device cannot hold the inputs; the caller owns recovery. Co-tracing
-/// starts only after every device allocation has succeeded.
+/// records \p in holds, which are the H2D sources. Both are the same
+/// bytes and every cell's rays are fixed by (seed, cell, ray), so divQ is
+/// bitwise the serial result however the tiles split. Throws
+/// DeviceOutOfMemory when the device cannot hold the inputs; the caller
+/// owns recovery. Co-tracing starts only after every device allocation
+/// has succeeded.
 void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
-                        int fineLevel, gpu::GpuDataWarehouse* gdw) {
+                        const TraceInput& in, gpu::GpuDataWarehouse* gdw) {
   RMCRT_TRACE_SPAN("gpu", "trace_attempt");
   const int pid = ctx.patch->id();
   const CellRange patchCells = ctx.patch->cells();
 
   // Everything the stream's operations touch is declared BEFORE the
   // stream: stack unwinding then drains the stream before these die, so
-  // in-flight copies and the kernel never reach freed memory. First the
-  // property triplets fused into PackedCell records (the H2D sources and
-  // the host half's input) ...
-  const auto& fAbs = ctx.getGhosted<double>(RmcrtLabels::abskg, st.roiHalo);
-  const auto& fSig = ctx.getGhosted<double>(RmcrtLabels::sigmaT4, st.roiHalo);
-  const auto& fCt =
-      ctx.getGhosted<CellType>(RmcrtLabels::cellType, st.roiHalo);
-  const PackedLevelField finePacked(
-      RadiationFieldsView{FieldView<double>::fromHost(fAbs),
-                          FieldView<double>::fromHost(fSig),
-                          FieldView<CellType>::fromHost(fCt)});
-  const auto& cAbs = ctx.getWholeLevel<double>(RmcrtLabels::abskg, 0);
-  const auto& cSig = ctx.getWholeLevel<double>(RmcrtLabels::sigmaT4, 0);
-  const auto& cCt = ctx.getWholeLevel<CellType>(RmcrtLabels::cellType, 0);
-  const PackedLevelField coarsePacked(
-      RadiationFieldsView{FieldView<double>::fromHost(cAbs),
-                          FieldView<double>::fromHost(cSig),
-                          FieldView<CellType>::fromHost(cCt)});
-
-  // ... then the co-trace state: tiles of at most 64 cells (the floor
-  // adaptiveTileSize stops at, 4^3 from the default 8^3, so a 16^3 patch
-  // splits 64 ways), the shared claim counter, which tiles the kernel
-  // took, its tracer (read for the ray gauges) and the D2H staging those
-  // tiles merge from. The host never writes device memory, and the D2H
-  // never lands on a cell the host traced.
+  // in-flight copies and the kernel never reach freed memory. The input
+  // records belong to the task and outlive the attempt. The co-trace
+  // state: tiles of at most 64 cells (the floor adaptiveTileSize stops
+  // at, 4^3 from the default 8^3, so a 16^3 patch splits 64 ways), the
+  // shared claim counter, which tiles the kernel took, its tracer (read
+  // for the ray gauges) and the D2H staging those tiles merge from. The
+  // host never writes device memory, and the D2H never lands on a cell
+  // the host traced.
   const std::vector<CellRange> tiles = tileCells(
       patchCells,
       adaptiveTileSize(patchCells, st.trace.tileSize,
@@ -311,16 +298,16 @@ void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
   auto stream = gdw->device().createStream();
 
   // H2D: ONE fused record array for this patch's ROI (private) ...
-  gpu::DeviceVar& dPackedF =
-      gdw->putPatchVarRaw(RmcrtLabels::packedRad, pid, finePacked.data(),
-                          finePacked.window(), sizeof(PackedCell),
-                          stream.get());
+  gpu::DeviceVar& dPackedF = gdw->putPatchVarRaw(
+      RmcrtLabels::packedRad, pid, in.roi.data(), in.roi.window(),
+      sizeof(PackedCell), stream.get());
 
   // ... and ONE fused coarse copy through the level database, shared by
-  // every patch task (paper Section III-C) — a single transfer where the
+  // every patch task (paper Section III-C) and uploaded from the
+  // registration's host record set — a single transfer where the
   // unpacked layout staged three.
   gpu::DeviceVar& dPackedC = gdw->getOrUploadLevelVarRaw(
-      RmcrtLabels::packedRad, 0, coarsePacked.data(), coarsePacked.window(),
+      RmcrtLabels::packedRad, 0, in.coarse->data(), in.coarse->window(),
       sizeof(PackedCell), pid, stream.get());
 
   gpu::DeviceVar& dDivQ = gdw->allocatePatchVar(
@@ -330,12 +317,11 @@ void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
   // Packed-only levels leave `fields` invalid, so neither Tracer re-packs;
   // every band marches the same records, so the one H2D upload above
   // serves the whole spectrum.
-  const LevelGeom fineGeom = LevelGeom::from(ctx.grid->level(fineLevel));
-  const LevelGeom coarseGeom = LevelGeom::from(ctx.grid->level(0));
   const WallProperties walls = wallsOf(st.problem);
   const TraceConfig& cfg = st.trace;
   stream->enqueueKernel([&tiles, claimTile, &kernelTile, &kernelTracer,
-                         &dPackedF, &dPackedC, &dDivQ, fineGeom, coarseGeom,
+                         &dPackedF, &dPackedC, &dDivQ,
+                         fineGeom = in.fineGeom, coarseGeom = in.coarseGeom,
                          walls, cfg] {
     const Tracer& tracer = kernelTracer.emplace(
         std::vector<TraceLevel>{
@@ -357,12 +343,7 @@ void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
 
   // The host half: claim tiles beside the kernel, straight into divQ.
   auto& divQ = ctx.newDW->getModifiable<double>(RmcrtLabels::divQ, pid);
-  const Tracer hostTracer(
-      {{fineGeom, RadiationFieldsView{}, finePacked.window(),
-        finePacked.view()},
-       {coarseGeom, RadiationFieldsView{}, coarseGeom.cells,
-        coarsePacked.view()}},
-      walls, cfg);
+  const Tracer hostTracer(in.levels(), walls, cfg);
   std::uint64_t hostTiles = 0;
   {
     RMCRT_TRACE_SPAN("tracer", "cotrace_host");
@@ -398,17 +379,20 @@ void releasePatchDeviceVars(gpu::GpuDataWarehouse* gdw, int pid) {
 
 Task makeGpuTraceTask(SetupPtr st, int fineLevel,
                       gpu::GpuDataWarehouse* gdw) {
-  Task t("RMCRT::rayTraceGPU", fineLevel, [st, fineLevel,
-                                           gdw](const TaskContext& ctx) {
+  auto coarse = std::make_shared<PackedLevelField>();
+  Task t("RMCRT::rayTraceGPU", fineLevel, [st, fineLevel, gdw,
+                                           coarse](const TaskContext& ctx) {
+    // The CPU task's inputs, built once for every attempt.
+    const TraceInput in = traceInput(ctx, *st, fineLevel, *coarse);
     // Graceful degradation ladder (DESIGN.md "Failure model"): retry the
     // device path after evicting resident data, then fall back to the CPU
-    // trace task's host routine over the identical staged inputs —
-    // bitwise the same divQ.
+    // trace task's host routine over the same inputs — bitwise the same
+    // divQ.
     constexpr int kMaxAttempts = 3;
     const int pid = ctx.patch->id();
     for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {
       try {
-        runGpuTraceAttempt(ctx, *st, fineLevel, gdw);
+        runGpuTraceAttempt(ctx, *st, in, gdw);
         return;
       } catch (const gpu::DeviceOutOfMemory& e) {
         RMCRT_TRACE_INSTANT("gpu", "oom_retry");
@@ -429,7 +413,7 @@ Task makeGpuTraceTask(SetupPtr st, int fineLevel,
     }
 
     gdw->device().noteCpuFallback();
-    traceOnHost(ctx, *st, fineLevel, /*costs=*/nullptr);
+    traceOnHost(ctx, *st, in);
   });
   addTraceRequires(t, fineLevel, st->roiHalo);
   t.addComputes(Computes{RmcrtLabels::divQ, VarType::Double, 0});
@@ -480,9 +464,10 @@ void RmcrtComponent::registerTwoLevelGpuPipeline(
     runtime::Scheduler& sched, const RmcrtSetup& setup,
     gpu::GpuDataWarehouse& gdw) {
   validateSetup(setup);
-  // The coarse level-database copy lives one radiation step: the step's
-  // first patch task re-uploads this step's coarse properties, which the
-  // kernel must march exactly as the host half does.
+  // The coarse level-database copy lives one registration, like the host
+  // record set the trace task registered here uploads it from: the first
+  // patch task re-uploads this step's coarse properties, which the kernel
+  // must march exactly as the host half does.
   gdw.invalidateLevel(0);
   auto st = std::make_shared<const RmcrtSetup>(setup);
   const int fineLevel = sched.grid().numLevels() - 1;
@@ -510,40 +495,47 @@ grid::CCVariable<double> RmcrtComponent::solveSerialSingleLevel(
   return divQ;
 }
 
+RadiationFieldsView TwoLevelFields::fineViews() const {
+  return {FieldView<double>::fromHost(fAbs), FieldView<double>::fromHost(fSig),
+          FieldView<CellType>::fromHost(fCt)};
+}
+
+RadiationFieldsView TwoLevelFields::coarseViews() const {
+  return {FieldView<double>::fromHost(cAbs), FieldView<double>::fromHost(cSig),
+          FieldView<CellType>::fromHost(cCt)};
+}
+
+TwoLevelFields sampleTwoLevelFields(const grid::Grid& grid,
+                                    const RadiationProblem& problem) {
+  const grid::Level& fine = grid.fineLevel();
+  const grid::Level& coarse = grid.coarseLevel();
+  TwoLevelFields f{CCVariable<double>(fine.cells(), 0.0),
+                   CCVariable<double>(fine.cells(), 0.0),
+                   CCVariable<CellType>(fine.cells(), CellType::Flow),
+                   CCVariable<double>(coarse.cells(), 0.0),
+                   CCVariable<double>(coarse.cells(), 0.0),
+                   CCVariable<CellType>(coarse.cells(), CellType::Flow)};
+  initializeProperties(fine, problem, f.fAbs, f.fSig, f.fCt);
+  const IntVector rr = fine.refinementRatio();
+  grid::coarsenAverage(f.fAbs, rr, f.cAbs, coarse.cells());
+  grid::coarsenAverage(f.fSig, rr, f.cSig, coarse.cells());
+  grid::coarsenCellType(f.fCt, rr, f.cCt, coarse.cells());
+  return f;
+}
+
 grid::CCVariable<double> RmcrtComponent::solveSerialTwoLevel(
     const grid::Grid& grid, const RmcrtSetup& setup) {
   const grid::Level& fine = grid.fineLevel();
   const grid::Level& coarse = grid.coarseLevel();
-  const IntVector rr = fine.refinementRatio();
-
-  grid::CCVariable<double> fAbs(fine.cells(), 0.0), fSig(fine.cells(), 0.0);
-  grid::CCVariable<CellType> fCt(fine.cells(), CellType::Flow);
-  initializeProperties(fine, setup.problem, fAbs, fSig, fCt);
-
-  grid::CCVariable<double> cAbs(coarse.cells(), 0.0),
-      cSig(coarse.cells(), 0.0);
-  grid::CCVariable<CellType> cCt(coarse.cells(), CellType::Flow);
-  grid::coarsenAverage(fAbs, rr, cAbs, coarse.cells());
-  grid::coarsenAverage(fSig, rr, cSig, coarse.cells());
-  grid::coarsenCellType(fCt, rr, cCt, coarse.cells());
-
+  const TwoLevelFields fields = sampleTwoLevelFields(grid, setup.problem);
   grid::CCVariable<double> divQ(fine.cells(), 0.0);
 
   // Trace per fine patch with its ROI, as the distributed pipeline would.
   for (const grid::Patch& p : fine.patches()) {
     const CellRange roi =
         p.ghostWindow(setup.roiHalo).intersect(fine.cells());
-    TraceLevel fineTL{LevelGeom::from(fine),
-                      RadiationFieldsView{
-                          FieldView<double>::fromHost(fAbs),
-                          FieldView<double>::fromHost(fSig),
-                          FieldView<CellType>::fromHost(fCt)},
-                      roi};
-    TraceLevel coarseTL{LevelGeom::from(coarse),
-                        RadiationFieldsView{
-                            FieldView<double>::fromHost(cAbs),
-                            FieldView<double>::fromHost(cSig),
-                            FieldView<CellType>::fromHost(cCt)},
+    TraceLevel fineTL{LevelGeom::from(fine), fields.fineViews(), roi};
+    TraceLevel coarseTL{LevelGeom::from(coarse), fields.coarseViews(),
                         coarse.cells()};
     traceDivQ({fineTL, coarseTL}, setup, p.cells(),
               MutableFieldView<double>::fromHost(divQ), setup.pool);

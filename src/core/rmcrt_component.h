@@ -23,9 +23,10 @@
 /// simulated GPU: that variant stages data through the GpuDataWarehouse
 /// (shared level database) and runs the kernel on a device stream — the
 /// paper's Section III-C data path — and falls back to the CPU task's host
-/// trace when the device cannot hold the inputs.
-
-#include <memory>
+/// trace when the device cannot hold the inputs. Both trace tasks build
+/// their inputs one way: fill the ROI cells no fine patch covers from the
+/// coarse level, pack the ROI, and share one coarse record set per
+/// registration and rank (the level database, applied on the host).
 
 #include "amr/amr_engine.h"
 #include "core/problems.h"
@@ -60,16 +61,6 @@ struct RmcrtSetup {
   /// it. Ranks sharing one setup share the pool, so it bounds the node's
   /// trace threads.
   ThreadPool* pool = nullptr;
-  /// Optional per-rank cache of the coarse level's fused PackedCell
-  /// records for the CPU trace task (and the GPU task's CPU fallback).
-  /// With it, each radiation step repacks only coarse regions whose fine
-  /// coverage changed since the previous step (the regrid-migrated
-  /// patches) instead of re-fusing the whole level per Tracer. One cache
-  /// per rank — never share across concurrently executing schedulers —
-  /// and only valid while coarse properties outside fine coverage are
-  /// step-invariant (true for the analytic samplers; see
-  /// PackedLevelCache). nullptr: pack per Tracer.
-  std::shared_ptr<PackedLevelCache> packedCache;
 };
 
 /// Throws std::invalid_argument unless \p setup can be traced:
@@ -78,9 +69,31 @@ struct RmcrtSetup {
 /// is refused at registration instead of inside a task or a batch drain.
 void validateSetup(const RmcrtSetup& setup);
 
+/// The host fields of a two-level problem: \p problem sampled at the
+/// cell centers of the whole fine level and averaged onto the whole
+/// coarse level. The serial solvers, the service and the kernel
+/// calibration trace these; the distributed pipelines build theirs in
+/// their init and coarsen tasks, so no oracle shares this code with the
+/// pipeline it checks.
+struct TwoLevelFields {
+  grid::CCVariable<double> fAbs, fSig;
+  grid::CCVariable<grid::CellType> fCt;
+  grid::CCVariable<double> cAbs, cSig;
+  grid::CCVariable<grid::CellType> cCt;
+
+  RadiationFieldsView fineViews() const;
+  RadiationFieldsView coarseViews() const;
+};
+TwoLevelFields sampleTwoLevelFields(const grid::Grid& grid,
+                                    const RadiationProblem& problem);
+
 /// Task-registration entry points. Call the same function on every rank's
 /// scheduler, then executeTimestep() concurrently. Each register* call
-/// throws std::invalid_argument when validateSetup(setup) does.
+/// throws std::invalid_argument when validateSetup(setup) does. A
+/// registration's trace tasks share one whole-level record set per rank,
+/// packed by the first of them and released with the tasks, so it lives
+/// one registration: re-register before every radiation step (as
+/// SimulationController does) whenever the properties may change.
 class RmcrtComponent {
  public:
   /// The paper's 2-level algorithm (coarse = level 0, fine = level 1),
@@ -112,10 +125,12 @@ class RmcrtComponent {
   /// 2-level pipeline whose trace task runs on the simulated GPU: fine
   /// patch data H2D per task, coarse properties through the shared level
   /// database, divQ D2H; the rank thread co-traces each patch beside the
-  /// kernel (DESIGN.md §9). The device path expects a uniformly tiled
-  /// fine level. Registering evicts \p gdw's level-0 entries, so the
-  /// coarse copy lives one radiation step: register only while no patch
-  /// task is running on \p gdw. \p gdw must outlive the scheduler run.
+  /// kernel (DESIGN.md §9), over the same inputs as the CPU task on
+  /// uniformly tiled and adaptive fine levels. Registering evicts \p
+  /// gdw's level-0 entries, so the device coarse copy lives exactly as
+  /// long as the host one, one registration: register only while no
+  /// patch task is running on \p gdw. \p gdw must outlive the scheduler
+  /// run.
   static void registerTwoLevelGpuPipeline(runtime::Scheduler& sched,
                                           const RmcrtSetup& setup,
                                           gpu::GpuDataWarehouse& gdw);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 
-#include "grid/operators.h"
 #include "util/trace_recorder.h"
 
 namespace rmcrt::service {
@@ -17,8 +16,6 @@ using core::RadiationFieldsView;
 using core::TraceLevel;
 using core::Tracer;
 using core::WallProperties;
-using grid::CCVariable;
-using grid::CellType;
 
 namespace {
 
@@ -30,43 +27,8 @@ std::string packedLabel(Generation gen) {
   return "svc.packedRad.g" + std::to_string(gen);
 }
 
-/// Host property fields for a two-level scene, built the exact same way
-/// by the service path and the one-shot reference path — the shared
-/// deterministic foundation of the bitwise-identity contract.
-struct HostFields {
-  CCVariable<double> fAbs, fSig;
-  CCVariable<CellType> fCt;
-  CCVariable<double> cAbs, cSig;
-  CCVariable<CellType> cCt;
-};
-
-HostFields buildHostFields(const grid::Grid& grid,
-                           const core::RadiationProblem& problem) {
-  const grid::Level& fine = grid.fineLevel();
-  const grid::Level& coarse = grid.coarseLevel();
-  HostFields hf;
-  hf.fAbs = CCVariable<double>(fine.cells(), 0.0);
-  hf.fSig = CCVariable<double>(fine.cells(), 0.0);
-  hf.fCt = CCVariable<CellType>(fine.cells(), CellType::Flow);
-  core::initializeProperties(fine, problem, hf.fAbs, hf.fSig, hf.fCt);
-
-  hf.cAbs = CCVariable<double>(coarse.cells(), 0.0);
-  hf.cSig = CCVariable<double>(coarse.cells(), 0.0);
-  hf.cCt = CCVariable<CellType>(coarse.cells(), CellType::Flow);
-  const IntVector rr = fine.refinementRatio();
-  grid::coarsenAverage(hf.fAbs, rr, hf.cAbs, coarse.cells());
-  grid::coarsenAverage(hf.fSig, rr, hf.cSig, coarse.cells());
-  grid::coarsenCellType(hf.fCt, rr, hf.cCt, coarse.cells());
-  return hf;
-}
-
-RadiationFieldsView viewsOf(const CCVariable<double>& abs,
-                            const CCVariable<double>& sig,
-                            const CCVariable<CellType>& ct) {
-  return RadiationFieldsView{core::FieldView<double>::fromHost(abs),
-                             core::FieldView<double>::fromHost(sig),
-                             core::FieldView<CellType>::fromHost(ct)};
-}
+/// Completions slower than this count as service.slo_breaches [ms].
+constexpr double kSloP99Ms = 1000.0;
 
 WallProperties wallsOf(const core::RadiationProblem& p) {
   return WallProperties{p.wallSigmaT4OverPi, p.wallEmissivity};
@@ -97,10 +59,9 @@ struct Service::SceneState {
   core::RmcrtSetup setup;
   Generation generation = 1;
   bool sharedReady = false;
-  CCVariable<double> fAbs, fSig;
-  CCVariable<CellType> fCt;
-  CCVariable<double> cAbs, cSig;
-  CCVariable<CellType> cCt;
+  /// Sampled with the one-shot solvers' builder: the shared deterministic
+  /// foundation of the bitwise-identity contract.
+  core::TwoLevelFields fields;
   /// The shared fused records every tenant's Tracer on this generation
   /// references — built once per generation, not once per request.
   PackedLevelField finePacked;
@@ -209,16 +170,10 @@ std::shared_ptr<Service::SceneState> Service::findScene(SceneId id) const {
 
 void Service::ensureSharedLocked(SceneState& s, SceneId id) {
   if (s.sharedReady) return;
-  HostFields hf = buildHostFields(*s.grid, s.setup.problem);
-  s.fAbs = std::move(hf.fAbs);
-  s.fSig = std::move(hf.fSig);
-  s.fCt = std::move(hf.fCt);
-  s.cAbs = std::move(hf.cAbs);
-  s.cSig = std::move(hf.cSig);
-  s.cCt = std::move(hf.cCt);
+  s.fields = core::sampleTwoLevelFields(*s.grid, s.setup.problem);
   RMCRT_TRACE_SPAN("service", "build_shared_scene_state");
-  s.finePacked.pack(viewsOf(s.fAbs, s.fSig, s.fCt));
-  s.coarsePacked.pack(viewsOf(s.cAbs, s.cSig, s.cCt));
+  s.finePacked.pack(s.fields.fineViews());
+  s.coarsePacked.pack(s.fields.coarseViews());
   const std::string label = packedLabel(s.generation);
   // getOrUploadLevelVarRaw transfers only when the key is absent; count
   // the transfer, not the lookup — the "one upload per generation" claim
@@ -238,8 +193,8 @@ std::unique_ptr<Tracer> Service::makeSharedTracer(const SceneState& s,
                                                   const CellRange& roi) const {
   const grid::Level& fine = s.grid->fineLevel();
   const grid::Level& coarse = s.grid->coarseLevel();
-  TraceLevel fineTL{LevelGeom::from(fine), viewsOf(s.fAbs, s.fSig, s.fCt),
-                    roi, s.finePacked.view()};
+  TraceLevel fineTL{LevelGeom::from(fine), s.fields.fineViews(), roi,
+                    s.finePacked.view()};
   // Coarse level marches the device-resident records (host-addressable
   // simulated device) — the one shared upload serving every tenant.
   TraceLevel coarseTL{LevelGeom::from(coarse), RadiationFieldsView{},
@@ -650,7 +605,7 @@ void Service::recordLatency(const std::string& tenant, double ms) {
     std::lock_guard<std::mutex> slk(m_statsMutex);
     ++m_completed;
     m_latencyMs.add(ms);
-    if (ms > m_cfg.sloP99Ms) ++m_sloBreaches;
+    if (ms > kSloP99Ms) ++m_sloBreaches;
     p50 = m_latencyMs.p50();
     p99 = m_latencyMs.p99();
   }
@@ -685,14 +640,14 @@ ServiceStats Service::stats() const {
 DivQResult Service::solveDivQOneShot(const grid::Grid& grid,
                                      const core::RmcrtSetup& setup,
                                      const CellRange& cells) {
-  const HostFields hf = buildHostFields(grid, setup.problem);
+  const core::TwoLevelFields hf =
+      core::sampleTwoLevelFields(grid, setup.problem);
   const grid::Level& fine = grid.fineLevel();
   const grid::Level& coarse = grid.coarseLevel();
   const CellRange roi = cells.grown(setup.roiHalo).intersect(fine.cells());
-  TraceLevel fineTL{LevelGeom::from(fine), viewsOf(hf.fAbs, hf.fSig, hf.fCt),
-                    roi};
-  TraceLevel coarseTL{LevelGeom::from(coarse),
-                      viewsOf(hf.cAbs, hf.cSig, hf.cCt), coarse.cells()};
+  TraceLevel fineTL{LevelGeom::from(fine), hf.fineViews(), roi};
+  TraceLevel coarseTL{LevelGeom::from(coarse), hf.coarseViews(),
+                      coarse.cells()};
   DivQResult res;
   res.window = cells;
   res.divQ.assign(static_cast<std::size_t>(cells.volume()), 0.0);
@@ -705,13 +660,13 @@ DivQResult Service::solveDivQOneShot(const grid::Grid& grid,
 FluxResult Service::solveFluxOneShot(
     const grid::Grid& grid, const core::RmcrtSetup& setup,
     const std::vector<std::pair<IntVector, IntVector>>& faces, int nRays) {
-  const HostFields hf = buildHostFields(grid, setup.problem);
+  const core::TwoLevelFields hf =
+      core::sampleTwoLevelFields(grid, setup.problem);
   const grid::Level& fine = grid.fineLevel();
   const grid::Level& coarse = grid.coarseLevel();
-  TraceLevel fineTL{LevelGeom::from(fine), viewsOf(hf.fAbs, hf.fSig, hf.fCt),
-                    fine.cells()};
-  TraceLevel coarseTL{LevelGeom::from(coarse),
-                      viewsOf(hf.cAbs, hf.cSig, hf.cCt), coarse.cells()};
+  TraceLevel fineTL{LevelGeom::from(fine), hf.fineViews(), fine.cells()};
+  TraceLevel coarseTL{LevelGeom::from(coarse), hf.coarseViews(),
+                      coarse.cells()};
   Tracer tracer({fineTL, coarseTL}, wallsOf(setup.problem), setup.trace);
   FluxResult res;
   res.fluxes.reserve(faces.size());
@@ -723,13 +678,13 @@ FluxResult Service::solveFluxOneShot(
 RadiometerResult Service::solveRadiometerOneShot(
     const grid::Grid& grid, const core::RmcrtSetup& setup,
     const core::RadiometerSpec& spec) {
-  const HostFields hf = buildHostFields(grid, setup.problem);
+  const core::TwoLevelFields hf =
+      core::sampleTwoLevelFields(grid, setup.problem);
   const grid::Level& fine = grid.fineLevel();
   const grid::Level& coarse = grid.coarseLevel();
-  TraceLevel fineTL{LevelGeom::from(fine), viewsOf(hf.fAbs, hf.fSig, hf.fCt),
-                    fine.cells()};
-  TraceLevel coarseTL{LevelGeom::from(coarse),
-                      viewsOf(hf.cAbs, hf.cSig, hf.cCt), coarse.cells()};
+  TraceLevel fineTL{LevelGeom::from(fine), hf.fineViews(), fine.cells()};
+  TraceLevel coarseTL{LevelGeom::from(coarse), hf.coarseViews(),
+                      coarse.cells()};
   Tracer tracer({fineTL, coarseTL}, wallsOf(setup.problem), setup.trace);
   RadiometerResult res;
   res.reading = core::evaluateRadiometer(tracer, spec);

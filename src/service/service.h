@@ -7,12 +7,12 @@
 /// answers concurrent divQ / boundary-flux / radiometer queries from many
 /// client threads ("tenants"). Every drain coalesces rays from *different*
 /// requests into tile-sized work units (Tracer::DivQTileJob) across one
-/// shared ThreadPool — so one PackedLevelCache-style fused record set and
-/// ONE simulated-GPU coarse-level upload serve every tenant on a scene
-/// generation. The coarse upload is invalidated only when the scene
-/// changes: updateProperties()/regrid() bump the generation, evict the
-/// shared packed records, and invalidate the scene's slot in the GPU
-/// level database.
+/// shared ThreadPool — so one fused record set and ONE simulated-GPU
+/// coarse-level upload serve every tenant on a scene generation. The
+/// coarse upload is invalidated only when the scene changes:
+/// updateProperties()/regrid() bump the generation, evict the shared
+/// packed records, and invalidate the scene's slot in the GPU level
+/// database.
 ///
 /// Determinism contract: every ray is fixed by (seed, cell, ray), and
 /// each request's tiles scatter only into that request's own sink, so a
@@ -30,7 +30,7 @@
 ///
 /// Latency SLOs: per-request latency feeds a streaming P² estimator
 /// (util/stats.h), published as service.p50_ms / service.p99_ms gauges;
-/// completions above ServiceConfig::sloP99Ms count service.slo_breaches.
+/// completions above 1000 ms count service.slo_breaches.
 /// Per-tenant counters live under service.tenant.<name>.* via
 /// MetricsView.
 ///
@@ -169,8 +169,6 @@ struct ServiceConfig {
   /// Optional external pool (non-owning; must outlive the Service).
   ThreadPool* pool = nullptr;
   runtime::AdmissionConfig admission;
-  /// Completions slower than this count as service.slo_breaches [ms].
-  double sloP99Ms = 1000.0;
   /// Optional fault model on the client->service submit path.
   std::shared_ptr<comm::FaultInjector> injector;
 };

@@ -15,7 +15,6 @@
 #include "comm/request_pool.h"
 #include "core/problems.h"
 #include "core/rmcrt_component.h"
-#include "grid/operators.h"
 #include "util/mini_json.h"
 #include "util/timers.h"
 
@@ -44,32 +43,13 @@ double measureKernelSegmentsPerSecond(int patchSize, int raysPerCell) {
 
   const grid::Level& fineLevel = grid->fineLevel();
   const grid::Level& coarseLevel = grid->coarseLevel();
-  grid::CCVariable<double> fAbs(fineLevel.cells(), 0.0),
-      fSig(fineLevel.cells(), 0.0);
-  grid::CCVariable<grid::CellType> fCt(fineLevel.cells(),
-                                       grid::CellType::Flow);
-  initializeProperties(fineLevel, burnsChriston(), fAbs, fSig, fCt);
-  grid::CCVariable<double> cAbs(coarseLevel.cells(), 0.0),
-      cSig(coarseLevel.cells(), 0.0);
-  grid::CCVariable<grid::CellType> cCt(coarseLevel.cells(),
-                                       grid::CellType::Flow);
-  grid::coarsenAverage(fAbs, IntVector(4), cAbs, coarseLevel.cells());
-  grid::coarsenAverage(fSig, IntVector(4), cSig, coarseLevel.cells());
-  grid::coarsenCellType(fCt, IntVector(4), cCt, coarseLevel.cells());
+  const TwoLevelFields fields = sampleTwoLevelFields(*grid, burnsChriston());
 
   const grid::Patch& patch = fineLevel.patch(0);
-  TraceLevel fineTL{LevelGeom::from(fineLevel),
-                    RadiationFieldsView{FieldView<double>::fromHost(fAbs),
-                                        FieldView<double>::fromHost(fSig),
-                                        FieldView<grid::CellType>::fromHost(
-                                            fCt)},
+  TraceLevel fineTL{LevelGeom::from(fineLevel), fields.fineViews(),
                     patch.ghostWindow(4).intersect(fineLevel.cells())};
-  TraceLevel coarseTL{
-      LevelGeom::from(coarseLevel),
-      RadiationFieldsView{FieldView<double>::fromHost(cAbs),
-                          FieldView<double>::fromHost(cSig),
-                          FieldView<grid::CellType>::fromHost(cCt)},
-      coarseLevel.cells()};
+  TraceLevel coarseTL{LevelGeom::from(coarseLevel), fields.coarseViews(),
+                      coarseLevel.cells()};
   TraceConfig cfg;
   cfg.nDivQRays = raysPerCell;
   Tracer tracer({fineTL, coarseTL}, WallProperties{0.0, 1.0}, cfg);

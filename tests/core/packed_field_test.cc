@@ -1,7 +1,7 @@
 /// The packed kernel data layout (DESIGN.md §12): record fusion
-/// semantics, the incremental-stride invariants the DDA relies on, the
-/// PackedLevelCache repack bookkeeping, and that a shared pre-packed
-/// level marches bitwise like Tracer-owned packing on a two-level ROI
+/// semantics, the incremental-stride invariants the DDA relies on, and
+/// that pre-packed levels — how every pipeline trace task feeds its
+/// Tracer — march bitwise like Tracer-owned packing on a two-level ROI
 /// configuration that exercises wall-cell absorption, coarse-level
 /// handoff, and domain-exit paths.
 /// Built standalone so the TSan and ASan+UBSan CI jobs run it too.
@@ -77,61 +77,6 @@ TEST(PackedField, StridesMatchOffsetDeltas) {
   EXPECT_EQ(v.offsetOf(w.low()), 0);
 }
 
-TEST(PackedField, RepackRefreshesOnlyTheRegion) {
-  const CellRange w(IntVector(0), IntVector(4));
-  CCVariable<double> abskg(w, 1.0), sig(w, 2.0);
-  RadiationFieldsView fields{FieldView<double>::fromHost(abskg),
-                             FieldView<double>::fromHost(sig),
-                             FieldView<CellType>{}};
-  PackedLevelField packed(fields);
-
-  // Mutate the source everywhere, repack only a corner box.
-  for (const IntVector& c : w) abskg[c] = 9.0;
-  const CellRange corner(IntVector(0), IntVector(2));
-  packed.repack(fields, corner);
-  for (const IntVector& c : w)
-    EXPECT_EQ(packed.view()[c].abskg, corner.contains(c) ? 9.0 : 1.0);
-}
-
-TEST(PackedLevelCache, FullPackOnceThenRegionRepacksOnCoverageChange) {
-  const CellRange w(IntVector(0), IntVector(8));
-  CCVariable<double> abskg(w, 1.0), sig(w, 2.0);
-  RadiationFieldsView fields{FieldView<double>::fromHost(abskg),
-                             FieldView<double>::fromHost(sig),
-                             FieldView<CellType>{}};
-  PackedLevelCache cache;
-
-  const CellRange boxA(IntVector(0), IntVector(2));
-  const CellRange boxB(IntVector(4, 0, 0), IntVector(6, 2, 2));
-  cache.refresh(fields, {boxA});
-  EXPECT_EQ(cache.fullPacks(), 1);
-  EXPECT_EQ(cache.regionRepacks(), 0);
-
-  // Unchanged coverage: records reused verbatim, no repack at all.
-  cache.refresh(fields, {boxA});
-  EXPECT_EQ(cache.fullPacks(), 1);
-  EXPECT_EQ(cache.regionRepacks(), 0);
-
-  // boxB enters, boxA leaves: exactly the symmetric difference repacks,
-  // and the repack picks up the current field values in those regions.
-  for (const IntVector& c : boxA) abskg[c] = 5.0;
-  for (const IntVector& c : boxB) abskg[c] = 7.0;
-  const PackedFieldView v = cache.refresh(fields, {boxB});
-  EXPECT_EQ(cache.fullPacks(), 1);
-  EXPECT_EQ(cache.regionRepacks(), 2);
-  for (const IntVector& c : boxA) EXPECT_EQ(v[c].abskg, 5.0);
-  for (const IntVector& c : boxB) EXPECT_EQ(v[c].abskg, 7.0);
-
-  // A window change (regrid of this level) forces a fresh full pack.
-  const CellRange w2(IntVector(0), IntVector(6));
-  CCVariable<double> abskg2(w2, 3.0), sig2(w2, 4.0);
-  cache.refresh(RadiationFieldsView{FieldView<double>::fromHost(abskg2),
-                                    FieldView<double>::fromHost(sig2),
-                                    FieldView<CellType>{}},
-                {boxA});
-  EXPECT_EQ(cache.fullPacks(), 2);
-}
-
 /// Two-level ROI fixture with interior wall cells: rays starting on the
 /// fine ROI hand off to the coarse level, absorb at the intruding wall
 /// block or exit the domain — every branch of the march loop.
@@ -193,25 +138,26 @@ struct TwoLevelFixture {
 };
 
 TEST(PackedVsLegacy, SharedPackedViewMatchesTracerOwnedPacking) {
-  // Supplying a pre-packed coarse view (the PackedLevelCache path) must
-  // be indistinguishable from letting the Tracer pack it itself.
+  // Every pipeline trace task hands its Tracer packed records only: the
+  // patch's ROI records and the coarse set its registration shares
+  // across tasks. That must be indistinguishable from letting the Tracer
+  // pack the fields itself.
   const TwoLevelFixture fx;
   Tracer owned = fx.tracer();
 
+  const PackedLevelField finePacked(
+      RadiationFieldsView{FieldView<double>::fromHost(fx.fAbs),
+                          FieldView<double>::fromHost(fx.fSig),
+                          FieldView<CellType>::fromHost(fx.fCt)});
   const PackedLevelField coarsePacked(
       RadiationFieldsView{FieldView<double>::fromHost(fx.cAbs),
                           FieldView<double>::fromHost(fx.cSig),
                           FieldView<CellType>::fromHost(fx.cCt)});
   TraceLevel fineTL{LevelGeom::from(fx.grid->fineLevel()),
-                    RadiationFieldsView{FieldView<double>::fromHost(fx.fAbs),
-                                        FieldView<double>::fromHost(fx.fSig),
-                                        FieldView<CellType>::fromHost(fx.fCt)},
-                    fx.roi};
+                    RadiationFieldsView{}, fx.roi, finePacked.view()};
   TraceLevel coarseTL{LevelGeom::from(fx.grid->coarseLevel()),
-                      RadiationFieldsView{FieldView<double>::fromHost(fx.cAbs),
-                                          FieldView<double>::fromHost(fx.cSig),
-                                          FieldView<CellType>::fromHost(fx.cCt)},
-                      fx.grid->coarseLevel().cells(), coarsePacked.view()};
+                      RadiationFieldsView{}, fx.grid->coarseLevel().cells(),
+                      coarsePacked.view()};
   TraceConfig cfg;
   cfg.nDivQRays = 12;
   cfg.seed = 33;

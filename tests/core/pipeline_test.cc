@@ -35,11 +35,14 @@ RmcrtSetup smallSetup(BandModel bands = grayBand()) {
   return setup;
 }
 
-/// Run the distributed pipeline on \p numRanks ranks; returns the
-/// schedulers (owning the per-rank results).
-std::vector<std::unique_ptr<Scheduler>> runDistributed(
-    std::shared_ptr<const Grid> grid, int numRanks, const RmcrtSetup& setup,
-    bool gpu, std::vector<std::unique_ptr<gpu::GpuDevice>>* /*devices*/,
+/// Run the distributed pipeline on \p numRanks ranks, one radiation step
+/// per entry of \p steps on the same schedulers: between steps every rank
+/// clears its tasks, rolls its DataWarehouses and registers the next
+/// setup, as SimulationController does. Returns the schedulers (owning
+/// the per-rank results of the last step).
+std::vector<std::unique_ptr<Scheduler>> runSteps(
+    std::shared_ptr<const Grid> grid, int numRanks,
+    const std::vector<RmcrtSetup>& steps, bool gpu,
     std::vector<std::unique_ptr<gpu::GpuDataWarehouse>>* gdws) {
   auto lb = std::make_shared<LoadBalancer>(*grid, numRanks);
   auto world = std::make_shared<comm::Communicator>(numRanks);
@@ -50,13 +53,20 @@ std::vector<std::unique_ptr<Scheduler>> runDistributed(
   std::vector<std::thread> threads;
   for (int r = 0; r < numRanks; ++r) {
     threads.emplace_back([&, r] {
-      if (gpu) {
-        RmcrtComponent::registerTwoLevelGpuPipeline(*scheds[r], setup,
-                                                    *(*gdws)[r]);
-      } else {
-        RmcrtComponent::registerTwoLevelPipeline(*scheds[r], setup);
+      for (std::size_t step = 0; step < steps.size(); ++step) {
+        if (step > 0) {
+          scheds[r]->clearTasks();
+          scheds[r]->advanceDataWarehouses();
+        }
+        if (gpu) {
+          RmcrtComponent::registerTwoLevelGpuPipeline(*scheds[r],
+                                                      steps[step],
+                                                      *(*gdws)[r]);
+        } else {
+          RmcrtComponent::registerTwoLevelPipeline(*scheds[r], steps[step]);
+        }
+        scheds[r]->executeTimestep();
       }
-      scheds[r]->executeTimestep();
     });
   }
   for (auto& t : threads) t.join();
@@ -65,6 +75,14 @@ std::vector<std::unique_ptr<Scheduler>> runDistributed(
   static std::vector<std::shared_ptr<comm::Communicator>> keepAlive;
   keepAlive.push_back(world);
   return scheds;
+}
+
+/// One radiation step of the distributed pipeline on fresh schedulers.
+std::vector<std::unique_ptr<Scheduler>> runDistributed(
+    std::shared_ptr<const Grid> grid, int numRanks, const RmcrtSetup& setup,
+    bool gpu, std::vector<std::unique_ptr<gpu::GpuDevice>>* /*devices*/,
+    std::vector<std::unique_ptr<gpu::GpuDataWarehouse>>* gdws) {
+  return runSteps(std::move(grid), numRanks, {setup}, gpu, gdws);
 }
 
 void compareToSerial(const Grid& grid, const RmcrtSetup& setup,
@@ -187,23 +205,82 @@ TEST(RmcrtPipeline, GpuCoTraceOfMultiTilePatchesMatchesSerialExactly) {
   }
 }
 
-TEST(RmcrtPipeline, GpuLevelDatabaseRefreshesEachStep) {
-  // The coarse level-database copy lives one radiation step: a problem
-  // that changes between two steps on the same devices must reach the
-  // kernel, which would otherwise march the first step's coarse records.
+/// Two radiation steps on the same schedulers (and, for the GPU pipeline,
+/// the same devices) with a problem that changes between them: the second
+/// step must match the serial solve of its own problem bitwise, so no
+/// host or device coarse record set may outlive its registration.
+void expectCoarseRecordsRefreshEachStep(bool gpu) {
   auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                  IntVector(4), IntVector(4), IntVector(4));
   const int numRanks = 2;
   std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
   std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
   makeDevices(numRanks, devices, gdws);
-  runDistributed(grid, numRanks, smallSetup(), true, &devices, &gdws);
   RmcrtSetup changed = smallSetup();
   changed.problem = uniformMedium(0.5, 2.0);
   auto scheds =
-      runDistributed(grid, numRanks, changed, true, &devices, &gdws);
+      runSteps(grid, numRanks, {smallSetup(), changed}, gpu, &gdws);
   compareToSerial(*grid, changed, scheds);
-  for (auto& gdw : gdws) EXPECT_EQ(gdw->numLevelVarCopies(), 1u);
+  if (gpu) {
+    for (auto& gdw : gdws) EXPECT_EQ(gdw->numLevelVarCopies(), 1u);
+  }
+}
+
+TEST(RmcrtPipeline, GpuLevelDatabaseRefreshesEachStep) {
+  // The coarse level-database copy and the host records it is uploaded
+  // from live one radiation step; otherwise the kernel and the host half
+  // would march the first step's coarse records.
+  expectCoarseRecordsRefreshEachStep(/*gpu=*/true);
+}
+
+TEST(RmcrtPipeline, CpuPipelineRefreshesEachStep) {
+  // The CPU trace tasks' shared coarse record set lives one registration.
+  expectCoarseRecordsRefreshEachStep(/*gpu=*/false);
+}
+
+TEST(RmcrtPipeline, GpuMatchesCpuOnAdaptiveFineLevel) {
+  // Two 16^3 fine patches cover two of the eight coarse octants, so every
+  // ROI reaches into uncovered fine space. Both trace tasks prolong the
+  // coarse properties there before packing, so the co-traced GPU pipeline
+  // is bitwise the CPU pipeline on every fine patch.
+  auto grid = Grid::makeAdaptive(
+      Vector(0.0), Vector(1.0), IntVector(8), IntVector(4), IntVector(4),
+      {CellRange(IntVector(0), IntVector(4)),
+       CellRange(IntVector(4), IntVector(8))});
+  const int numRanks = 2;
+  for (const BandModel& bands : {grayBand(), threeband()}) {
+    SCOPED_TRACE(bands.size() == 1 ? "gray" : "three bands");
+    RmcrtSetup setup = smallSetup(bands);
+    setup.trace.nDivQRays = 8;
+    setup.trace.seed = 5;
+    setup.roiHalo = 4;
+    auto cpu = runDistributed(grid, numRanks, setup, false, nullptr, nullptr);
+    std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
+    std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
+    makeDevices(numRanks, devices, gdws);
+    auto gpu = runDistributed(grid, numRanks, setup, true, &devices, &gdws);
+
+    const int fine = grid->numLevels() - 1;
+    std::size_t cells = 0;
+    for (int r = 0; r < numRanks; ++r)
+      for (int pid : gpu[r]->loadBalancer().patchesOf(r, *grid, fine)) {
+        const auto& want = cpu[r]->newDW().get<double>(RmcrtLabels::divQ, pid);
+        const auto& got = gpu[r]->newDW().get<double>(RmcrtLabels::divQ, pid);
+        for (const auto& c : grid->patchById(pid)->cells()) {
+          ASSERT_EQ(got[c], want[c]) << "patch " << pid << " cell " << c;
+          ++cells;
+        }
+      }
+    EXPECT_EQ(cells, 8192u);
+
+    // 16^3 patches co-trace as 64 tiles of 4^3 each.
+    std::uint64_t tiles = 0;
+    for (auto& dev : devices) {
+      EXPECT_EQ(dev->stats().cpuFallbacks, 0u);
+      tiles += dev->stats().deviceTiles + dev->stats().hostTiles;
+    }
+    EXPECT_EQ(tiles, grid->fineLevel().patches().size() * 64);
+  }
 }
 
 TEST(RmcrtPipeline, RegistrationRejectsInvalidSetup) {

@@ -228,7 +228,7 @@ TEST(Calibration, MutatedKernelBaselinesNeverThrow) {
 
 TEST(Calibration, CommittedKernelBaselineLoads) {
   // The repo's own committed baseline must calibrate, and from the SIMD
-  // key — this is the exact chain bench_scaling_* and the scaling shape
+  // key — this is the exact chain bench_scaling and the scaling shape
   // gate run on.
   const Calibration c = calibrationFromBenchJson(
       std::string(RMCRT_REPO_DIR) + "/BENCH_rmcrt_kernel.json");

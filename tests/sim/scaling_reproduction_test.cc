@@ -407,9 +407,9 @@ TEST(ScalingReproduction, FreshSmokeStudyMatchesCommittedArtifact) {
 // Emitter schema and fallback determinism.
 
 TEST(ScalingReproduction, EmittedJsonParsesWithSchema) {
-  // Schema-by-parsing: the exact bytes bench_scaling_{medium,large}
-  // write must round-trip through the JSON grammar with every key the
-  // gates above consume.
+  // Schema-by-parsing: the exact bytes bench_scaling writes must
+  // round-trip through the JSON grammar with every key the gates above
+  // consume.
   std::stringstream ss;
   writeScalingReportJson(ss, freshReport(), /*smoke=*/true);
   minijson::Value doc;

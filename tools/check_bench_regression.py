@@ -24,13 +24,13 @@ throughput collapse:
      Tracer::simdSupported() is false skip the perf floor but still must
      carry the section.
 
-scaling — compares a freshly collected bench_scaling_{medium,large}
-study against the committed BENCH_scaling.json and fails when the
-paper's reproduced shape drifts: a patch-size crossover flips, a series
-stops decreasing, the Titan-default Eq. 3 efficiencies leave the
-paper's regime, or the Table I speedups leave 2x-5x. The study is
-deterministic model arithmetic, so current-vs-baseline values must also
-agree closely (they only differ by libm ulps across hosts):
+scaling — compares a freshly collected bench_scaling study against the
+committed BENCH_scaling.json and fails when the paper's reproduced
+shape drifts: a patch-size crossover flips, a series stops decreasing,
+the Titan-default Eq. 3 efficiencies leave the paper's regime, or the
+Table I speedups leave 2x-5x. The study is deterministic model
+arithmetic, so current-vs-baseline values must also agree closely (they
+only differ by libm ulps across hosts):
 
     check_bench_regression.py --mode scaling --current scaling-smoke.json \\
         --baseline BENCH_scaling.json
@@ -254,7 +254,7 @@ def scaling_model(doc, name, path):
         raise UnusableInput(
             f"{path}: missing scaling key 'models.{name}' — not a "
             "bench_scaling JSON? Regenerate with "
-            "bench_scaling_large --smoke --json=...")
+            "bench_scaling --smoke --json=...")
     return models[name]
 
 
@@ -728,7 +728,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--mode", choices=sorted(MODES), default="kernel",
                     help="kernel: bench_rmcrt_kernel throughput gate; "
-                         "scaling: bench_scaling_* shape gate; "
+                         "scaling: bench_scaling shape gate; "
                          "service: bench_service accuracy + throughput gate; "
                          "adaptive: adaptive ray-budget + banding gate")
     ap.add_argument("--current",

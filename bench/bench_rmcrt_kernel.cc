@@ -56,6 +56,10 @@ struct KernelFixture {
                   grid->fineLevel().cells()};
     TraceConfig cfg;
     cfg.nDivQRays = rays;
+    // The scalar march: the thread sweep's committed baseline was
+    // measured on it, so a collapse of the golden reference still trips
+    // the gate. simd_microbench measures the packet path.
+    cfg.useSimd = false;
     return Tracer({tl}, WallProperties{0.0, 1.0}, cfg);
   }
 };
@@ -425,6 +429,8 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   TraceConfig fixedCfg;
   fixedCfg.nDivQRays = rays;
   fixedCfg.seed = 71;
+  // The scalar march, which the committed throughputs were measured on.
+  fixedCfg.useSimd = false;
 
   struct Solve {
     std::vector<double> divQ;

@@ -19,6 +19,13 @@ double safeDiv(double num, double den) {
   return den == 0.0 ? std::numeric_limits<double>::infinity() : num / den;
 }
 
+/// Rays per bundle run. A run takes whole cells while it stays within
+/// this many rays (and always at least one cell), so a divQ pass's
+/// scratch — origins, directions and intensities, 56 B a ray, plus the
+/// packet march's handoff state — stays near half a megabyte whatever
+/// the tile volume.
+constexpr std::size_t kRunRays = 4096;
+
 /// Registry references resolved once; per-tile bumps are single relaxed
 /// atomic adds (same cost class as the existing m_segments flush).
 MetricsCounter& tracerSegmentsCounter() {
@@ -161,16 +168,22 @@ Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
     }
     assert(L.packed.valid() && "a level needs packed records or fields");
   }
-  if (m_cfg.useSimd && !m_levels.empty() && m_levels.front().packed.valid()) {
-    // One pass over level 0's records so the packet march can skip the
-    // cellType gather entirely in wall-free domains.
-    const PackedFieldView& pf = m_levels.front().packed;
-    const std::int64_t nRec = pf.window().volume();
-    const PackedCell* rec = pf.data();
+  m_levelHasWalls.assign(m_levels.size(), 1);
+  if (!m_cfg.useSimd || !simdSupported()) return;
+  // One pass over each level's `allowed` box, row by row, so the packet
+  // march can skip the cellType gather entirely in wall-free domains.
+  for (std::size_t li = 0; li < m_levels.size(); ++li) {
+    const TraceLevel& L = m_levels[li];
+    if (L.allowed.empty()) continue;
+    const IntVector lo = L.allowed.low(), hi = L.allowed.high();
     bool walls = false;
-    for (std::int64_t i = 0; i < nRec && !walls; ++i)
-      walls = rec[i].cellType == PackedCell::kWall;
-    m_level0HasWalls = walls;
+    for (int z = lo.z(); z < hi.z() && !walls; ++z)
+      for (int y = lo.y(); y < hi.y() && !walls; ++y) {
+        const PackedCell* row = &L.packed[IntVector(lo.x(), y, z)];
+        for (int x = 0; x < hi.x() - lo.x() && !walls; ++x)
+          walls = row[x].cellType == PackedCell::kWall;
+      }
+    m_levelHasWalls[li] = walls;
   }
 }
 
@@ -303,27 +316,22 @@ double Tracer::traceRay(Vector origin, Vector dir,
   return sumI;
 }
 
-void Tracer::finishRayCoarse(Vector pos, const Vector& dir,
-                             double kappaScale, double& sumI,
-                             double& transmissivity,
-                             std::uint64_t& segments) const {
-  for (std::size_t li = 1; li < m_levels.size(); ++li) {
-    if (marchLevelPacked(li, pos, dir, kappaScale, sumI, transmissivity,
-                         segments))
-      break;
+void Tracer::marchRays(int n, const Vector* origins, const Vector* dirs,
+                       double kappaScale, double* out,
+                       std::uint64_t& segments) const {
+  if (n <= 0) return;
+  if (simdActive()) {
+    traceRaysSimd(n, origins, dirs, kappaScale, out, segments);
+  } else {
+    for (int i = 0; i < n; ++i)
+      out[i] = traceRay(origins[i], dirs[i], 0, kappaScale, segments);
   }
 }
 
 void Tracer::traceRays(int n, const Vector* origins, const Vector* dirs,
                        double* out) const {
-  if (n <= 0) return;
   std::uint64_t segments = 0;
-  if (simdActive()) {
-    traceRaysSimd(n, origins, dirs, 1.0, out, segments);
-  } else {
-    for (int i = 0; i < n; ++i)
-      out[i] = traceRay(origins[i], dirs[i], 0, 1.0, segments);
-  }
+  marchRays(n, origins, dirs, 1.0, out, segments);
   flushSegments(segments);
 }
 
@@ -332,13 +340,67 @@ void Tracer::flushSegments(std::uint64_t n) const {
   tracerSegmentsCounter().add(n);
 }
 
+template <class RayEnd, class Reduce>
+void Tracer::traceBundle(const std::vector<IntVector>& cells, int rBegin,
+                         RayEnd rayEnd, std::uint64_t seed,
+                         double kappaScale, std::uint64_t& segments,
+                         Reduce reduce) const {
+  const LevelGeom& g = m_levels.front().geom;
+  const auto raysOf = [&](std::size_t k) {
+    return static_cast<std::size_t>(std::max(0, rayEnd(k) - rBegin));
+  };
+  std::vector<Vector> origins, dirs;
+  std::vector<double> intensity;
+  for (std::size_t first = 0, end = 0; first < cells.size(); first = end) {
+    // A run: whole cells, at least one, up to kRunRays rays.
+    std::size_t n = raysOf(first);
+    for (end = first + 1; end < cells.size() && n + raysOf(end) <= kRunRays;
+         ++end)
+      n += raysOf(end);
+    origins.resize(n);
+    dirs.resize(n);
+    intensity.resize(n);
+    // Ray r of ANY pass draws from Rng(seed, cell, r) — the same stream
+    // the fixed fan consumes for its ray r, so the pilot is a prefix of
+    // the fixed fan and the top-up continues it exactly.
+    std::size_t i = 0;
+    for (std::size_t k = first; k < end; ++k) {
+      const IntVector& cell = cells[k];
+      const int rEnd = rBegin + static_cast<int>(raysOf(k));
+      for (int r = rBegin; r < rEnd; ++r, ++i) {
+        Rng rng(seed, cell, static_cast<std::uint32_t>(r));
+        if (m_cfg.jitterRayOrigin) {
+          const Vector lo = g.cellLowCorner(cell);
+          origins[i] = lo + Vector(rng.nextDouble(), rng.nextDouble(),
+                                   rng.nextDouble()) *
+                                g.dx;
+        } else {
+          origins[i] = g.cellCenter(cell);
+        }
+        dirs[i] = isotropicDirection(rng);
+      }
+    }
+    // Each ray's intensity depends on that ray alone, so the run's
+    // composition never changes a value.
+    marchRays(static_cast<int>(n), origins.data(), dirs.data(), kappaScale,
+              intensity.data(), segments);
+    i = 0;
+    for (std::size_t k = first; k < end; ++k) {
+      const std::size_t nk = raysOf(k);
+      reduce(k, intensity.data() + i, static_cast<int>(nk));
+      i += nk;
+    }
+  }
+}
+
 double Tracer::meanIncomingIntensity(const IntVector& cell) const {
   std::uint64_t segments = 0;
   double sum = 0.0;
-  std::vector<Vector> origins, dirs;
-  std::vector<double> intensities;
-  traceCellRays(cell, m_cfg.seed, 1.0, 0, m_cfg.nDivQRays, sum, origins,
-                dirs, intensities, segments);
+  traceBundle(
+      {cell}, 0, [this](std::size_t) { return m_cfg.nDivQRays; }, m_cfg.seed,
+      1.0, segments, [&sum](std::size_t, const double* I, int n) {
+        for (int r = 0; r < n; ++r) sum += I[r];
+      });
   flushSegments(segments);
   return sum / static_cast<double>(m_cfg.nDivQRays);
 }
@@ -361,57 +423,6 @@ int Tracer::adaptiveBudget(double pilotMean, double pilotStddev,
   return std::max(pilot, static_cast<int>(need));
 }
 
-void Tracer::traceCellRays(const IntVector& cell, std::uint64_t seed,
-                           double kappaScale, int rBegin, int rEnd,
-                           double& sum, std::vector<Vector>& origins,
-                           std::vector<Vector>& dirs,
-                           std::vector<double>& intensities,
-                           std::uint64_t& segments) const {
-  const int n = rEnd - rBegin;
-  if (n <= 0) {
-    intensities.clear();
-    return;
-  }
-  const LevelGeom& g = m_levels.front().geom;
-  origins.resize(static_cast<std::size_t>(n));
-  dirs.resize(static_cast<std::size_t>(n));
-  intensities.resize(static_cast<std::size_t>(n));
-  // Ray r of ANY pass draws from Rng(seed, cell, r) — the same stream
-  // the fixed fan consumes for its ray r, so the pilot is a prefix of
-  // the fixed fan and the top-up continues it exactly.
-  for (int r = rBegin; r < rEnd; ++r) {
-    Rng rng(seed, cell, static_cast<std::uint32_t>(r));
-    Vector origin;
-    if (m_cfg.jitterRayOrigin) {
-      const Vector lo = g.cellLowCorner(cell);
-      origin = lo + Vector(rng.nextDouble(), rng.nextDouble(),
-                           rng.nextDouble()) *
-                        g.dx;
-    } else {
-      origin = g.cellCenter(cell);
-    }
-    const std::size_t i = static_cast<std::size_t>(r - rBegin);
-    origins[i] = origin;
-    dirs[i] = isotropicDirection(rng);
-  }
-  if (simdActive()) {
-    // Variable-size bundles feed the same SetupQueue lane-refill path as
-    // the fixed fan; each lane's intensity depends only on its own ray,
-    // so bundle composition never changes per-ray values.
-    traceRaysSimd(n, origins.data(), dirs.data(), kappaScale,
-                  intensities.data(), segments);
-  } else {
-    for (int i = 0; i < n; ++i)
-      intensities[static_cast<std::size_t>(i)] =
-          traceRay(origins[static_cast<std::size_t>(i)],
-                   dirs[static_cast<std::size_t>(i)], 0, kappaScale,
-                   segments);
-  }
-  // Reduce in ray order — concatenated with the pilot pass this is the
-  // fixed fan's exact left-to-right sum.
-  for (int i = 0; i < n; ++i) sum += intensities[static_cast<std::size_t>(i)];
-}
-
 void Tracer::computeDivQTile(const CellRange& tile,
                              MutableFieldView<double> divQ) const {
   RMCRT_TRACE_SPAN("tracer", "divQ_tile");
@@ -426,15 +437,15 @@ void Tracer::computeDivQTile(const CellRange& tile,
   const int first = adaptive ? std::min(m_cfg.nPilotRays, cap) : cap;
   const std::uint64_t nCells = static_cast<std::uint64_t>(tile.volume());
 
+  std::vector<IntVector> cells;
+  cells.reserve(static_cast<std::size_t>(nCells));
+  for (const IntVector& c : tile) cells.push_back(c);
   struct CellState {
     double sum = 0.0;  // intensity sum over the rays traced so far
     int budget = 0;    // total rays granted to this cell
   };
-  std::vector<CellState> states;
-  states.reserve(static_cast<std::size_t>(nCells));
+  std::vector<CellState> states(cells.size());
 
-  std::vector<Vector> origins, dirs;
-  std::vector<double> intensities;
   std::uint64_t segments = 0;
   std::uint64_t raysTraced = 0;
   std::uint64_t tileMaxBudget = 0;
@@ -448,46 +459,50 @@ void Tracer::computeDivQTile(const CellRange& tile,
     const std::uint64_t seed = m_cfg.seed + kBandSeedStride * b;
     std::uint64_t bandSegments = 0;
     std::uint64_t bandRays = 0;
-    states.clear();
 
-    // Pass 1: rays [0, first) of every cell; an adaptive cell sizes its
-    // budget from the pilot's streaming variance.
+    // Pass 1: rays [0, first) of every cell, as one bundle; an adaptive
+    // cell sizes its budget from the pilot's streaming variance. Sums run
+    // in ray order — concatenated with the top-up this is the fixed
+    // fan's exact left-to-right sum.
     const auto firstPass = [&] {
-      for (const IntVector& c : tile) {
-        CellState cs;
-        traceCellRays(c, seed, band.kappaScale, 0, first, cs.sum, origins,
-                      dirs, intensities, bandSegments);
-        cs.budget = first;
-        if (adaptive) {
-          RunningStats stats;
-          for (const double I : intensities) stats.add(I);
-          cs.budget = adaptiveBudget(stats.mean(), stats.stddev(),
-                                     records[c].sigmaT4OverPi);
-        }
-        states.push_back(cs);
-      }
+      traceBundle(
+          cells, 0, [first](std::size_t) { return first; }, seed,
+          band.kappaScale, bandSegments,
+          [&](std::size_t k, const double* I, int n) {
+            CellState& cs = states[k];
+            cs = CellState{};
+            for (int r = 0; r < n; ++r) cs.sum += I[r];
+            cs.budget = first;
+            if (adaptive) {
+              RunningStats stats;
+              for (int r = 0; r < n; ++r) stats.add(I[r]);
+              cs.budget = adaptiveBudget(stats.mean(), stats.stddev(),
+                                         records[cells[k]].sigmaT4OverPi);
+            }
+          });
     };
-    // Pass 2: top up where the budget exceeds the first pass, appending
-    // to the same running sum so a cell whose budget reaches nDivQRays
-    // reproduces the fixed fan's reduction bitwise.
+    // Pass 2: top up where the budget exceeds the first pass, as one
+    // bundle, appending to the same running sum so a cell whose budget
+    // reaches nDivQRays reproduces the fixed fan's reduction bitwise.
     const auto topUpPass = [&] {
-      std::size_t i = 0;
-      for (const IntVector& c : tile) {
-        CellState& cs = states[i++];
-        if (cs.budget > first)
-          traceCellRays(c, seed, band.kappaScale, first, cs.budget, cs.sum,
-                        origins, dirs, intensities, bandSegments);
-        const double meanI = cs.sum / static_cast<double>(cs.budget);
-        const PackedCell& rec = records[c];
-        const double q = 4.0 * M_PI * (rec.abskg * band.kappaScale) *
-                         (rec.sigmaT4OverPi - meanI);
-        // Band 0 assigns; the gray band's a_0 == 1.0 keeps this bitwise
-        // the gray solver (IEEE: x*1.0 == x).
-        divQ[c] = b == 0 ? band.weight * q : divQ[c] + band.weight * q;
-        bandRays += static_cast<std::uint64_t>(cs.budget);
-        tileMaxBudget =
-            std::max(tileMaxBudget, static_cast<std::uint64_t>(cs.budget));
-      }
+      traceBundle(
+          cells, first, [&states](std::size_t k) { return states[k].budget; },
+          seed, band.kappaScale, bandSegments,
+          [&](std::size_t k, const double* I, int n) {
+            CellState& cs = states[k];
+            for (int r = 0; r < n; ++r) cs.sum += I[r];
+            const IntVector& c = cells[k];
+            const double meanI = cs.sum / static_cast<double>(cs.budget);
+            const PackedCell& rec = records[c];
+            const double q = 4.0 * M_PI * (rec.abskg * band.kappaScale) *
+                             (rec.sigmaT4OverPi - meanI);
+            // Band 0 assigns; the gray band's a_0 == 1.0 keeps this
+            // bitwise the gray solver (IEEE: x*1.0 == x).
+            divQ[c] = b == 0 ? band.weight * q : divQ[c] + band.weight * q;
+            bandRays += static_cast<std::uint64_t>(cs.budget);
+            tileMaxBudget = std::max(tileMaxBudget,
+                                     static_cast<std::uint64_t>(cs.budget));
+          });
     };
     if (adaptive) {
       {

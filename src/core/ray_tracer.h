@@ -136,14 +136,15 @@ struct TraceConfig {
   /// default keeps a tile's field data within L1/L2 reach.
   IntVector tileSize = IntVector(8, 8, 8);
   /// March rays in lockstep, one per SIMD lane (the packet march,
-  /// DESIGN.md §14), when the host supports it and the first level carries
-  /// packed
-  /// records; rays retire from lanes on wall hit / extinction / ROI exit
-  /// and lanes refill from the pending bundle. Off by default: the SIMD
-  /// path uses a vectorized exp and agrees with the scalar golden march
-  /// only within a documented ULP tolerance, so bitwise-reproducibility
-  /// consumers (golden tests, record/replay) keep the scalar path.
-  bool useSimd = false;
+  /// DESIGN.md §14), wherever the host supports it (simdSupported()).
+  /// divQ traces each tile pass as one ray bundle, every level in
+  /// packets. On by default. The packet path evaluates exp with a vector
+  /// polynomial, so its per-ray intensities agree with the scalar march
+  /// within a documented ULP tolerance, not bitwise; the scalar march
+  /// therefore stays the golden reference, and `false` (or
+  /// RMCRT_NO_SIMD=1) selects it. Either way divQ is bitwise independent
+  /// of tiles, threads and patch decomposition.
+  bool useSimd = true;
   /// Rays per boundaryFlux / radiometer query. Historically these fans
   /// inherited nDivQRays; wall heat-flux QoIs usually want a different
   /// (often larger) count than the volumetric estimator, so they now
@@ -270,8 +271,9 @@ class Tracer {
   /// Recorded in the benchmark JSON so speedups compare like for like.
   static const char* simdIsa();
 
-  /// True when traceRays will take the packet path: useSimd is
-  /// set, the host qualifies, and level 0 carries packed records.
+  /// True when traceRays and the divQ bundles take the packet path:
+  /// useSimd is set (the default), the host qualifies, and level 0
+  /// carries packed records.
   bool simdActive() const {
     return m_cfg.useSimd && m_levels.front().packed.valid() &&
            simdSupported();
@@ -287,15 +289,16 @@ class Tracer {
   /// the SIMD packet march when simdActive(); otherwise loops the
   /// scalar march, in which case out[i] is bitwise identical to
   /// traceRay(origins[i], dirs[i]). The SIMD path marches the exact same
-  /// cell sequence per ray but evaluates the per-segment exp with a
-  /// vectorized kernel, so intensities agree with the scalar path within
-  /// the documented ULP tolerance (DESIGN.md §14), not bitwise.
+  /// cell sequence per ray on every level but evaluates the per-segment
+  /// exp with a vectorized kernel, so intensities agree with the scalar
+  /// path within the documented ULP tolerance (DESIGN.md §14), not
+  /// bitwise; out[i] never depends on the other rays of the call.
   void traceRays(int n, const Vector* origins, const Vector* dirs,
                  double* out) const;
 
   /// Mean incoming intensity over nDivQRays rays for \p cell (a cell of
-  /// levels[0]): the fixed fan of the gray-mean medium with `seed`,
-  /// through traceCellRays.
+  /// levels[0]): the fixed fan of the gray-mean medium with `seed` — the
+  /// one-cell case of the divQ bundle routine.
   double meanIncomingIntensity(const IntVector& cell) const;
 
   /// Compute divQ for every cell in \p cells (cells of levels[0]),
@@ -328,8 +331,11 @@ class Tracer {
   /// band loop. For each band in order, each cell traces its ray budget:
   /// nDivQRays (the fixed fan) or, with adaptiveRays, a pilot fan plus a
   /// variance-sized top-up; band 0 assigns a_0 * q_0 and later bands add
-  /// a_b * q_b. Every cell's rays are fixed by (band seed, cell, ray), so
-  /// any partition of a region into tile calls produces results bitwise
+  /// a_b * q_b. Each pass (the fixed fan, or the pilot and then the
+  /// top-up) traces the rays of every cell of the tile as one bundle,
+  /// streamed in runs of whole cells. Every cell's rays are fixed by
+  /// (band seed, cell, ray) and each lands in its own slot, so any
+  /// partition of a region into tile calls produces results bitwise
   /// identical to one computeDivQ over the whole region. Flushes the
   /// tile's segment count with a single atomic add.
   void computeDivQTile(const CellRange& tile,
@@ -394,9 +400,9 @@ class Tracer {
   static void publishRayGauges(std::initializer_list<const Tracer*> tracers);
 
  private:
-  /// The packet kernels' view of this tracer (ray_tracer_simd.cc): reads
-  /// the level-0 records and config, and finishes handed-off rays through
-  /// finishRayCoarse.
+  /// The packet kernels' view of one level of this tracer
+  /// (ray_tracer_simd.cc): reads that level's records, wall flag and the
+  /// config.
   friend struct PacketMarch;
 
   /// March within level \p li from physical position \p pos through its
@@ -427,18 +433,21 @@ class Tracer {
   /// runtime. SoA lane state, branchless min-axis selection via vector
   /// compares, masked lane retirement on wall hit / extinction /
   /// `allowed` exit, with retired lanes refilled from the pending
-  /// bundle. Rays that exit level 0's allowed box retire from the packet
-  /// and finish on the coarser levels via the scalar march. Callers must
-  /// check simdActive() first.
+  /// bundle. It runs one packet pass per level: level 0's pass starts
+  /// every ray at its origin, and a ray that leaves a level's `allowed`
+  /// box inside the domain is queued with its position, transmissivity
+  /// and intensity for the next level's pass, which starts from that
+  /// state. Callers must check simdActive() first.
   void traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
                      double kappaScale, double* out,
                      std::uint64_t& segments) const;
 
-  /// Finish a ray that left level 0's allowed box at \p pos: the coarse
-  /// continuation loop shared by the scalar and packet paths.
-  void finishRayCoarse(Vector pos, const Vector& dir, double kappaScale,
-                       double& sumI, double& transmissivity,
-                       std::uint64_t& segments) const;
+  /// traceRays through the \p kappaScale medium with a caller-owned
+  /// segment count: the packet march when simdActive(), else the scalar
+  /// loop.
+  void marchRays(int n, const Vector* origins, const Vector* dirs,
+                 double kappaScale, double* out,
+                 std::uint64_t& segments) const;
 
   /// Deterministic per-cell ray budget from the pilot statistics alone —
   /// a pure function of (seed, cell), never of threads or tiles:
@@ -448,20 +457,20 @@ class Tracer {
   int adaptiveBudget(double pilotMean, double pilotStddev,
                      double sigmaT4OverPi) const;
 
-  /// The one cell-fan routine: trace rays [rBegin, rEnd) of \p cell's
-  /// (seed, cell, ray) streams through the \p kappaScale medium — ray r
-  /// always draws from Rng(seed, cell, r), so any range is a slice of
-  /// the fixed fan — appending per-ray intensities to \p sum in ray
-  /// order. Dispatches to the packet march (via the reusable bundle
-  /// scratch) when simdActive(), else the scalar loop; intensities[]
-  /// holds the per-ray values of this range on return (the adaptive
-  /// pilot pass reads them for the variance).
-  void traceCellRays(const IntVector& cell, std::uint64_t seed,
-                     double kappaScale, int rBegin, int rEnd,
-                     double& sum, std::vector<Vector>& origins,
-                     std::vector<Vector>& dirs,
-                     std::vector<double>& intensities,
-                     std::uint64_t& segments) const;
+  /// The one bundle routine, run once per pass: rays [rBegin,
+  /// rayEnd(k)) of every cell cells[k] through the \p kappaScale medium.
+  /// Ray r of a cell always draws from Rng(seed, cell, r), so any range
+  /// is a slice of the fixed fan. The rays march as one bundle through
+  /// marchRays, each writing its intensity into its own (cell, ray)
+  /// slot, streamed in runs of whole cells of a few thousand rays so the
+  /// scratch is bounded by the run, not by cells × rays. Then
+  /// reduce(k, I, n) receives cell k's n intensities in ray order, for
+  /// every cell in order (n may be 0). Defined in ray_tracer.cc, its only
+  /// user.
+  template <class RayEnd, class Reduce>
+  void traceBundle(const std::vector<IntVector>& cells, int rBegin,
+                   RayEnd rayEnd, std::uint64_t seed, double kappaScale,
+                   std::uint64_t& segments, Reduce reduce) const;
 
   std::vector<TraceLevel> m_levels;
   WallProperties m_walls;
@@ -470,13 +479,15 @@ class Tracer {
   /// of the outer vector never touch the record buffers, so the views in
   /// m_levels stay valid for the Tracer's lifetime.
   std::vector<PackedLevelField> m_ownedPacked;
-  /// Whether level 0's packed records contain any wall cell — scanned
-  /// once at construction when the SIMD path is eligible, so wall-free
-  /// domains (the Burns-Christon benchmark) skip the per-crossing
-  /// cellType gather in the packet march. Conservatively true when not
-  /// scanned; domain-boundary walls are handled at box exit and never
-  /// depend on this.
-  bool m_level0HasWalls = true;
+  /// Per level, whether any record inside its `allowed` box — every
+  /// cell a lane of that level's packet pass can gather — is a wall
+  /// cell. Scanned once at construction when the packet path can run, so
+  /// wall-free domains (the Burns-Christon benchmark) skip the
+  /// per-crossing cellType gather, and the scan costs in proportion to
+  /// the marched boxes, not to the whole windows. Conservatively true
+  /// when not scanned; domain-boundary walls are handled at box exit and
+  /// never depend on this.
+  std::vector<char> m_levelHasWalls;
   mutable std::atomic<std::uint64_t> m_segments{0};
   /// Ray-budget accounting behind the rays-per-cell gauges: rays
   /// actually traced by divQ sweeps, (cell, band) pairs processed, and

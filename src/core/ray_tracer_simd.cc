@@ -1,9 +1,10 @@
 /// \file ray_tracer_simd.cc
 /// The SIMD ray-packet march (DESIGN.md §14) behind Tracer::traceRaysSimd.
 ///
-/// Rays march in lockstep through level 0's packed records, one ray per
-/// vector lane. The kernel is written once, in packet_march.inc, as a
-/// template over a thin lane type; this file compiles it twice:
+/// Rays march in lockstep through a level's packed records, one ray per
+/// vector lane, one packet pass per level. The kernel is written once, in
+/// packet_march.inc, as a template over a thin lane type; this file
+/// compiles it twice:
 ///
 ///  - avx512::Lanes — one __m512d per row (8 lanes), __mmask8
 ///    predication, every crossing a masked step. Preferred whenever the
@@ -22,18 +23,23 @@
 /// against the PackedFieldView byte-offset helpers for the record loads,
 /// and the vectorized polynomial exp (vexp). Lanes retire when a ray hits
 /// a wall cell, extinguishes below TraceConfig::threshold, or steps out of
-/// the level's `allowed` box; retired lanes refill from the pending bundle
+/// the level's `allowed` box; retired lanes refill from the pending rays
 /// through a SetupQueue that precomputes per-ray DDA setups a chunk at a
-/// time. Rays that left `allowed` finish on the coarser levels through the
-/// scalar march.
+/// time. A ray that leaves `allowed` inside the domain is queued, with its
+/// position, transmissivity and intensity, for the next level's pass,
+/// which sets it up from `pos = origin + dir * tCur` (the scalar march's
+/// handoff) and starts it from that state; on the last level every exit
+/// is a wall. Rays live in fixed bundle slots throughout, so the result
+/// of a ray never depends on the other rays of the bundle.
 ///
 /// Numerical contract: the DDA bookkeeping (tMax/tDelta setup, min-axis
-/// tie-breaking, segment lengths, cell paths) performs the exact same
-/// IEEE operations as the scalar packed march, so every ray visits the
-/// bitwise-identical cell sequence with bitwise-identical segment lengths,
-/// and the two instances agree bitwise with each other. The only
-/// divergence from the scalar march is the polynomial exp vs libm exp
-/// (<= ~2 ulp per segment), which accumulates multiplicatively through the
+/// tie-breaking, segment lengths, cell paths, the handoff position) on
+/// every level performs the exact same IEEE operations as the scalar
+/// packed march, so every ray visits the bitwise-identical cell sequence
+/// with bitwise-identical segment lengths, and the two instances agree
+/// bitwise with each other. The only divergence from the scalar march is
+/// the polynomial exp vs libm exp on every level's segments (<= ~2 ulp
+/// per segment), which accumulates multiplicatively through the
 /// transmissivity — hence the documented ULP tolerance on per-ray
 /// intensities (simd_march_test). That contract needs the library built
 /// with -ffp-contract=off (src/core/CMakeLists.txt): otherwise GCC fuses
@@ -58,6 +64,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <vector>
 
 #include "core/packed_field.h"
 #include "core/ray_tracer.h"
@@ -70,41 +77,35 @@ namespace rmcrt::core {
 
 #if RMCRT_SIMD_X86
 
-/// The packet kernel's view of one Tracer: level 0's geometry and record
-/// gather bases, the march constants, and the coarse continuation for
-/// rays that leave level 0's allowed box.
+/// The packet kernel's view of one level pass of a Tracer: the level's
+/// geometry and record gather bases, whether a coarser level follows,
+/// and the march constants.
 struct PacketMarch {
-  PacketMarch(const Tracer& t, double scale)
-      : tracer(t),
-        level(t.m_levels.front()),
+  PacketMarch(const Tracer& t, std::size_t li, double scale)
+      : level(t.m_levels[li]),
         abskg(reinterpret_cast<const double*>(
             level.packed.bytes() + PackedFieldView::kAbskgByteOffset)),
         sigma(reinterpret_cast<const double*>(
             level.packed.bytes() + PackedFieldView::kSigmaByteOffset)),
         cellType(reinterpret_cast<const int*>(
             level.packed.bytes() + PackedFieldView::kCellTypeByteOffset)),
-        hasWalls(t.m_level0HasWalls),
-        multiLevel(t.m_levels.size() > 1),
+        hasWalls(t.m_levelHasWalls[li] != 0),
+        hasNext(li + 1 < t.m_levels.size()),
         threshold(t.m_cfg.threshold),
         emissivity(t.m_walls.emissivity),
         wallTerm(t.m_walls.emissivity * t.m_walls.sigmaT4OverPi),
         kappaScale(scale) {}
 
-  [[gnu::always_inline]] void finishCoarse(Vector pos, const Vector& dir,
-                                           double& sumI, double& trans,
-                                           std::uint64_t& segments) const {
-    tracer.finishRayCoarse(pos, dir, kappaScale, sumI, trans, segments);
-  }
-
-  const Tracer& tracer;
   const TraceLevel& level;
   const double* abskg;
   const double* sigma;
   const int* cellType;
-  /// Whether level 0 has any wall record (else the cellType gather is
-  /// skipped).
+  /// Whether the level's `allowed` box holds any wall record (else the
+  /// cellType gather is skipped).
   bool hasWalls;
-  bool multiLevel;
+  /// Whether a ray leaving `allowed` inside the domain continues on a
+  /// coarser level; on the last level every exit takes the wall term.
+  bool hasNext;
   double threshold;
   double emissivity;
   /// Domain-wall emission factor; the scalar march multiplies the same
@@ -122,8 +123,41 @@ double safeDiv(double num, double den) {
   return den == 0.0 ? std::numeric_limits<double>::infinity() : num / den;
 }
 
-/// Per-ray Amanatides-Woo setup, precomputed by SetupQueue so a lane
-/// refill is a handful of L1 copies instead of a chain of divisions.
+/// The rays of one level pass, addressed by bundle slot. Level 0's pass
+/// starts every ray of the bundle fresh at its origin; a coarser level's
+/// pass starts the rays the previous level handed off, each from the
+/// state it carried out.
+struct LevelRays {
+  const Vector* pos;     ///< where each ray enters the level, by slot
+  const Vector* dirs;    ///< bundle directions, by slot
+  const double* trans;   ///< carried transmissivity; null: fresh rays (1)
+  const double* sumI;    ///< carried intensity; null: fresh rays (0)
+  const int* slots;      ///< the pass's slots; null: 0 .. n-1
+  int n;
+
+  int slot(int i) const { return slots != nullptr ? slots[i] : i; }
+};
+
+/// Where a pass queues the rays it hands to the next level: each ray's
+/// entry position and transmissivity go into its slot of `pos` and
+/// `trans`, and the slot joins `slots`. Its intensity so far waits in its
+/// output slot, which it overwrites once it finishes.
+struct Handoff {
+  Vector* pos = nullptr;
+  double* trans = nullptr;
+  int* slots = nullptr;
+  int n = 0;
+
+  void push(int slot, const Vector& p, double t) {
+    pos[slot] = p;
+    trans[slot] = t;
+    slots[n++] = slot;
+  }
+};
+
+/// Per-ray Amanatides-Woo setup plus the state the ray enters the level
+/// with, precomputed by SetupQueue so a lane refill is a handful of L1
+/// copies instead of a chain of divisions.
 struct RaySetup {
   double tMax[3];
   double tDelta[3];
@@ -133,13 +167,14 @@ struct RaySetup {
   /// `stepped < lo || stepped >= hi` is equivalent to this count going
   /// negative.
   double cnt[3];
+  double trans;
+  double sumI;
   /// Linear record element offset of the ray's starting cell.
   std::int64_t off;
   /// Pre-signed element stride per axis (PackedFieldView::laneStride).
   std::int64_t axStride[3];
-  std::int64_t initCnt[3];
-  int step[3];
-  int start[3];
+  /// The ray's bundle slot.
+  std::int64_t slot;
 };
 
 /// Performs the exact FP sequence of the scalar packed march's setup, so
@@ -155,8 +190,6 @@ struct RaySetup {
   start = max(min(start, L.allowed.high() - IntVector(1)), L.allowed.low());
   for (int i = 0; i < 3; ++i) {
     const int step = dir[i] >= 0.0 ? 1 : -1;
-    rs.step[i] = step;
-    rs.start[i] = start[i];
     rs.tDelta[i] = safeDiv(g.dx[i], std::abs(dir[i]));
     const double planeCoord =
         g.physLow[i] +
@@ -164,15 +197,27 @@ struct RaySetup {
     double tM = safeDiv(planeCoord - origin[i], dir[i]);
     if (tM < 0.0) tM = 0.0;  // float slop at the boundary
     rs.tMax[i] = tM;
-    const std::int64_t cnt =
-        step > 0
-            ? static_cast<std::int64_t>(L.allowed.high()[i] - 1 - start[i])
-            : static_cast<std::int64_t>(start[i] - L.allowed.low()[i]);
-    rs.cnt[i] = static_cast<double>(cnt);
-    rs.initCnt[i] = cnt;
+    rs.cnt[i] = static_cast<double>(step > 0
+                                        ? L.allowed.high()[i] - 1 - start[i]
+                                        : start[i] - L.allowed.low()[i]);
     rs.axStride[i] = L.packed.laneStride(i, step);
   }
   rs.off = L.packed.offsetOf(start);
+}
+
+/// The cell a ray stepped into when it left \p allowed, rebuilt from its
+/// remaining-crossing counters \p cnt (the exited axis reads -1): a ray
+/// stepping +1 along an axis has `allowed.high - 1 - cnt` there, one
+/// stepping -1 has `allowed.low + cnt`. The same step sign as the
+/// setup's, so this is the scalar march's `cur` exactly.
+inline IntVector steppedCell(const CellRange& allowed, const Vector& dir,
+                             const double* cnt) {
+  IntVector cur;
+  for (int a = 0; a < 3; ++a) {
+    const int c = static_cast<int>(cnt[a]);
+    cur[a] = dir[a] >= 0.0 ? allowed.high()[a] - 1 - c : allowed.low()[a] + c;
+  }
+  return cur;
 }
 
 /// Chunked precompute of per-ray DDA setups. Lane refill happens inside
@@ -182,36 +227,36 @@ struct RaySetup {
 /// L1 and lets the divisions pipeline against the marching packet.
 class SetupQueue {
  public:
-  SetupQueue(const TraceLevel& level, const Vector* origins,
-             const Vector* dirs, int n)
-      : m_level(level), m_origins(origins), m_dirs(dirs), m_n(n) {}
+  SetupQueue(const TraceLevel& level, const LevelRays& rays)
+      : m_level(level), m_rays(rays) {}
 
-  bool empty() const { return m_next >= m_n; }
+  bool empty() const { return m_next >= m_rays.n; }
 
-  /// Pops the next pending ray's setup; \p rayIdx receives its bundle
-  /// index. Only valid when !empty(). The reference stays valid until
-  /// the next pop.
-  const RaySetup& pop(int& rayIdx) {
+  /// Pops the next pending ray's setup. Only valid when !empty(). The
+  /// reference stays valid until the next pop.
+  const RaySetup& pop() {
     if (m_next >= m_base + m_filled) fill();
-    rayIdx = m_next;
     return m_buf[m_next++ - m_base];
   }
 
  private:
   void fill() {
     m_base = m_next;
-    const int remaining = m_n - m_base;
+    const int remaining = m_rays.n - m_base;
     m_filled = remaining < kChunk ? remaining : kChunk;
-    for (int i = 0; i < m_filled; ++i)
-      computeRaySetup(m_level, m_origins[m_base + i], m_dirs[m_base + i],
-                      m_buf[i]);
+    for (int i = 0; i < m_filled; ++i) {
+      const int s = m_rays.slot(m_base + i);
+      RaySetup& rs = m_buf[i];
+      computeRaySetup(m_level, m_rays.pos[s], m_rays.dirs[s], rs);
+      rs.trans = m_rays.trans != nullptr ? m_rays.trans[s] : 1.0;
+      rs.sumI = m_rays.sumI != nullptr ? m_rays.sumI[s] : 0.0;
+      rs.slot = s;
+    }
   }
 
   static constexpr int kChunk = 128;
   const TraceLevel& m_level;
-  const Vector* m_origins;
-  const Vector* m_dirs;
-  int m_n = 0;
+  LevelRays m_rays;
   int m_next = 0;
   int m_base = 0;
   int m_filled = 0;
@@ -481,12 +526,31 @@ void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
                            double kappaScale, double* out,
                            std::uint64_t& segments) const {
   assert(n > 0 && m_levels.front().packed.valid());
-  const PacketMarch march(*this, kappaScale);
-  if (avx512Usable())
-    avx512::marchPackets<avx512::Lanes>(march, n, origins, dirs, out,
-                                        segments);
-  else
-    avx2::marchPackets<avx2::Lanes>(march, n, origins, dirs, out, segments);
+  const bool wide = avx512Usable();  // one instance for every pass
+  // Handoff state, by bundle slot: entry position and transmissivity
+  // (the intensity so far waits in out[slot]), and two slot lists that
+  // alternate between the pass reading one and the pass writing the
+  // other.
+  std::vector<Vector> pos;
+  std::vector<double> trans;
+  std::vector<int> slots[2];
+  if (m_levels.size() > 1) {
+    const std::size_t un = static_cast<std::size_t>(n);
+    pos.resize(un);
+    trans.resize(un);
+    slots[0].resize(un);
+    slots[1].resize(un);
+  }
+  LevelRays rays{origins, dirs, nullptr, nullptr, nullptr, n};
+  for (std::size_t li = 0; li < m_levels.size() && rays.n > 0; ++li) {
+    const PacketMarch march(*this, li, kappaScale);
+    Handoff next{pos.data(), trans.data(), slots[li % 2].data(), 0};
+    if (wide)
+      avx512::marchPackets<avx512::Lanes>(march, rays, next, out, segments);
+    else
+      avx2::marchPackets<avx2::Lanes>(march, rays, next, out, segments);
+    rays = LevelRays{pos.data(), dirs, trans.data(), out, next.slots, next.n};
+  }
 }
 
 const char* Tracer::simdIsa() {

@@ -149,14 +149,22 @@ void GpuStream::pump() {
     op = std::move(m_queue.front());
     m_queue.pop_front();
   }
+  std::exception_ptr error;
   try {
     op();
   } catch (...) {
-    // A faulted stream discards the rest of its queue — in-order semantics
-    // leave later operations' inputs undefined. The error is reported at
-    // the next synchronize(), like CUDA's deferred async-error model.
+    error = std::current_exception();
+  }
+  if (error) {
+    // Published only once the catch block has ended: until then this
+    // thread's handler still owns the in-flight exception, and a waiter
+    // woken inside it could read the exception while this thread frees
+    // it. A faulted stream discards the rest of its queue — in-order
+    // semantics leave later operations' inputs undefined. The error is
+    // reported at the next synchronize(), like CUDA's deferred
+    // async-error model.
     std::lock_guard<std::mutex> lk(m_mutex);
-    if (!m_error) m_error = std::current_exception();
+    if (!m_error) m_error = std::move(error);
     m_completed += 1 + m_queue.size();
     m_queue.clear();
     m_running = false;

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,14 +26,21 @@ using grid::Grid;
 using grid::LoadBalancer;
 using runtime::Scheduler;
 
-RmcrtSetup smallSetup(BandModel bands = grayBand()) {
+RmcrtSetup smallSetup(BandModel bands = grayBand(), bool simd = true) {
   RmcrtSetup setup;
   setup.problem = burnsChriston();
   setup.trace.nDivQRays = 12;
   setup.trace.seed = 21;
   setup.trace.bands = std::move(bands);
+  setup.trace.useSimd = simd;
   setup.roiHalo = 3;
   return setup;
+}
+
+/// "scalar, gray", "packet, three bands", ...: the oracle tests' scope.
+std::string dispatchAndBands(bool simd, const BandModel& bands) {
+  return std::string(simd ? "packet" : "scalar") + ", " +
+         (bands.size() == 1 ? "gray" : "three bands");
 }
 
 /// Run the distributed pipeline on \p numRanks ranks, one radiation step
@@ -111,14 +119,17 @@ void makeDevices(int numRanks,
 }
 
 TEST(RmcrtPipeline, DistributedCpuMatchesSerialExactly) {
-  // Gray and banded: the band loop runs inside the same trace task.
+  // Gray and banded: the band loop runs inside the same trace task. Both
+  // dispatches: the scalar march and the packet march.
   auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                  IntVector(4), IntVector(4), IntVector(4));
-  for (const BandModel& bands : {grayBand(), threeband()}) {
-    SCOPED_TRACE(bands.size() == 1 ? "gray" : "three bands");
-    const RmcrtSetup setup = smallSetup(bands);
-    auto scheds = runDistributed(grid, 4, setup, false, nullptr, nullptr);
-    compareToSerial(*grid, setup, scheds);
+  for (const bool simd : {false, true}) {
+    for (const BandModel& bands : {grayBand(), threeband()}) {
+      SCOPED_TRACE(dispatchAndBands(simd, bands));
+      const RmcrtSetup setup = smallSetup(bands, simd);
+      auto scheds = runDistributed(grid, 4, setup, false, nullptr, nullptr);
+      compareToSerial(*grid, setup, scheds);
+    }
   }
   const IntVector probe(8, 8, 8);
   EXPECT_NE(RmcrtComponent::solveSerialTwoLevel(*grid, smallSetup())[probe],
@@ -151,30 +162,33 @@ TEST(RmcrtPipeline, GpuPipelineMatchesSerialExactly) {
   auto grid = Grid::makeTwoLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                  IntVector(4), IntVector(4), IntVector(4));
   // Gray and banded: every band of the kernel marches the same device
-  // records, so the band model adds no level-DB copy.
-  for (const BandModel& bands : {grayBand(), threeband()}) {
-    SCOPED_TRACE(bands.size() == 1 ? "gray" : "three bands");
-    const RmcrtSetup setup = smallSetup(bands);
-    const int numRanks = 2;
-    std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
-    std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
-    makeDevices(numRanks, devices, gdws);
-    auto scheds =
-        runDistributed(grid, numRanks, setup, true, &devices, &gdws);
-    compareToSerial(*grid, setup, scheds);
-    // The level database held exactly one shared copy of the fused
-    // coarse records (abskg + sigmaT4 + cellType travel as one PackedCell
-    // array), and after the run it is all that stays resident: every
-    // patch task freed its ROI records and divQ.
-    const std::size_t levelBytes = mem::MmapArena::roundToPages(
-        static_cast<std::size_t>(grid->coarseLevel().cells().volume()) *
-        sizeof(PackedCell));
-    for (auto& gdw : gdws) EXPECT_EQ(gdw->numLevelVarCopies(), 1u);
-    for (auto& dev : devices) EXPECT_EQ(dev->bytesInUse(), levelBytes);
-    // PCIe traffic flowed both ways.
-    for (auto& dev : devices) {
-      EXPECT_GT(dev->stats().h2dBytes, 0u);
-      EXPECT_GT(dev->stats().d2hBytes, 0u);
+  // records, so the band model adds no level-DB copy. Both dispatches:
+  // the scalar march and the packet march.
+  for (const bool simd : {false, true}) {
+    for (const BandModel& bands : {grayBand(), threeband()}) {
+      SCOPED_TRACE(dispatchAndBands(simd, bands));
+      const RmcrtSetup setup = smallSetup(bands, simd);
+      const int numRanks = 2;
+      std::vector<std::unique_ptr<gpu::GpuDevice>> devices;
+      std::vector<std::unique_ptr<gpu::GpuDataWarehouse>> gdws;
+      makeDevices(numRanks, devices, gdws);
+      auto scheds =
+          runDistributed(grid, numRanks, setup, true, &devices, &gdws);
+      compareToSerial(*grid, setup, scheds);
+      // The level database held exactly one shared copy of the fused
+      // coarse records (abskg + sigmaT4 + cellType travel as one PackedCell
+      // array), and after the run it is all that stays resident: every
+      // patch task freed its ROI records and divQ.
+      const std::size_t levelBytes = mem::MmapArena::roundToPages(
+          static_cast<std::size_t>(grid->coarseLevel().cells().volume()) *
+          sizeof(PackedCell));
+      for (auto& gdw : gdws) EXPECT_EQ(gdw->numLevelVarCopies(), 1u);
+      for (auto& dev : devices) EXPECT_EQ(dev->bytesInUse(), levelBytes);
+      // PCIe traffic flowed both ways.
+      for (auto& dev : devices) {
+        EXPECT_GT(dev->stats().h2dBytes, 0u);
+        EXPECT_GT(dev->stats().d2hBytes, 0u);
+      }
     }
   }
 }

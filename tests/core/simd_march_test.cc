@@ -194,7 +194,8 @@ TEST(SimdMarch, WallHeavyMediumRetiresLanesOnWalls) {
 
 TEST(SimdMarch, InteriorWallCellsRetireLanes) {
   // A wall slab inside the domain exercises the packet march's cellType
-  // gather and the wall-lane retirement mask (m_level0HasWalls is true).
+  // gather and the wall-lane retirement mask (the level's wall flag is
+  // set).
   SingleLevelSetup setup(uniformMedium(0.5, 1.0), IntVector(16));
   for (const auto& c : setup.ct.window())
     if (c.x() == 11) setup.ct[c] = CellType::Wall;
@@ -296,11 +297,17 @@ struct TwoLevelSetup {
     grid::coarsenCellType(fCt, fine.refinementRatio(), cCt, coarse.cells());
   }
 
-  Tracer makeTracer(bool simd) const {
+  static TraceConfig config(bool simd) {
     TraceConfig cfg;
     cfg.nDivQRays = 32;
     cfg.seed = 5;
     cfg.useSimd = simd;
+    return cfg;
+  }
+
+  Tracer makeTracer(bool simd) const { return makeTracer(config(simd)); }
+
+  Tracer makeTracer(const TraceConfig& cfg) const {
     TraceLevel fineTL{LevelGeom::from(grid->fineLevel()),
                       RadiationFieldsView{FieldView<double>::fromHost(fAbs),
                                           FieldView<double>::fromHost(fSig),
@@ -327,9 +334,10 @@ struct TwoLevelSetup {
 
 TEST(SimdMarch, TwoLevelHandoffParity) {
   // Fine ROI + coarse continuation: rays leaving the fine allowed box
-  // retire from the packet and finish on the coarse level through the
-  // scalar march — intensities must still match the all-scalar result
-  // within the ULP budget. A small central ROI makes most rays hand off.
+  // are queued for the coarse level's packet pass, which starts them from
+  // the state they carried out — intensities must still match the
+  // all-scalar result within the ULP budget. A small central ROI makes
+  // most rays hand off.
   const TwoLevelSetup setup(5, 11);
   const Tracer simd = setup.makeTracer(true);
   const Tracer scalar = setup.makeTracer(false);
@@ -450,6 +458,131 @@ TEST(SimdMarch, Avx2AndAvx512InstancesAgreeBitwise) {
     setup.bundle(n, origins, dirs);
     expectInstancesBitwiseEqual(t, origins, dirs);
   }
+}
+
+TEST(SimdMarch, BundleCompositionNeverChangesDivQ) {
+  // One 4^3 tile traces each pass of its 64 cells as one bundle; 64
+  // one-cell tiles trace 64 bundles of one cell each. Every ray marches
+  // on its own and lands in its own (cell, ray) slot, so divQ must not
+  // change by a bit, for fixed and adaptive budgets, gray and banded.
+  const TwoLevelSetup setup(4, 12);
+  const CellRange tile(IntVector(6), IntVector(10));
+  for (const bool adaptive : {false, true}) {
+    for (const BandModel& bands : {grayBand(), threeband()}) {
+      SCOPED_TRACE(std::string(adaptive ? "adaptive" : "fixed") + ", " +
+                   (bands.size() == 1 ? "gray" : "three bands"));
+      TraceConfig cfg = TwoLevelSetup::config(/*simd=*/true);
+      cfg.bands = bands;
+      cfg.adaptiveRays = adaptive;
+      cfg.nPilotRays = 8;
+      const Tracer t = setup.makeTracer(cfg);
+      CCVariable<double> bundled(tile, 0.0), perCell(tile, 0.0);
+      t.computeDivQTile(tile, MutableFieldView<double>::fromHost(bundled));
+      const std::uint64_t bundledRays = t.raysTraced();
+      for (const IntVector& c : tile)
+        t.computeDivQTile(CellRange(c, c + IntVector(1)),
+                          MutableFieldView<double>::fromHost(perCell));
+      EXPECT_EQ(t.raysTraced(), 2 * bundledRays);
+      if (adaptive) {
+        // The budgets differ across cells, so the top-up bundle mixes
+        // cells of different ray counts.
+        const std::uint64_t cellBands = 64 * bands.size();
+        EXPECT_GT(bundledRays, 8 * cellBands);
+        EXPECT_LT(bundledRays, 32 * cellBands);
+      }
+      for (const IntVector& c : tile)
+        ASSERT_EQ(std::memcmp(&bundled[c], &perCell[c], sizeof(double)), 0)
+            << "cell " << c << ": one bundle " << bundled[c]
+            << " vs one-cell tiles " << perCell[c];
+    }
+  }
+}
+
+/// Burns-Christon over the unit cube on three levels: a 32^3 fine level
+/// marched inside a central ROI, a 16^3 middle level marched inside a
+/// larger ROI, and the whole 8^3 coarse level. A ray from the fine ROI
+/// crosses two handoffs on its way to the coarse level, so one level's
+/// pass feeds the next twice.
+struct ThreeLevelSetup {
+  struct Level {
+    std::shared_ptr<Grid> grid;
+    CCVariable<double> abskg, sig;
+    CCVariable<CellType> ct;
+    CellRange allowed;
+
+    Level(int n, const CellRange& roi, const RadiationProblem& prob)
+        : grid(Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(n),
+                                     IntVector(n))),
+          abskg(grid->fineLevel().cells(), 0.0),
+          sig(grid->fineLevel().cells(), 0.0),
+          ct(grid->fineLevel().cells(), CellType::Flow),
+          allowed(roi) {
+      initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
+    }
+
+    TraceLevel traceLevel() const {
+      return TraceLevel{LevelGeom::from(grid->fineLevel()),
+                        RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                                            FieldView<double>::fromHost(sig),
+                                            FieldView<CellType>::fromHost(ct)},
+                        allowed};
+    }
+  };
+
+  RadiationProblem prob = burnsChriston();
+  Level fine{32, CellRange(IntVector(10), IntVector(22)), prob};
+  Level middle{16, CellRange(IntVector(4), IntVector(12)), prob};
+  Level coarse{8, CellRange(IntVector(0), IntVector(8)), prob};
+
+  /// All three levels, or (\p withMiddle false) the fine and coarse ones.
+  Tracer makeTracer(bool simd, bool withMiddle = true) const {
+    TraceConfig cfg;
+    cfg.useSimd = simd;
+    std::vector<TraceLevel> levels{fine.traceLevel()};
+    if (withMiddle) levels.push_back(middle.traceLevel());
+    levels.push_back(coarse.traceLevel());
+    return Tracer(std::move(levels),
+                  WallProperties{prob.wallSigmaT4OverPi, prob.wallEmissivity},
+                  cfg);
+  }
+
+  /// A bundle whose origins lie inside the fine ROI.
+  void bundle(int n, std::vector<Vector>& origins,
+              std::vector<Vector>& dirs) const {
+    makeRayBundle(n, origins, dirs, 10.0 / 32.0 + 1e-3, 12.0 / 32.0 - 2e-3);
+  }
+};
+
+TEST(SimdMarch, ThreeLevelHandoffParity) {
+  // The fine pass hands rays to the middle pass, which hands them on to
+  // the coarse pass. A pass that dropped a handed-off ray would leave its
+  // carried intensity as the result; one that finished a ray twice would
+  // count its segments twice.
+  const ThreeLevelSetup setup;
+  Tracer simd = setup.makeTracer(true);
+  Tracer scalar = setup.makeTracer(false);
+  std::vector<Vector> origins, dirs;
+  const int n = 5003;
+  setup.bundle(n, origins, dirs);
+  std::vector<double> iSimd(static_cast<std::size_t>(n), -1.0);
+  std::vector<double> iScalar(static_cast<std::size_t>(n), -1.0);
+  simd.traceRays(n, origins.data(), dirs.data(), iSimd.data());
+  scalar.traceRays(n, origins.data(), dirs.data(), iScalar.data());
+  for (int i = 0; i < n; ++i) {
+    const std::size_t s = static_cast<std::size_t>(i);
+    ASSERT_LE(ulpDistance(iSimd[s], iScalar[s]), kUlpTolerance)
+        << "ray " << i << " dir " << dirs[s] << ": simd " << iSimd[s]
+        << " vs scalar " << iScalar[s];
+  }
+  // Cell paths are pure geometry, and no Burns-Christon ray extinguishes.
+  EXPECT_EQ(simd.segmentCount(), scalar.segmentCount());
+  // The middle level is marched: without it the rays cross fewer cells.
+  Tracer twoLevel = setup.makeTracer(false, /*withMiddle=*/false);
+  std::vector<double> iTwo(static_cast<std::size_t>(n));
+  twoLevel.traceRays(n, origins.data(), dirs.data(), iTwo.data());
+  EXPECT_LT(twoLevel.segmentCount(), scalar.segmentCount());
+  if (std::string(Tracer::simdIsa()) == "avx512")
+    expectInstancesBitwiseEqual(simd, origins, dirs);
 }
 
 TEST(SimdMarch, ScalarPathUnchangedByDispatchMachinery) {

@@ -34,10 +34,13 @@ namespace {
 using namespace rmcrt;
 using namespace rmcrt::core;
 
+/// The Burns & Christon fields of an n^3 single-level grid, packed once
+/// into the records every Tracer of the fixture marches.
 struct KernelFixture {
   std::shared_ptr<grid::Grid> grid;
   grid::CCVariable<double> abskg, sig;
   grid::CCVariable<grid::CellType> ct;
+  PackedLevelField records;
 
   explicit KernelFixture(int n)
       : grid(grid::Grid::makeSingleLevel(Vector(0.0), Vector(1.0),
@@ -46,21 +49,29 @@ struct KernelFixture {
         sig(grid->fineLevel().cells(), 0.0),
         ct(grid->fineLevel().cells(), grid::CellType::Flow) {
     initializeProperties(grid->fineLevel(), burnsChriston(), abskg, sig, ct);
+    records.pack(views());
+  }
+
+  RadiationFieldsView views() const {
+    return {FieldView<double>::fromHost(abskg),
+            FieldView<double>::fromHost(sig),
+            FieldView<grid::CellType>::fromHost(ct)};
+  }
+
+  /// The whole level over the fixture's records.
+  TraceLevel level() const {
+    return {LevelGeom::from(grid->fineLevel()), grid->fineLevel().cells(),
+            records.view()};
   }
 
   Tracer tracer(int rays) const {
-    TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                  RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                      FieldView<double>::fromHost(sig),
-                                      FieldView<grid::CellType>::fromHost(ct)},
-                  grid->fineLevel().cells()};
     TraceConfig cfg;
     cfg.nDivQRays = rays;
     // The scalar march: the thread sweep's committed baseline was
     // measured on it, so a collapse of the golden reference still trips
     // the gate. simd_microbench measures the packet path.
     cfg.useSimd = false;
-    return Tracer({tl}, WallProperties{0.0, 1.0}, cfg);
+    return Tracer({level()}, WallProperties{0.0, 1.0}, cfg);
   }
 };
 
@@ -120,12 +131,8 @@ void BM_DomSolve(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int order = static_cast<int>(state.range(1));
   KernelFixture fx(n);
-  DomSolver solver(
-      LevelGeom::from(fx.grid->fineLevel()),
-      RadiationFieldsView{FieldView<double>::fromHost(fx.abskg),
-                          FieldView<double>::fromHost(fx.sig),
-                          FieldView<grid::CellType>::fromHost(fx.ct)},
-      WallProperties{0.0, 1.0}, order);
+  DomSolver solver(LevelGeom::from(fx.grid->fineLevel()), fx.views(),
+                   WallProperties{0.0, 1.0}, order);
   grid::CCVariable<double> divQ(fx.grid->fineLevel().cells(), 0.0);
   for (auto _ : state) {
     solver.computeDivQ(fx.grid->fineLevel().cells(),
@@ -199,13 +206,7 @@ SimdReport measureSimdAB(bool smoke) {
     TraceConfig cfg;
     cfg.nDivQRays = 16;
     cfg.useSimd = simd;
-    TraceLevel tl{LevelGeom::from(fx.grid->fineLevel()),
-                  RadiationFieldsView{
-                      FieldView<double>::fromHost(fx.abskg),
-                      FieldView<double>::fromHost(fx.sig),
-                      FieldView<grid::CellType>::fromHost(fx.ct)},
-                  fx.grid->fineLevel().cells()};
-    Tracer tracer({tl}, WallProperties{0.0, 1.0}, cfg);
+    Tracer tracer({fx.level()}, WallProperties{0.0, 1.0}, cfg);
     out.assign(static_cast<std::size_t>(nRays), 0.0);
     double best = std::numeric_limits<double>::infinity();
     std::uint64_t segments = 0;
@@ -418,14 +419,6 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
   KernelFixture fx(n);
   const CellRange cells = fx.grid->fineLevel().cells();
   const WallProperties walls{0.0, 1.0};
-  const auto makeLevel = [&] {
-    return TraceLevel{LevelGeom::from(fx.grid->fineLevel()),
-                      RadiationFieldsView{
-                          FieldView<double>::fromHost(fx.abskg),
-                          FieldView<double>::fromHost(fx.sig),
-                          FieldView<grid::CellType>::fromHost(fx.ct)},
-                      cells};
-  };
   TraceConfig fixedCfg;
   fixedCfg.nDivQRays = rays;
   fixedCfg.seed = 71;
@@ -444,7 +437,7 @@ void runAdaptiveSamplingBench(bool smoke, const std::string& jsonPath,
     return out;
   };
   const auto solve = [&](const TraceConfig& cfg) {
-    Tracer tracer({makeLevel()}, walls, cfg);
+    Tracer tracer({fx.level()}, walls, cfg);
     grid::CCVariable<double> divQ(cells, 0.0);
     Solve s;
     double best = std::numeric_limits<double>::infinity();

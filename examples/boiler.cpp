@@ -129,12 +129,12 @@ int main(int argc, char** argv) {
   grid::CCVariable<grid::CellType> ct(grid->fineLevel().cells(),
                                       grid::CellType::Flow);
   initializeProperties(grid->fineLevel(), setup.problem, abskg, sig, ct);
-  TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{
-                    FieldView<double>::fromHost(abskg),
-                    FieldView<double>::fromHost(sig),
-                    FieldView<grid::CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<grid::CellType>::fromHost(ct)});
+  const TraceLevel tl{LevelGeom::from(grid->fineLevel()),
+                      grid->fineLevel().cells(), records.view()};
   Tracer tracer({tl},
                 WallProperties{setup.problem.wallSigmaT4OverPi,
                                setup.problem.wallEmissivity},

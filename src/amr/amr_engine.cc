@@ -36,7 +36,6 @@ AmrEngine::AmrEngine(std::shared_ptr<const grid::Grid> initial,
   if (!m_grid->coarseLevel().uniformlyTiled())
     throw std::invalid_argument(
         "AmrEngine: the coarse radiation level must stay uniformly tiled");
-  m_flags = FlagField(m_grid->coarseLevel().cells(), std::uint8_t{0});
 }
 
 void AmrEngine::setPropertySampler(PropertySampler sampler) {
@@ -62,11 +61,6 @@ std::shared_ptr<const grid::LoadBalancer> AmrEngine::loadBalancer() const {
 AmrEngine::Stats AmrEngine::stats() const {
   std::lock_guard<std::mutex> lk(m_mutex);
   return m_stats;
-}
-
-FlagField AmrEngine::latestFlags() const {
-  std::lock_guard<std::mutex> lk(m_mutex);
-  return m_flags;
 }
 
 std::vector<CellRange> AmrEngine::currentFineBoxesCoarse() const {
@@ -136,11 +130,11 @@ void AmrEngine::computeDecision(int step) {
     density = buildCoarseCostDensity();
     densityPtr = &density;
   }
-  m_flags =
+  const FlagField flags =
       estimateRefinementFlags(coarse, abskg, sigmaT4, m_cfg.estimator,
                               densityPtr);
   const std::vector<CellRange> boxes =
-      clusterFlags(m_flags, coarse.cells(), m_cfg.cluster);
+      clusterFlags(flags, coarse.cells(), m_cfg.cluster);
 
   if (boxes != currentFineBoxesCoarse()) {
     // The flagged region changed: emit a new grid, predict per-patch

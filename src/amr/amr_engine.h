@@ -95,10 +95,6 @@ class AmrEngine {
   };
   Stats stats() const;
 
-  /// Latest refinement flags on the coarse level (for VTK inspection);
-  /// zero-filled until the first regrid evaluation.
-  FlagField latestFlags() const;
-
  private:
   struct Decision {
     bool regrid = false;
@@ -127,7 +123,6 @@ class AmrEngine {
   int m_decisionStep = -1;
   Decision m_decision;
   Stats m_stats;
-  FlagField m_flags;
 };
 
 }  // namespace rmcrt::amr

@@ -119,9 +119,6 @@ class Communicator {
   /// isends — including retransmissions and acks of any reliability layer
   /// above — pass through it.
   void setFaultInjector(std::shared_ptr<FaultInjector> injector);
-  const std::shared_ptr<FaultInjector>& faultInjector() const {
-    return m_injector;
-  }
 
   /// Nonblocking send: the payload is copied immediately (buffered-send
   /// semantics), so the returned request is complete at once — like an

@@ -47,8 +47,6 @@ class DomSolver {
   /// Incident radiation G for one cell set (exposed for tests).
   void computeIncidentRadiation(grid::CCVariable<double>& G) const;
 
-  int numOrdinates() const { return static_cast<int>(m_quad.size()); }
-
  private:
   void sweepOrdinate(const Ordinate& ord,
                      grid::CCVariable<double>& intensity) const;

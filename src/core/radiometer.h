@@ -9,8 +9,6 @@
 /// mounted in a boiler wall measures. Monte Carlo: directions sampled
 /// uniformly over the spherical cap, flux = mean(I) * solid angle.
 
-#include <cmath>
-
 #include "core/ray_tracer.h"
 
 namespace rmcrt::core {
@@ -33,37 +31,14 @@ struct RadiometerReading {
 /// Evaluate a radiometer against an existing tracer (any level stack).
 ///
 /// Directions are sampled uniformly on the spherical cap around
-/// viewDirection: cosTheta uniform in [cos(halfAngle), 1].
-inline RadiometerReading evaluateRadiometer(const Tracer& tracer,
-                                            const RadiometerSpec& spec) {
-  const Vector w = spec.viewDirection.normalized();
-  // Orthonormal basis (u, v, w).
-  const Vector ref = std::abs(w.x()) < 0.9 ? Vector(1, 0, 0) : Vector(0, 1, 0);
-  const Vector u = Vector(w.y() * ref.z() - w.z() * ref.y(),
-                          w.z() * ref.x() - w.x() * ref.z(),
-                          w.x() * ref.y() - w.y() * ref.x())
-                       .normalized();
-  const Vector v(w.y() * u.z() - w.z() * u.y(),
-                 w.z() * u.x() - w.x() * u.z(),
-                 w.x() * u.y() - w.y() * u.x());
-
-  const double cosMax = std::cos(spec.halfAngleRadians);
-  RadiometerReading out;
-  out.solidAngle = 2.0 * M_PI * (1.0 - cosMax);
-
-  double sum = 0.0;
-  Rng rng(tracer.config().seed ^ 0x52414449ull);  // "RADI"
-  for (int r = 0; r < spec.nRays; ++r) {
-    const double cosT = cosMax + (1.0 - cosMax) * rng.nextDouble();
-    const double sinT = std::sqrt(std::max(0.0, 1.0 - cosT * cosT));
-    const double phi = 2.0 * M_PI * rng.nextDouble();
-    const Vector dir = u * (sinT * std::cos(phi)) +
-                       v * (sinT * std::sin(phi)) + w * cosT;
-    sum += tracer.traceRay(spec.position, dir);
-  }
-  out.meanIntensity = sum / spec.nRays;
-  out.flux = out.meanIntensity * out.solidAngle;
-  return out;
-}
+/// viewDirection: cosTheta uniform in [cos(halfAngle), 1], every ray from
+/// one sequential Rng(seed ^ "RADI") in ray order, every origin at
+/// `position` on level 0. The fan runs through the Tracer's bundle routine
+/// as one ray per item, so TraceConfig::useSimd picks its march as it does
+/// divQ's, and the scratch stays bounded by one run whatever nRays is. The
+/// intensities are summed in ray order; the segments flush once per call,
+/// and the rays do not count in `tracer.rays`. Defined in ray_tracer.cc.
+RadiometerReading evaluateRadiometer(const Tracer& tracer,
+                                     const RadiometerSpec& spec);
 
 }  // namespace rmcrt::core

@@ -1,10 +1,10 @@
 #include "core/ray_tracer.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "core/radiometer.h"
 #include "util/metrics.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -19,12 +19,59 @@ double safeDiv(double num, double den) {
   return den == 0.0 ? std::numeric_limits<double>::infinity() : num / den;
 }
 
-/// Rays per bundle run. A run takes whole cells while it stays within
-/// this many rays (and always at least one cell), so a divQ pass's
-/// scratch — origins, directions and intensities, 56 B a ray, plus the
-/// packet march's handoff state — stays near half a megabyte whatever
-/// the tile volume.
+/// Rays per bundle run. A run takes whole items while it stays within
+/// this many rays (and always at least one item), so a fan's scratch —
+/// origins, directions and intensities, 56 B a ray, plus the packet
+/// march's handoff state — stays near half a megabyte whatever the tile
+/// volume or the flux and radiometer ray counts.
 constexpr std::size_t kRunRays = 4096;
+
+/// divQ's ray maker over \p cells: ray j of item k is ray rBegin + j of
+/// cell cells[k], its origin (jittered in the cell, or the cell center)
+/// and isotropic direction drawn from Rng(seed, cell, r). Ray r of ANY
+/// pass draws the stream the fixed fan consumes for its ray r, so the
+/// pilot is a prefix of the fixed fan and the top-up continues it
+/// exactly.
+auto cellRays(const LevelGeom& g, bool jitter,
+              const std::vector<IntVector>& cells, int rBegin,
+              std::uint64_t seed) {
+  return [&g, jitter, &cells, rBegin, seed](std::size_t k, int j,
+                                            Vector& origin, Vector& dir) {
+    const IntVector& cell = cells[k];
+    Rng rng(seed, cell, static_cast<std::uint32_t>(rBegin + j));
+    if (jitter) {
+      const Vector lo = g.cellLowCorner(cell);
+      origin = lo + Vector(rng.nextDouble(), rng.nextDouble(),
+                           rng.nextDouble()) *
+                        g.dx;
+    } else {
+      origin = g.cellCenter(cell);
+    }
+    dir = isotropicDirection(rng);
+  };
+}
+
+/// One ray per item: the flux and radiometer fans, whose items are
+/// their rays.
+std::size_t oneRay(std::size_t) { return 1; }
+
+/// An orthonormal basis (u, v, w) around the unit axis \p w: the flux
+/// fan's inward normal, the radiometer's view direction.
+struct Basis {
+  Vector u, v, w;
+};
+Basis basisAround(const Vector& w) {
+  const Vector ref =
+      std::abs(w.x()) < 0.9 ? Vector(1, 0, 0) : Vector(0, 1, 0);
+  const Vector u = Vector(w.y() * ref.z() - w.z() * ref.y(),
+                          w.z() * ref.x() - w.x() * ref.z(),
+                          w.x() * ref.y() - w.y() * ref.x())
+                       .normalized();
+  return {u,
+          Vector(w.y() * u.z() - w.z() * u.y(), w.z() * u.x() - w.x() * u.z(),
+                 w.x() * u.y() - w.y() * u.x()),
+          w};
+}
 
 /// Registry references resolved once; per-tile bumps are single relaxed
 /// atomic adds (same cost class as the existing m_segments flush).
@@ -160,18 +207,17 @@ Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
                const TraceConfig& cfg)
     : m_levels(std::move(levels)), m_walls(walls), m_cfg(cfg) {
   validateTraceConfig(m_cfg);
-  m_ownedPacked.reserve(m_levels.size());
-  for (TraceLevel& L : m_levels) {
-    if (!L.packed.valid() && L.fields.abskg.valid()) {
-      m_ownedPacked.emplace_back(L.fields);
-      L.packed = m_ownedPacked.back().view();
-    }
-    assert(L.packed.valid() && "a level needs packed records or fields");
-  }
   m_levelHasWalls.assign(m_levels.size(), 1);
-  if (!m_cfg.useSimd || !simdSupported()) return;
+  if (!simdActive()) return;
   // One pass over each level's `allowed` box, row by row, so the packet
   // march can skip the cellType gather entirely in wall-free domains.
+  // The scan stays here, once per Tracer, although the records could
+  // carry the flag from pack time: moved into PackedLevelField::pack, it
+  // made the service's per-request setup cheaper but pipeline_kernel's
+  // step_p50_s slower in 9 of 12 alternating pairs (0.389 -> 0.399 s
+  // median). The scan streams the ROI and coarse records into cache just
+  // before the march's random gathers, so it doubles as a prefetch
+  // (EXPERIMENTS.md E12).
   for (std::size_t li = 0; li < m_levels.size(); ++li) {
     const TraceLevel& L = m_levels[li];
     if (L.allowed.empty()) continue;
@@ -179,7 +225,7 @@ Tracer::Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
     bool walls = false;
     for (int z = lo.z(); z < hi.z() && !walls; ++z)
       for (int y = lo.y(); y < hi.y() && !walls; ++y) {
-        const PackedCell* row = &L.packed[IntVector(lo.x(), y, z)];
+        const PackedCell* row = &L.records[IntVector(lo.x(), y, z)];
         for (int x = 0; x < hi.x() - lo.x() && !walls; ++x)
           walls = row[x].cellType == PackedCell::kWall;
       }
@@ -219,7 +265,7 @@ bool Tracer::marchLevelPacked(std::size_t li, Vector& pos, const Vector& dir,
 
   // Incremental-stride DDA state: resolve the 3-D index once, then bump
   // the record pointer by the pre-signed axis stride on each crossing.
-  const PackedFieldView& pf = L.packed;
+  const PackedFieldView& pf = L.records;
   const PackedCell* cell = &pf[start];
   std::int64_t stepOffset[3];
   for (int i = 0; i < 3; ++i) stepOffset[i] = pf.stride(i) * step[i];
@@ -340,45 +386,24 @@ void Tracer::flushSegments(std::uint64_t n) const {
   tracerSegmentsCounter().add(n);
 }
 
-template <class RayEnd, class Reduce>
-void Tracer::traceBundle(const std::vector<IntVector>& cells, int rBegin,
-                         RayEnd rayEnd, std::uint64_t seed,
+template <class RaysOf, class MakeRay, class Reduce>
+void Tracer::traceBundle(std::size_t nItems, RaysOf raysOf, MakeRay makeRay,
                          double kappaScale, std::uint64_t& segments,
                          Reduce reduce) const {
-  const LevelGeom& g = m_levels.front().geom;
-  const auto raysOf = [&](std::size_t k) {
-    return static_cast<std::size_t>(std::max(0, rayEnd(k) - rBegin));
-  };
   std::vector<Vector> origins, dirs;
   std::vector<double> intensity;
-  for (std::size_t first = 0, end = 0; first < cells.size(); first = end) {
-    // A run: whole cells, at least one, up to kRunRays rays.
+  for (std::size_t first = 0, end = 0; first < nItems; first = end) {
+    // A run: whole items, at least one, up to kRunRays rays.
     std::size_t n = raysOf(first);
-    for (end = first + 1; end < cells.size() && n + raysOf(end) <= kRunRays;
-         ++end)
+    for (end = first + 1; end < nItems && n + raysOf(end) <= kRunRays; ++end)
       n += raysOf(end);
     origins.resize(n);
     dirs.resize(n);
     intensity.resize(n);
-    // Ray r of ANY pass draws from Rng(seed, cell, r) — the same stream
-    // the fixed fan consumes for its ray r, so the pilot is a prefix of
-    // the fixed fan and the top-up continues it exactly.
     std::size_t i = 0;
     for (std::size_t k = first; k < end; ++k) {
-      const IntVector& cell = cells[k];
-      const int rEnd = rBegin + static_cast<int>(raysOf(k));
-      for (int r = rBegin; r < rEnd; ++r, ++i) {
-        Rng rng(seed, cell, static_cast<std::uint32_t>(r));
-        if (m_cfg.jitterRayOrigin) {
-          const Vector lo = g.cellLowCorner(cell);
-          origins[i] = lo + Vector(rng.nextDouble(), rng.nextDouble(),
-                                   rng.nextDouble()) *
-                                g.dx;
-        } else {
-          origins[i] = g.cellCenter(cell);
-        }
-        dirs[i] = isotropicDirection(rng);
-      }
+      const int nk = static_cast<int>(raysOf(k));
+      for (int j = 0; j < nk; ++j, ++i) makeRay(k, j, origins[i], dirs[i]);
     }
     // Each ray's intensity depends on that ray alone, so the run's
     // composition never changes a value.
@@ -396,8 +421,14 @@ void Tracer::traceBundle(const std::vector<IntVector>& cells, int rBegin,
 double Tracer::meanIncomingIntensity(const IntVector& cell) const {
   std::uint64_t segments = 0;
   double sum = 0.0;
+  const std::vector<IntVector> cells{cell};
   traceBundle(
-      {cell}, 0, [this](std::size_t) { return m_cfg.nDivQRays; }, m_cfg.seed,
+      1,
+      [this](std::size_t) {
+        return static_cast<std::size_t>(m_cfg.nDivQRays);
+      },
+      cellRays(m_levels.front().geom, m_cfg.jitterRayOrigin, cells, 0,
+               m_cfg.seed),
       1.0, segments, [&sum](std::size_t, const double* I, int n) {
         for (int r = 0; r < n; ++r) sum += I[r];
       });
@@ -426,7 +457,8 @@ int Tracer::adaptiveBudget(double pilotMean, double pilotStddev,
 void Tracer::computeDivQTile(const CellRange& tile,
                              MutableFieldView<double> divQ) const {
   RMCRT_TRACE_SPAN("tracer", "divQ_tile");
-  const PackedFieldView& records = m_levels.front().packed;
+  const LevelGeom& geom = m_levels.front().geom;
+  const PackedFieldView& records = m_levels.front().records;
   // The fixed fan is the budget == nDivQRays case of the adaptive
   // controller: its first pass traces the whole fan and the top-up pass
   // traces nothing. Adaptive cells trace a pilot prefix first, then top
@@ -466,7 +498,9 @@ void Tracer::computeDivQTile(const CellRange& tile,
     // fan's exact left-to-right sum.
     const auto firstPass = [&] {
       traceBundle(
-          cells, 0, [first](std::size_t) { return first; }, seed,
+          cells.size(),
+          [first](std::size_t) { return static_cast<std::size_t>(first); },
+          cellRays(geom, m_cfg.jitterRayOrigin, cells, 0, seed),
           band.kappaScale, bandSegments,
           [&](std::size_t k, const double* I, int n) {
             CellState& cs = states[k];
@@ -486,8 +520,13 @@ void Tracer::computeDivQTile(const CellRange& tile,
     // reaches nDivQRays reproduces the fixed fan's reduction bitwise.
     const auto topUpPass = [&] {
       traceBundle(
-          cells, first, [&states](std::size_t k) { return states[k].budget; },
-          seed, band.kappaScale, bandSegments,
+          cells.size(),
+          [&states, first](std::size_t k) {
+            return static_cast<std::size_t>(
+                std::max(0, states[k].budget - first));
+          },
+          cellRays(geom, m_cfg.jitterRayOrigin, cells, first, seed),
+          band.kappaScale, bandSegments,
           [&](std::size_t k, const double* I, int n) {
             CellState& cs = states[k];
             for (int r = 0; r < n; ++r) cs.sum += I[r];
@@ -605,7 +644,7 @@ void Tracer::computeDivQBatch(const std::vector<DivQTileJob>& jobs,
 }
 
 double Tracer::boundaryFlux(const IntVector& cell, const IntVector& face,
-                            int nRays, ThreadPool* pool) const {
+                            int nRays) const {
   RMCRT_TRACE_SPAN("tracer", "boundaryFlux");
   // The flux fan has its own knob: 0 (the default argument) means
   // TraceConfig::nFluxRays, validated positive at construction.
@@ -615,17 +654,7 @@ double Tracer::boundaryFlux(const IntVector& cell, const IntVector& face,
   // I(s) |s . n| dOmega. Monte Carlo with directions sampled
   // cosine-weighted about the inward normal -> flux = pi * mean(I).
   const LevelGeom& g = m_levels.front().geom;
-  const Vector inward = -Vector(face).normalized();
-  // Build an orthonormal basis around the inward normal.
-  const Vector ref =
-      std::abs(inward.x()) < 0.9 ? Vector(1, 0, 0) : Vector(0, 1, 0);
-  Vector u = Vector(inward.y() * ref.z() - inward.z() * ref.y(),
-                    inward.z() * ref.x() - inward.x() * ref.z(),
-                    inward.x() * ref.y() - inward.y() * ref.x())
-                 .normalized();
-  Vector v(inward.y() * u.z() - inward.z() * u.y(),
-           inward.z() * u.x() - inward.x() * u.z(),
-           inward.x() * u.y() - inward.y() * u.x());
+  const Basis b = basisAround(-Vector(face).normalized());
 
   // Ray origins sit on the face; nudge inside by a tiny offset so the
   // marcher starts in the boundary cell.
@@ -633,13 +662,14 @@ double Tracer::boundaryFlux(const IntVector& cell, const IntVector& face,
       g.cellCenter(cell) + Vector(face) * (g.dx * 0.5) -
       Vector(face) * (g.dx.minComponent() * 1e-9);
 
-  auto sampleRay = [&](int r, std::uint64_t& segments) {
+  const auto sampleRay = [&](std::size_t r, int, Vector& origin,
+                             Vector& dir) {
     Rng rng(m_cfg.seed ^ 0xF00DULL, cell, static_cast<std::uint32_t>(r));
     // Jitter the origin uniformly over the face — the cosine-weighted
     // directions sample the hemisphere, the jitter samples the face area,
     // matching the divQ estimator. The normal-axis coordinate stays on
     // the (nudged) face plane.
-    Vector origin = faceCenter;
+    origin = faceCenter;
     if (m_cfg.jitterRayOrigin) {
       for (int i = 0; i < 3; ++i)
         if (face[i] == 0) origin[i] += (rng.nextDouble() - 0.5) * g.dx[i];
@@ -649,31 +679,49 @@ double Tracer::boundaryFlux(const IntVector& cell, const IntVector& face,
     const double sinT = std::sqrt(r1);
     const double cosT = std::sqrt(1.0 - r1);
     const double phi = 2.0 * M_PI * r2;
-    const Vector dir =
-        u * (sinT * std::cos(phi)) + v * (sinT * std::sin(phi)) +
-        inward * cosT;
-    return traceRay(origin, dir, 0, 1.0, segments);
+    dir = b.u * (sinT * std::cos(phi)) + b.v * (sinT * std::sin(phi)) +
+          b.w * cosT;
   };
 
+  std::uint64_t segments = 0;
   double sum = 0.0;
-  if (pool != nullptr && pool->size() > 1 && nRays > 1) {
-    // Per-ray intensities land in a vector and are reduced in ray order
-    // below, so the sum is bitwise identical to the serial loop.
-    std::vector<double> intensity(static_cast<std::size_t>(nRays), 0.0);
-    pool->parallelFor(0, nRays, [&](std::int64_t r) {
-      std::uint64_t segments = 0;
-      intensity[static_cast<std::size_t>(r)] =
-          sampleRay(static_cast<int>(r), segments);
-      flushSegments(segments);
-    });
-    for (int r = 0; r < nRays; ++r)
-      sum += intensity[static_cast<std::size_t>(r)];
-  } else {
-    std::uint64_t segments = 0;
-    for (int r = 0; r < nRays; ++r) sum += sampleRay(r, segments);
-    flushSegments(segments);
-  }
+  traceBundle(static_cast<std::size_t>(nRays), oneRay, sampleRay, 1.0,
+              segments,
+              [&sum](std::size_t, const double* I, int) { sum += I[0]; });
+  flushSegments(segments);
   return M_PI * sum / static_cast<double>(nRays);
+}
+
+RadiometerReading evaluateRadiometer(const Tracer& tracer,
+                                     const RadiometerSpec& spec) {
+  const Basis b = basisAround(spec.viewDirection.normalized());
+  const double cosMax = std::cos(spec.halfAngleRadians);
+  RadiometerReading out;
+  out.solidAngle = 2.0 * M_PI * (1.0 - cosMax);
+
+  // One sequential stream: the bundle routine makes the rays in ray
+  // order, so ray r takes the stream's r-th pair of draws.
+  Rng rng(tracer.m_cfg.seed ^ 0x52414449ull);  // "RADI"
+  const auto sampleRay = [&](std::size_t, int, Vector& origin, Vector& dir) {
+    const double cosT = cosMax + (1.0 - cosMax) * rng.nextDouble();
+    const double sinT = std::sqrt(std::max(0.0, 1.0 - cosT * cosT));
+    const double phi = 2.0 * M_PI * rng.nextDouble();
+    origin = spec.position;
+    dir = b.u * (sinT * std::cos(phi)) + b.v * (sinT * std::sin(phi)) +
+          b.w * cosT;
+  };
+
+  std::uint64_t segments = 0;
+  double sum = 0.0;
+  tracer.traceBundle(static_cast<std::size_t>(std::max(spec.nRays, 0)),
+                     oneRay, sampleRay, 1.0, segments,
+                     [&sum](std::size_t, const double* I, int) {
+                       sum += I[0];
+                     });
+  tracer.flushSegments(segments);
+  out.meanIntensity = sum / spec.nRays;
+  out.flux = out.meanIntensity * out.solidAngle;
+  return out;
 }
 
 }  // namespace rmcrt::core

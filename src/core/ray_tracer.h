@@ -46,6 +46,9 @@ class ThreadPool;
 
 namespace rmcrt::core {
 
+struct RadiometerSpec;
+struct RadiometerReading;
+
 /// Geometric description of one mesh level, detached from grid::Level so
 /// kernels can run against device-resident metadata.
 struct LevelGeom {
@@ -137,11 +140,12 @@ struct TraceConfig {
   IntVector tileSize = IntVector(8, 8, 8);
   /// March rays in lockstep, one per SIMD lane (the packet march,
   /// DESIGN.md §14), wherever the host supports it (simdSupported()).
-  /// divQ traces each tile pass as one ray bundle, every level in
-  /// packets. On by default. The packet path evaluates exp with a vector
-  /// polynomial, so its per-ray intensities agree with the scalar march
-  /// within a documented ULP tolerance, not bitwise; the scalar march
-  /// therefore stays the golden reference, and `false` (or
+  /// It picks the march for every estimator: divQ, boundaryFlux and
+  /// radiometers all trace their ray fans through one bundle routine,
+  /// every level in packets. On by default. The packet path evaluates exp
+  /// with a vector polynomial, so its per-ray intensities agree with the
+  /// scalar march within a documented ULP tolerance, not bitwise; the
+  /// scalar march therefore stays the golden reference, and `false` (or
   /// RMCRT_NO_SIMD=1) selects it. Either way divQ is bitwise independent
   /// of tiles, threads and patch decomposition.
   bool useSimd = true;
@@ -221,23 +225,17 @@ IntVector adaptiveTileSize(const CellRange& cells, IntVector tileSize,
 
 /// One level of marching state handed to the tracer.
 struct TraceLevel {
-  TraceLevel() = default;
-  TraceLevel(const LevelGeom& g, const RadiationFieldsView& f,
-             const CellRange& a, const PackedFieldView& p = {})
-      : geom(g), fields(f), allowed(a), packed(p) {}
-
   LevelGeom geom;
-  RadiationFieldsView fields;
   /// Cells the ray may visit on this level; leaving this box hands the
   /// ray to the next (coarser) entry, or to the wall if none remains.
-  /// Must lie within the property windows.
+  /// Must lie within the records' window.
   CellRange allowed;
-  /// Fused property records covering the same window as `fields`. Leave
-  /// invalid to have the Tracer pack (and own) the records itself at
-  /// construction; supply one to share packing across Tracers — every
-  /// pipeline trace task's ROI and per-registration level records, the
-  /// GPU level database and the service's per-generation records.
-  PackedFieldView packed;
+  /// The level's fused property records (DESIGN.md §12), packed once by
+  /// whoever owns the data and only viewed here: a trace task's ROI and
+  /// the registration's shared level set, the GPU level database, the
+  /// service's per-generation records, the serial solvers' sets. They
+  /// must outlive the Tracer.
+  PackedFieldView records;
 };
 
 /// The RMCRT tracer over a fine->coarse stack of levels.
@@ -248,9 +246,9 @@ struct TraceLevel {
 /// coarsest level spanning the whole domain.
 class Tracer {
  public:
-  /// Levels whose `packed` view is unset are fused into Tracer-owned
-  /// PackedCell arrays here (and the owned storage lives as long as the
-  /// Tracer); every level marches PackedCell records.
+  /// Every level marches the records its TraceLevel views; the Tracer
+  /// packs nothing and owns no records. When the packet march can run,
+  /// scans each level's `allowed` box once for wall records.
   /// \throws std::invalid_argument when validateTraceConfig(cfg) does.
   Tracer(std::vector<TraceLevel> levels, const WallProperties& walls,
          const TraceConfig& cfg);
@@ -271,13 +269,9 @@ class Tracer {
   /// Recorded in the benchmark JSON so speedups compare like for like.
   static const char* simdIsa();
 
-  /// True when traceRays and the divQ bundles take the packet path:
-  /// useSimd is set (the default), the host qualifies, and level 0
-  /// carries packed records.
-  bool simdActive() const {
-    return m_cfg.useSimd && m_levels.front().packed.valid() &&
-           simdSupported();
-  }
+  /// True when traceRays and every estimator's ray fan take the packet
+  /// path: useSimd is set (the default) and the host qualifies.
+  bool simdActive() const { return m_cfg.useSimd && simdSupported(); }
 
   /// Trace one ray from physical position \p origin in direction \p dir
   /// starting on level \p startLevel through the gray-mean medium;
@@ -353,13 +347,14 @@ class Tracer {
   /// \p cell whose outward normal is \p face (unit axis vector): traces
   /// nRays over the inward hemisphere — the boiler wall heat-flux QoI.
   /// nRays == 0 (the default) resolves to TraceConfig::nFluxRays, the
-  /// flux fan's own knob. Origins are jittered uniformly over the face
-  /// when TraceConfig::jitterRayOrigin is set (matching the divQ
-  /// estimator). With a \p pool, rays fan out in parallel; per-ray
-  /// intensities are reduced in ray order, so the flux is bitwise
-  /// identical to the serial path.
+  /// flux fan's own knob. Ray r draws from Rng(seed ^ 0xF00D, cell, r);
+  /// origins are jittered uniformly over the face when
+  /// TraceConfig::jitterRayOrigin is set (matching the divQ estimator).
+  /// The fan is one call of the bundle routine, one ray per item, so it
+  /// streams in bounded runs whatever nRays is, and the intensities are
+  /// summed in ray order.
   double boundaryFlux(const IntVector& cell, const IntVector& face,
-                      int nRays = 0, ThreadPool* pool = nullptr) const;
+                      int nRays = 0) const;
 
   /// Total cell crossings marched so far (thread-safe, relaxed) — the
   /// work metric the performance model is calibrated against.
@@ -404,6 +399,9 @@ class Tracer {
   /// (ray_tracer_simd.cc): reads that level's records, wall flag and the
   /// config.
   friend struct PacketMarch;
+  /// The radiometer (radiometer.h) traces its fan through traceBundle.
+  friend RadiometerReading evaluateRadiometer(const Tracer& tracer,
+                                              const RadiometerSpec& spec);
 
   /// March within level \p li from physical position \p pos through its
   /// PackedCell records (the incremental-stride DDA, DESIGN.md §12) — the
@@ -457,28 +455,27 @@ class Tracer {
   int adaptiveBudget(double pilotMean, double pilotStddev,
                      double sigmaT4OverPi) const;
 
-  /// The one bundle routine, run once per pass: rays [rBegin,
-  /// rayEnd(k)) of every cell cells[k] through the \p kappaScale medium.
-  /// Ray r of a cell always draws from Rng(seed, cell, r), so any range
-  /// is a slice of the fixed fan. The rays march as one bundle through
-  /// marchRays, each writing its intensity into its own (cell, ray)
-  /// slot, streamed in runs of whole cells of a few thousand rays so the
-  /// scratch is bounded by the run, not by cells × rays. Then
-  /// reduce(k, I, n) receives cell k's n intensities in ray order, for
-  /// every cell in order (n may be 0). Defined in ray_tracer.cc, its only
-  /// user.
-  template <class RayEnd, class Reduce>
-  void traceBundle(const std::vector<IntVector>& cells, int rBegin,
-                   RayEnd rayEnd, std::uint64_t seed, double kappaScale,
-                   std::uint64_t& segments, Reduce reduce) const;
+  /// The one fan routine of every estimator: the rays of items 0 ..
+  /// nItems-1 through the \p kappaScale medium, starting on level 0.
+  /// Item k has raysOf(k) rays (possibly 0); makeRay(k, j, origin, dir)
+  /// sets its ray j, called once per ray in item order and then ray
+  /// order, so a maker may draw from one sequential stream. The rays
+  /// march as one bundle through marchRays, each writing its intensity
+  /// into its own (item, ray) slot, streamed in runs of whole items of
+  /// at most kRunRays rays (a run always takes at least one item), so
+  /// the scratch is bounded by the run, not by the fan. Then
+  /// reduce(k, I, n) receives item k's n intensities in ray order, for
+  /// every item in order. divQ's items are cells with a slice of the
+  /// fixed fan each; a flux face's and a radiometer's are their rays.
+  /// Defined in ray_tracer.cc, its only user.
+  template <class RaysOf, class MakeRay, class Reduce>
+  void traceBundle(std::size_t nItems, RaysOf raysOf, MakeRay makeRay,
+                   double kappaScale, std::uint64_t& segments,
+                   Reduce reduce) const;
 
   std::vector<TraceLevel> m_levels;
   WallProperties m_walls;
   TraceConfig m_cfg;
-  /// Storage behind the packed views the constructor built itself. Moves
-  /// of the outer vector never touch the record buffers, so the views in
-  /// m_levels stay valid for the Tracer's lifetime.
-  std::vector<PackedLevelField> m_ownedPacked;
   /// Per level, whether any record inside its `allowed` box — every
   /// cell a lane of that level's packet pass can gather — is a wall
   /// cell. Scanned once at construction when the packet path can run, so

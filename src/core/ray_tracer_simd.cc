@@ -84,11 +84,11 @@ struct PacketMarch {
   PacketMarch(const Tracer& t, std::size_t li, double scale)
       : level(t.m_levels[li]),
         abskg(reinterpret_cast<const double*>(
-            level.packed.bytes() + PackedFieldView::kAbskgByteOffset)),
+            level.records.bytes() + PackedFieldView::kAbskgByteOffset)),
         sigma(reinterpret_cast<const double*>(
-            level.packed.bytes() + PackedFieldView::kSigmaByteOffset)),
+            level.records.bytes() + PackedFieldView::kSigmaByteOffset)),
         cellType(reinterpret_cast<const int*>(
-            level.packed.bytes() + PackedFieldView::kCellTypeByteOffset)),
+            level.records.bytes() + PackedFieldView::kCellTypeByteOffset)),
         hasWalls(t.m_levelHasWalls[li] != 0),
         hasNext(li + 1 < t.m_levels.size()),
         threshold(t.m_cfg.threshold),
@@ -200,9 +200,9 @@ struct RaySetup {
     rs.cnt[i] = static_cast<double>(step > 0
                                         ? L.allowed.high()[i] - 1 - start[i]
                                         : start[i] - L.allowed.low()[i]);
-    rs.axStride[i] = L.packed.laneStride(i, step);
+    rs.axStride[i] = L.records.laneStride(i, step);
   }
-  rs.off = L.packed.offsetOf(start);
+  rs.off = L.records.offsetOf(start);
 }
 
 /// The cell a ray stepped into when it left \p allowed, rebuilt from its
@@ -525,7 +525,7 @@ inline double hsum(D v) {
 void Tracer::traceRaysSimd(int n, const Vector* origins, const Vector* dirs,
                            double kappaScale, double* out,
                            std::uint64_t& segments) const {
-  assert(n > 0 && m_levels.front().packed.valid());
+  assert(n > 0 && m_levels.front().records.valid());
   const bool wide = avx512Usable();  // one instance for every pass
   // Handoff state, by bundle slot: entry position and transmissivity
   // (the intensity so far waits in out[slot]), and two slot lists that

@@ -58,6 +58,31 @@ WallProperties wallsOf(const RadiationProblem& problem) {
   return {problem.wallSigmaT4OverPi, problem.wallEmissivity};
 }
 
+/// Views of one level's host property variables, the packer's input.
+RadiationFieldsView hostViews(const CCVariable<double>& abskg,
+                              const CCVariable<double>& sigmaT4,
+                              const CCVariable<CellType>& cellType) {
+  return {FieldView<double>::fromHost(abskg),
+          FieldView<double>::fromHost(sigmaT4),
+          FieldView<CellType>::fromHost(cellType)};
+}
+
+/// \p problem sampled at the cell centers of the whole \p level.
+struct LevelFields {
+  CCVariable<double> abskg, sigmaT4;
+  CCVariable<CellType> cellType;
+
+  LevelFields(const grid::Level& level, const RadiationProblem& problem)
+      : abskg(level.cells(), 0.0),
+        sigmaT4(level.cells(), 0.0),
+        cellType(level.cells(), CellType::Flow) {
+    initializeProperties(level, problem, abskg, sigmaT4, cellType);
+  }
+  RadiationFieldsView views() const {
+    return hostViews(abskg, sigmaT4, cellType);
+  }
+};
+
 /// The host divQ trace shared by every CPU trace task (and the GPU task's
 /// CPU fallback) and the serial solvers; returns the traced segment count
 /// (the measured-cost model's input).
@@ -155,13 +180,10 @@ void fillUncovered(const TaskContext& ctx, const char* label, int fineLevel,
 const PackedLevelField& sharedRecords(const TaskContext& ctx, int level,
                                       PackedLevelField& records) {
   if (!records.valid())
-    records.pack(RadiationFieldsView{
-        FieldView<double>::fromHost(
-            ctx.getWholeLevel<double>(RmcrtLabels::abskg, level)),
-        FieldView<double>::fromHost(
-            ctx.getWholeLevel<double>(RmcrtLabels::sigmaT4, level)),
-        FieldView<CellType>::fromHost(
-            ctx.getWholeLevel<CellType>(RmcrtLabels::cellType, level))});
+    records.pack(
+        hostViews(ctx.getWholeLevel<double>(RmcrtLabels::abskg, level),
+                  ctx.getWholeLevel<double>(RmcrtLabels::sigmaT4, level),
+                  ctx.getWholeLevel<CellType>(RmcrtLabels::cellType, level)));
   return records;
 }
 
@@ -174,11 +196,10 @@ struct TraceInput {
   LevelGeom fineGeom;
   LevelGeom coarseGeom;
 
-  /// The host tracer's levels: packed records only, so no Tracer packs.
+  /// The host tracer's levels.
   std::vector<TraceLevel> levels() const {
-    return {{fineGeom, RadiationFieldsView{}, roi.window(), roi.view()},
-            {coarseGeom, RadiationFieldsView{}, coarseGeom.cells,
-             coarse->view()}};
+    return {{fineGeom, roi.window(), roi.view()},
+            {coarseGeom, coarseGeom.cells, coarse->view()}};
   }
 };
 
@@ -200,13 +221,10 @@ TraceInput traceInput(const TaskContext& ctx, const RmcrtSetup& st,
     fillUncovered<CellType>(ctx, RmcrtLabels::cellType, fineLevel, roi);
   }
   return TraceInput{
-      PackedLevelField(RadiationFieldsView{
-          FieldView<double>::fromHost(
-              ctx.getGhosted<double>(RmcrtLabels::abskg, st.roiHalo)),
-          FieldView<double>::fromHost(
-              ctx.getGhosted<double>(RmcrtLabels::sigmaT4, st.roiHalo)),
-          FieldView<CellType>::fromHost(
-              ctx.getGhosted<CellType>(RmcrtLabels::cellType, st.roiHalo))}),
+      PackedLevelField(hostViews(
+          ctx.getGhosted<double>(RmcrtLabels::abskg, st.roiHalo),
+          ctx.getGhosted<double>(RmcrtLabels::sigmaT4, st.roiHalo),
+          ctx.getGhosted<CellType>(RmcrtLabels::cellType, st.roiHalo))),
       &sharedRecords(ctx, 0, coarse), LevelGeom::from(fine),
       LevelGeom::from(ctx.grid->level(0))};
 }
@@ -245,9 +263,8 @@ Task makeSingleLevelTraceTask(SetupPtr st, int fineLevel) {
          [st, fineLevel, records = std::make_shared<PackedLevelField>()](
              const TaskContext& ctx) {
            const grid::Level& fine = ctx.grid->level(fineLevel);
-           const TraceLevel tl(LevelGeom::from(fine), RadiationFieldsView{},
-                               fine.cells(),
-                               sharedRecords(ctx, fineLevel, *records).view());
+           const TraceLevel tl{LevelGeom::from(fine), fine.cells(),
+                               sharedRecords(ctx, fineLevel, *records).view()};
            auto& divQ = ctx.newDW->getModifiable<double>(
                RmcrtLabels::divQ, ctx.patch->id());
            traceDivQ({tl}, *st, ctx.patch->cells(),
@@ -314,8 +331,7 @@ void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
       RmcrtLabels::divQ, pid, patchCells, sizeof(double));
 
   // Kernel: the same packed marching code, over device-resident records.
-  // Packed-only levels leave `fields` invalid, so neither Tracer re-packs;
-  // every band marches the same records, so the one H2D upload above
+  // Every band marches the same records, so the one H2D upload above
   // serves the whole spectrum.
   const WallProperties walls = wallsOf(st.problem);
   const TraceConfig& cfg = st.trace;
@@ -325,9 +341,8 @@ void runGpuTraceAttempt(const TaskContext& ctx, const RmcrtSetup& st,
                          walls, cfg] {
     const Tracer& tracer = kernelTracer.emplace(
         std::vector<TraceLevel>{
-            {fineGeom, RadiationFieldsView{}, dPackedF.window,
-             PackedFieldView::fromDevice(dPackedF)},
-            {coarseGeom, RadiationFieldsView{}, coarseGeom.cells,
+            {fineGeom, dPackedF.window, PackedFieldView::fromDevice(dPackedF)},
+            {coarseGeom, coarseGeom.cells,
              PackedFieldView::fromDevice(dPackedC)}},
         walls, cfg);
     gpu::DeviceVar out = dDivQ;
@@ -479,65 +494,48 @@ void RmcrtComponent::registerTwoLevelGpuPipeline(
 grid::CCVariable<double> RmcrtComponent::solveSerialSingleLevel(
     const grid::Grid& grid, const RmcrtSetup& setup) {
   const grid::Level& fine = grid.fineLevel();
-  grid::CCVariable<double> abskg(fine.cells(), 0.0);
-  grid::CCVariable<double> sig(fine.cells(), 0.0);
-  grid::CCVariable<CellType> ct(fine.cells(), CellType::Flow);
-  initializeProperties(fine, setup.problem, abskg, sig, ct);
-
-  TraceLevel tl{LevelGeom::from(fine),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<CellType>::fromHost(ct)},
-                fine.cells()};
+  const PackedLevelField records(LevelFields(fine, setup.problem).views());
   grid::CCVariable<double> divQ(fine.cells(), 0.0);
-  traceDivQ({tl}, setup, fine.cells(),
-            MutableFieldView<double>::fromHost(divQ), setup.pool);
+  traceDivQ({{LevelGeom::from(fine), fine.cells(), records.view()}}, setup,
+            fine.cells(), MutableFieldView<double>::fromHost(divQ),
+            setup.pool);
   return divQ;
 }
 
-RadiationFieldsView TwoLevelFields::fineViews() const {
-  return {FieldView<double>::fromHost(fAbs), FieldView<double>::fromHost(fSig),
-          FieldView<CellType>::fromHost(fCt)};
+std::vector<TraceLevel> TwoLevelRecords::levels(const grid::Grid& grid,
+                                                const CellRange& roi) const {
+  const grid::Level& coarseLevel = grid.coarseLevel();
+  return {{LevelGeom::from(grid.fineLevel()), roi, fine.view()},
+          {LevelGeom::from(coarseLevel), coarseLevel.cells(), coarse.view()}};
 }
 
-RadiationFieldsView TwoLevelFields::coarseViews() const {
-  return {FieldView<double>::fromHost(cAbs), FieldView<double>::fromHost(cSig),
-          FieldView<CellType>::fromHost(cCt)};
-}
-
-TwoLevelFields sampleTwoLevelFields(const grid::Grid& grid,
-                                    const RadiationProblem& problem) {
+TwoLevelRecords sampleTwoLevelRecords(const grid::Grid& grid,
+                                      const RadiationProblem& problem) {
   const grid::Level& fine = grid.fineLevel();
   const grid::Level& coarse = grid.coarseLevel();
-  TwoLevelFields f{CCVariable<double>(fine.cells(), 0.0),
-                   CCVariable<double>(fine.cells(), 0.0),
-                   CCVariable<CellType>(fine.cells(), CellType::Flow),
-                   CCVariable<double>(coarse.cells(), 0.0),
-                   CCVariable<double>(coarse.cells(), 0.0),
-                   CCVariable<CellType>(coarse.cells(), CellType::Flow)};
-  initializeProperties(fine, problem, f.fAbs, f.fSig, f.fCt);
+  const LevelFields f(fine, problem);
+  CCVariable<double> cAbs(coarse.cells(), 0.0), cSig(coarse.cells(), 0.0);
+  CCVariable<CellType> cCt(coarse.cells(), CellType::Flow);
   const IntVector rr = fine.refinementRatio();
-  grid::coarsenAverage(f.fAbs, rr, f.cAbs, coarse.cells());
-  grid::coarsenAverage(f.fSig, rr, f.cSig, coarse.cells());
-  grid::coarsenCellType(f.fCt, rr, f.cCt, coarse.cells());
-  return f;
+  grid::coarsenAverage(f.abskg, rr, cAbs, coarse.cells());
+  grid::coarsenAverage(f.sigmaT4, rr, cSig, coarse.cells());
+  grid::coarsenCellType(f.cellType, rr, cCt, coarse.cells());
+  return {PackedLevelField(f.views()),
+          PackedLevelField(hostViews(cAbs, cSig, cCt))};
 }
 
 grid::CCVariable<double> RmcrtComponent::solveSerialTwoLevel(
     const grid::Grid& grid, const RmcrtSetup& setup) {
   const grid::Level& fine = grid.fineLevel();
-  const grid::Level& coarse = grid.coarseLevel();
-  const TwoLevelFields fields = sampleTwoLevelFields(grid, setup.problem);
+  const TwoLevelRecords records = sampleTwoLevelRecords(grid, setup.problem);
   grid::CCVariable<double> divQ(fine.cells(), 0.0);
 
-  // Trace per fine patch with its ROI, as the distributed pipeline would.
+  // Trace per fine patch with its ROI, as the distributed pipeline would;
+  // every patch marches the one record set.
   for (const grid::Patch& p : fine.patches()) {
     const CellRange roi =
         p.ghostWindow(setup.roiHalo).intersect(fine.cells());
-    TraceLevel fineTL{LevelGeom::from(fine), fields.fineViews(), roi};
-    TraceLevel coarseTL{LevelGeom::from(coarse), fields.coarseViews(),
-                        coarse.cells()};
-    traceDivQ({fineTL, coarseTL}, setup, p.cells(),
+    traceDivQ(records.levels(grid, roi), setup, p.cells(),
               MutableFieldView<double>::fromHost(divQ), setup.pool);
   }
   return divQ;

@@ -69,23 +69,24 @@ struct RmcrtSetup {
 /// is refused at registration instead of inside a task or a batch drain.
 void validateSetup(const RmcrtSetup& setup);
 
-/// The host fields of a two-level problem: \p problem sampled at the
-/// cell centers of the whole fine level and averaged onto the whole
-/// coarse level. The serial solvers, the service and the kernel
-/// calibration trace these; the distributed pipelines build theirs in
-/// their init and coarsen tasks, so no oracle shares this code with the
-/// pipeline it checks.
-struct TwoLevelFields {
-  grid::CCVariable<double> fAbs, fSig;
-  grid::CCVariable<grid::CellType> fCt;
-  grid::CCVariable<double> cAbs, cSig;
-  grid::CCVariable<grid::CellType> cCt;
+/// The records of a two-level problem: \p problem sampled at the cell
+/// centers of the whole fine level, averaged onto the whole coarse level,
+/// and packed, each level once; the sampled fields do not outlive the call.
+/// The serial solvers, the service and the kernel calibration trace
+/// these; the distributed pipelines build theirs in their init, coarsen
+/// and trace tasks, so no oracle shares this code with the pipeline it
+/// checks.
+struct TwoLevelRecords {
+  PackedLevelField fine, coarse;
 
-  RadiationFieldsView fineViews() const;
-  RadiationFieldsView coarseViews() const;
+  /// The two-level stack over these records: \p grid's fine level
+  /// marched inside \p roi, then its whole coarse level. The records must
+  /// outlive every Tracer built on it.
+  std::vector<TraceLevel> levels(const grid::Grid& grid,
+                                 const CellRange& roi) const;
 };
-TwoLevelFields sampleTwoLevelFields(const grid::Grid& grid,
-                                    const RadiationProblem& problem);
+TwoLevelRecords sampleTwoLevelRecords(const grid::Grid& grid,
+                                      const RadiationProblem& problem);
 
 /// Task-registration entry points. Call the same function on every rank's
 /// scheduler, then executeTimestep() concurrently. Each register* call

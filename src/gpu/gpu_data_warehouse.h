@@ -68,7 +68,6 @@ class GpuDataWarehouse {
   GpuDataWarehouse(const GpuDataWarehouse&) = delete;
   GpuDataWarehouse& operator=(const GpuDataWarehouse&) = delete;
 
-  Mode mode() const { return m_mode; }
   GpuDevice& device() { return m_dev; }
 
   /// --- per-patch variables ---------------------------------------------
@@ -105,13 +104,6 @@ class GpuDataWarehouse {
     std::lock_guard<std::mutex> lk(m_mutex);
     return allocInMapLocked(m_patchVars, key(label, patchId), window,
                             elemSize);
-  }
-
-  DeviceVar& getPatchVar(const std::string& label, int patchId) {
-    std::lock_guard<std::mutex> lk(m_mutex);
-    auto it = m_patchVars.find(key(label, patchId));
-    assert(it != m_patchVars.end() && "patch var not on device");
-    return it->second;
   }
 
   bool hasPatchVar(const std::string& label, int patchId) const {

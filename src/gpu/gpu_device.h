@@ -102,7 +102,6 @@ class GpuDevice {
   std::size_t bytesInUse() const {
     return m_inUse.load(std::memory_order_relaxed);
   }
-  std::size_t bytesFree() const { return capacity() - bytesInUse(); }
 
   /// Allocate uninitialised device global memory. Throws
   /// DeviceOutOfMemory when the capacity would be exceeded. free() takes

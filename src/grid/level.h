@@ -85,9 +85,6 @@ class Level {
   /// domain face map to the last cell).
   IntVector cellAtPosition(const Vector& p) const;
 
-  /// Does the level's extent contain this cell?
-  bool containsCell(const IntVector& c) const { return m_cells.contains(c); }
-
   /// The patch whose interior contains \p cell, or nullptr.
   const Patch* patchContaining(const IntVector& cell) const;
 

@@ -12,7 +12,6 @@ using core::LevelGeom;
 using core::PackedCell;
 using core::PackedFieldView;
 using core::PackedLevelField;
-using core::RadiationFieldsView;
 using core::TraceLevel;
 using core::Tracer;
 using core::WallProperties;
@@ -59,14 +58,14 @@ struct Service::SceneState {
   core::RmcrtSetup setup;
   Generation generation = 1;
   bool sharedReady = false;
-  /// Sampled with the one-shot solvers' builder: the shared deterministic
+  /// The fine records every tenant's Tracer on this generation marches,
+  /// built once per generation, not once per request, by the records
+  /// routine the one-shot oracles call: the shared deterministic
   /// foundation of the bitwise-identity contract.
-  core::TwoLevelFields fields;
-  /// The shared fused records every tenant's Tracer on this generation
-  /// references — built once per generation, not once per request.
-  PackedLevelField finePacked;
-  PackedLevelField coarsePacked;
-  /// The single coarse-level device copy (GPU level database).
+  PackedLevelField fineRecords;
+  /// The device copy of the generation's coarse records (GPU level
+  /// database), the one upload serving every tenant; the host records it
+  /// was uploaded from are not kept.
   const gpu::DeviceVar* coarseDev = nullptr;
 };
 
@@ -170,22 +169,22 @@ std::shared_ptr<Service::SceneState> Service::findScene(SceneId id) const {
 
 void Service::ensureSharedLocked(SceneState& s, SceneId id) {
   if (s.sharedReady) return;
-  s.fields = core::sampleTwoLevelFields(*s.grid, s.setup.problem);
+  core::TwoLevelRecords records =
+      core::sampleTwoLevelRecords(*s.grid, s.setup.problem);
   RMCRT_TRACE_SPAN("service", "build_shared_scene_state");
-  s.finePacked.pack(s.fields.fineViews());
-  s.coarsePacked.pack(s.fields.coarseViews());
   const std::string label = packedLabel(s.generation);
   // getOrUploadLevelVarRaw transfers only when the key is absent; count
   // the transfer, not the lookup — the "one upload per generation" claim
   // the service_test pins down.
   const bool willUpload = !m_gdw->hasLevelVar(label, id);
   s.coarseDev = &m_gdw->getOrUploadLevelVarRaw(
-      label, id, s.coarsePacked.data(), s.coarsePacked.window(),
+      label, id, records.coarse.data(), records.coarse.window(),
       sizeof(PackedCell));
   if (willUpload) {
     std::lock_guard<std::mutex> slk(m_statsMutex);
     ++m_coarseUploads;
   }
+  s.fineRecords = std::move(records.fine);
   s.sharedReady = true;
 }
 
@@ -193,15 +192,14 @@ std::unique_ptr<Tracer> Service::makeSharedTracer(const SceneState& s,
                                                   const CellRange& roi) const {
   const grid::Level& fine = s.grid->fineLevel();
   const grid::Level& coarse = s.grid->coarseLevel();
-  TraceLevel fineTL{LevelGeom::from(fine), s.fields.fineViews(), roi,
-                    s.finePacked.view()};
   // Coarse level marches the device-resident records (host-addressable
   // simulated device) — the one shared upload serving every tenant.
-  TraceLevel coarseTL{LevelGeom::from(coarse), RadiationFieldsView{},
-                      coarse.cells(), PackedFieldView::fromDevice(*s.coarseDev)};
   return std::make_unique<Tracer>(
-      std::vector<TraceLevel>{fineTL, coarseTL}, wallsOf(s.setup.problem),
-      s.setup.trace);
+      std::vector<TraceLevel>{
+          {LevelGeom::from(fine), roi, s.fineRecords.view()},
+          {LevelGeom::from(coarse), coarse.cells(),
+           PackedFieldView::fromDevice(*s.coarseDev)}},
+      wallsOf(s.setup.problem), s.setup.trace);
 }
 
 std::future<Outcome<DivQResult>> Service::submitDivQ(DivQQuery q) {
@@ -640,34 +638,26 @@ ServiceStats Service::stats() const {
 DivQResult Service::solveDivQOneShot(const grid::Grid& grid,
                                      const core::RmcrtSetup& setup,
                                      const CellRange& cells) {
-  const core::TwoLevelFields hf =
-      core::sampleTwoLevelFields(grid, setup.problem);
-  const grid::Level& fine = grid.fineLevel();
-  const grid::Level& coarse = grid.coarseLevel();
-  const CellRange roi = cells.grown(setup.roiHalo).intersect(fine.cells());
-  TraceLevel fineTL{LevelGeom::from(fine), hf.fineViews(), roi};
-  TraceLevel coarseTL{LevelGeom::from(coarse), hf.coarseViews(),
-                      coarse.cells()};
+  const core::TwoLevelRecords records =
+      core::sampleTwoLevelRecords(grid, setup.problem);
+  const CellRange roi =
+      cells.grown(setup.roiHalo).intersect(grid.fineLevel().cells());
   DivQResult res;
   res.window = cells;
   res.divQ.assign(static_cast<std::size_t>(cells.volume()), 0.0);
   const core::MutableFieldView<double> sink(res.divQ.data(), cells);
-  Tracer tracer({fineTL, coarseTL}, wallsOf(setup.problem), setup.trace);
-  tracer.computeDivQ(cells, sink);
+  Tracer(records.levels(grid, roi), wallsOf(setup.problem), setup.trace)
+      .computeDivQ(cells, sink);
   return res;
 }
 
 FluxResult Service::solveFluxOneShot(
     const grid::Grid& grid, const core::RmcrtSetup& setup,
     const std::vector<std::pair<IntVector, IntVector>>& faces, int nRays) {
-  const core::TwoLevelFields hf =
-      core::sampleTwoLevelFields(grid, setup.problem);
-  const grid::Level& fine = grid.fineLevel();
-  const grid::Level& coarse = grid.coarseLevel();
-  TraceLevel fineTL{LevelGeom::from(fine), hf.fineViews(), fine.cells()};
-  TraceLevel coarseTL{LevelGeom::from(coarse), hf.coarseViews(),
-                      coarse.cells()};
-  Tracer tracer({fineTL, coarseTL}, wallsOf(setup.problem), setup.trace);
+  const core::TwoLevelRecords records =
+      core::sampleTwoLevelRecords(grid, setup.problem);
+  const Tracer tracer(records.levels(grid, grid.fineLevel().cells()),
+                      wallsOf(setup.problem), setup.trace);
   FluxResult res;
   res.fluxes.reserve(faces.size());
   for (const auto& [cell, face] : faces)
@@ -678,14 +668,10 @@ FluxResult Service::solveFluxOneShot(
 RadiometerResult Service::solveRadiometerOneShot(
     const grid::Grid& grid, const core::RmcrtSetup& setup,
     const core::RadiometerSpec& spec) {
-  const core::TwoLevelFields hf =
-      core::sampleTwoLevelFields(grid, setup.problem);
-  const grid::Level& fine = grid.fineLevel();
-  const grid::Level& coarse = grid.coarseLevel();
-  TraceLevel fineTL{LevelGeom::from(fine), hf.fineViews(), fine.cells()};
-  TraceLevel coarseTL{LevelGeom::from(coarse), hf.coarseViews(),
-                      coarse.cells()};
-  Tracer tracer({fineTL, coarseTL}, wallsOf(setup.problem), setup.trace);
+  const core::TwoLevelRecords records =
+      core::sampleTwoLevelRecords(grid, setup.problem);
+  const Tracer tracer(records.levels(grid, grid.fineLevel().cells()),
+                      wallsOf(setup.problem), setup.trace);
   RadiometerResult res;
   res.reading = core::evaluateRadiometer(tracer, spec);
   return res;

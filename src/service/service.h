@@ -7,12 +7,12 @@
 /// answers concurrent divQ / boundary-flux / radiometer queries from many
 /// client threads ("tenants"). Every drain coalesces rays from *different*
 /// requests into tile-sized work units (Tracer::DivQTileJob) across one
-/// shared ThreadPool — so one fused record set and ONE simulated-GPU
-/// coarse-level upload serve every tenant on a scene generation. The
+/// shared ThreadPool — so one fused fine record set and ONE simulated-GPU
+/// coarse-level upload serve every tenant on a scene generation; the
+/// scene keeps no property fields and no host coarse records. The
 /// coarse upload is invalidated only when the scene changes:
-/// updateProperties()/regrid() bump the generation, evict the shared
-/// packed records, and invalidate the scene's slot in the GPU level
-/// database.
+/// updateProperties()/regrid() bump the generation, drop the shared
+/// records, and invalidate the scene's slot in the GPU level database.
 ///
 /// Determinism contract: every ray is fixed by (seed, cell, ray), and
 /// each request's tiles scatter only into that request's own sink, so a
@@ -259,14 +259,15 @@ class Service {
   struct RequestExec;
 
   std::shared_ptr<SceneState> findScene(SceneId id) const;
-  /// Build (once per generation) the host property fields, the shared
-  /// packed records and the single coarse-level device upload. Caller
-  /// holds scene.mu.
+  /// Build (once per generation, with core::sampleTwoLevelRecords, as the
+  /// one-shot oracles do) the shared fine records and the single
+  /// coarse-level device upload; the host coarse records die once
+  /// uploaded. Caller holds scene.mu.
   void ensureSharedLocked(SceneState& s, SceneId id);
-  /// Per-request Tracer against the scene's shared packed state. `roi`
-  /// is the fine-level allowed box. Every band of the scene's band model
-  /// marches these records and the one coarse device upload. Caller
-  /// holds scene.mu.
+  /// Per-request Tracer over the scene's fine records and coarse device
+  /// copy. `roi` is the fine-level allowed box. Every band of the scene's
+  /// band model, and every flux and radiometer fan, marches these records.
+  /// Caller holds scene.mu.
   std::unique_ptr<core::Tracer> makeSharedTracer(const SceneState& s,
                                                  const CellRange& roi) const;
 

@@ -42,17 +42,15 @@ double measureKernelSegmentsPerSecond(int patchSize, int raysPerCell) {
       IntVector(patchSize), IntVector(std::max(1, fine / 4)));
 
   const grid::Level& fineLevel = grid->fineLevel();
-  const grid::Level& coarseLevel = grid->coarseLevel();
-  const TwoLevelFields fields = sampleTwoLevelFields(*grid, burnsChriston());
+  const TwoLevelRecords records =
+      sampleTwoLevelRecords(*grid, burnsChriston());
 
   const grid::Patch& patch = fineLevel.patch(0);
-  TraceLevel fineTL{LevelGeom::from(fineLevel), fields.fineViews(),
-                    patch.ghostWindow(4).intersect(fineLevel.cells())};
-  TraceLevel coarseTL{LevelGeom::from(coarseLevel), fields.coarseViews(),
-                      coarseLevel.cells()};
   TraceConfig cfg;
   cfg.nDivQRays = raysPerCell;
-  Tracer tracer({fineTL, coarseTL}, WallProperties{0.0, 1.0}, cfg);
+  Tracer tracer(
+      records.levels(*grid, patch.ghostWindow(4).intersect(fineLevel.cells())),
+      WallProperties{0.0, 1.0}, cfg);
 
   grid::CCVariable<double> divQ(patch.cells(), 0.0);
   tracer.resetSegmentCount();

@@ -129,12 +129,6 @@ struct ProblemConfig {
            static_cast<double>(ranks) * 0.5;
   }
 
-  /// Total messages per rank per timestep.
-  double messagesPerRank(int ranks) const {
-    return haloMessagesPerRank(ranks) + replicationMessagesPerRank(ranks) +
-           static_cast<double>(patchesPerRank(ranks)) * 2.0;  // coarsen
-  }
-
   /// --- computation quantities -------------------------------------------
 
   /// Ray-march cell crossings per rank per timestep: every owned fine
@@ -146,22 +140,6 @@ struct ProblemConfig {
         static_cast<double>(cellsPerPatch());
     return cellsOwned * raysPerCell *
            (meanFineSegments() + meanCoarseSegments());
-  }
-
-  /// PCIe bytes staged per rank per timestep: per-patch ROI properties in
-  /// + divQ out, plus ONE shared coarse-level upload (the level
-  /// database). Set \p perPatchCoarseCopies for the pre-paper behaviour.
-  double pcieBytesPerRank(int ranks, bool perPatchCoarseCopies = false) const {
-    const double roi = std::pow(patchSize + 2.0 * roiHalo, 3.0);
-    const double perPatch = roi * bytesPerPropertyCell +
-                            static_cast<double>(cellsPerPatch()) * 8.0;
-    const double coarseBytes =
-        static_cast<double>(coarseCells()) * bytesPerPropertyCell;
-    const double coarseUploads =
-        perPatchCoarseCopies ? static_cast<double>(patchesPerRank(ranks))
-                             : 1.0;
-    return static_cast<double>(patchesPerRank(ranks)) * perPatch +
-           coarseUploads * coarseBytes;
   }
 
   /// Device-resident bytes needed simultaneously: k concurrent patch

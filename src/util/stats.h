@@ -39,7 +39,6 @@ class P2Quantile {
     m_increment[4] = 1.0;
   }
 
-  double quantile() const { return m_q; }
   std::int64_t count() const { return m_n; }
 
   void add(double x) {

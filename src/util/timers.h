@@ -40,10 +40,6 @@ class Timer {
 /// threads. Used for scheduler phase attribution ("local comm time").
 class AtomicTimeAccumulator {
  public:
-  void addSeconds(double s) {
-    m_ns.fetch_add(static_cast<std::int64_t>(s * 1e9),
-                   std::memory_order_relaxed);
-  }
   void addNanoseconds(std::int64_t ns) {
     m_ns.fetch_add(ns, std::memory_order_relaxed);
   }

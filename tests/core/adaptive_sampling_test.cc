@@ -29,6 +29,7 @@ struct Harness {
   std::shared_ptr<Grid> grid;
   CCVariable<double> abskg, sig;
   CCVariable<CellType> ct;
+  PackedLevelField records;
   WallProperties walls;
 
   explicit Harness(const RadiationProblem& prob, int n = 16)
@@ -39,14 +40,14 @@ struct Harness {
         ct(grid->fineLevel().cells(), CellType::Flow),
         walls{prob.wallSigmaT4OverPi, prob.wallEmissivity} {
     initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
+    records.pack(RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                                     FieldView<double>::fromHost(sig),
+                                     FieldView<CellType>::fromHost(ct)});
   }
 
   Tracer makeTracer(const TraceConfig& cfg) const {
     TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                  RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                      FieldView<double>::fromHost(sig),
-                                      FieldView<CellType>::fromHost(ct)},
-                  grid->fineLevel().cells()};
+                  grid->fineLevel().cells(), records.view()};
     return Tracer({tl}, walls, cfg);
   }
 

@@ -53,11 +53,12 @@ TEST(BurnsChristonGolden, CenterlineDivQMatchesReference) {
                                       grid::CellType::Flow);
   initializeProperties(grid->fineLevel(), burnsChriston(), abskg, sig, ct);
 
-  TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<grid::CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<grid::CellType>::fromHost(ct)});
+  TraceLevel tl{LevelGeom::from(grid->fineLevel()), grid->fineLevel().cells(),
+                records.view()};
   TraceConfig cfg;
   cfg.nDivQRays = kRays;
   cfg.seed = kSeed;
@@ -90,11 +91,12 @@ TEST(BurnsChristonGolden, AdaptiveCenterlineWithinOnePercentOfFixed) {
   grid::CCVariable<grid::CellType> ct(grid->fineLevel().cells(),
                                       grid::CellType::Flow);
   initializeProperties(grid->fineLevel(), burnsChriston(), abskg, sig, ct);
-  TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<grid::CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<grid::CellType>::fromHost(ct)});
+  TraceLevel tl{LevelGeom::from(grid->fineLevel()), grid->fineLevel().cells(),
+                records.view()};
   TraceConfig fixedCfg;
   fixedCfg.nDivQRays = kRays;
   fixedCfg.seed = kSeed;

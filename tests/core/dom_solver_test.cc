@@ -134,11 +134,12 @@ TEST(DomSolver, AgreesWithRmcrtOnBurnsChriston) {
   dom.computeDivQ(h.grid->fineLevel().cells(),
                   MutableFieldView<double>::fromHost(domQ));
 
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(h.abskg),
+                          FieldView<double>::fromHost(h.sig),
+                          FieldView<CellType>::fromHost(h.ct)});
   TraceLevel tl{LevelGeom::from(h.grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(h.abskg),
-                                    FieldView<double>::fromHost(h.sig),
-                                    FieldView<CellType>::fromHost(h.ct)},
-                h.grid->fineLevel().cells()};
+                h.grid->fineLevel().cells(), records.view()};
   TraceConfig cfg;
   cfg.nDivQRays = 400;
   cfg.threshold = 1e-8;
@@ -159,11 +160,12 @@ TEST(DomSolver, S4RefinesOverS2) {
   // Against a high-ray-count RMCRT reference, S4 should be at least as
   // accurate as S2 on the benchmark centerline (ray effects shrink).
   DomHarness h(burnsChriston(), 16);
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(h.abskg),
+                          FieldView<double>::fromHost(h.sig),
+                          FieldView<CellType>::fromHost(h.ct)});
   TraceLevel tl{LevelGeom::from(h.grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(h.abskg),
-                                    FieldView<double>::fromHost(h.sig),
-                                    FieldView<CellType>::fromHost(h.ct)},
-                h.grid->fineLevel().cells()};
+                h.grid->fineLevel().cells(), records.view()};
   TraceConfig cfg;
   cfg.nDivQRays = 3000;
   cfg.threshold = 1e-8;

@@ -127,40 +127,33 @@ TEST(MultiLevelTracer, ThreeLevelStackTraces) {
       {IntVector(4), IntVector(8), IntVector(16)});
   const grid::Level& fine = grid->fineLevel();
 
-  // Build per-level fields by sampling/coarsening.
+  // Build per-level fields by sampling/coarsening, and pack each level.
   RadiationProblem prob = burnsChriston();
-  std::vector<CCVariable<double>> abs, sig;
-  std::vector<CCVariable<CellType>> ct;
+  std::vector<PackedLevelField> records;
   for (int l = 0; l < 3; ++l) {
     const grid::Level& lev = grid->level(l);
-    abs.emplace_back(lev.cells(), 0.0);
-    sig.emplace_back(lev.cells(), 0.0);
-    ct.emplace_back(lev.cells(), CellType::Flow);
-    initializeProperties(lev, prob, abs.back(), sig.back(), ct.back());
+    CCVariable<double> abs(lev.cells(), 0.0), sig(lev.cells(), 0.0);
+    CCVariable<CellType> ct(lev.cells(), CellType::Flow);
+    initializeProperties(lev, prob, abs, sig, ct);
+    records.emplace_back(
+        RadiationFieldsView{FieldView<double>::fromHost(abs),
+                            FieldView<double>::fromHost(sig),
+                            FieldView<CellType>::fromHost(ct)});
   }
 
   std::vector<TraceLevel> levels;
   // Fine ROI: central patch + halo.
   const grid::Patch* p = fine.patchContaining(IntVector(8, 8, 8));
-  levels.push_back(TraceLevel{
-      LevelGeom::from(fine),
-      RadiationFieldsView{FieldView<double>::fromHost(abs[2]),
-                          FieldView<double>::fromHost(sig[2]),
-                          FieldView<CellType>::fromHost(ct[2])},
-      p->ghostWindow(2).intersect(fine.cells())});
+  levels.push_back(TraceLevel{LevelGeom::from(fine),
+                              p->ghostWindow(2).intersect(fine.cells()),
+                              records[2].view()});
   levels.push_back(TraceLevel{
       LevelGeom::from(grid->level(1)),
-      RadiationFieldsView{FieldView<double>::fromHost(abs[1]),
-                          FieldView<double>::fromHost(sig[1]),
-                          FieldView<CellType>::fromHost(ct[1])},
       // mid level allowed: a wider box around the patch
-      p->ghostWindow(6).intersect(fine.cells()).coarsened(IntVector(2))});
-  levels.push_back(TraceLevel{
-      LevelGeom::from(grid->level(0)),
-      RadiationFieldsView{FieldView<double>::fromHost(abs[0]),
-                          FieldView<double>::fromHost(sig[0]),
-                          FieldView<CellType>::fromHost(ct[0])},
-      grid->level(0).cells()});
+      p->ghostWindow(6).intersect(fine.cells()).coarsened(IntVector(2)),
+      records[1].view()});
+  levels.push_back(TraceLevel{LevelGeom::from(grid->level(0)),
+                              grid->level(0).cells(), records[0].view()});
 
   TraceConfig cfg;
   cfg.nDivQRays = 50;

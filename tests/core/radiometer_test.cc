@@ -14,24 +14,32 @@ using grid::CCVariable;
 using grid::CellType;
 using grid::Grid;
 
+/// A transparent cold 16^3 medium; a test that edits the fields repacks
+/// the records before building its tracer.
 struct RadiometerHarness {
   std::shared_ptr<Grid> grid;
   CCVariable<double> abskg, sig;
   CCVariable<CellType> ct;
+  PackedLevelField records;
 
   RadiometerHarness()
       : grid(Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(16),
                                    IntVector(16))),
         abskg(grid->fineLevel().cells(), 1e-6),
         sig(grid->fineLevel().cells(), 0.0),
-        ct(grid->fineLevel().cells(), CellType::Flow) {}
+        ct(grid->fineLevel().cells(), CellType::Flow) {
+    pack();
+  }
+
+  void pack() {
+    records.pack(RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                                     FieldView<double>::fromHost(sig),
+                                     FieldView<CellType>::fromHost(ct)});
+  }
 
   Tracer tracer(const WallProperties& walls) const {
     TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                  RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                      FieldView<double>::fromHost(sig),
-                                      FieldView<CellType>::fromHost(ct)},
-                  grid->fineLevel().cells()};
+                  grid->fineLevel().cells(), records.view()};
     TraceConfig cfg;
     cfg.threshold = 1e-10;
     return Tracer({tl}, walls, cfg);
@@ -82,6 +90,7 @@ TEST(Radiometer, NarrowConeResolvesAHotSpot) {
       h.sig[c] = 1.0;
     }
   }
+  h.pack();
   Tracer t = h.tracer(WallProperties{0.0, 1.0});
   RadiometerSpec toward;
   toward.position = Vector(0.2, 0.5, 0.5);
@@ -108,6 +117,7 @@ TEST(Radiometer, WiderConeDilutesAPointSource) {
       h.sig[c] = 1.0;
     }
   }
+  h.pack();
   Tracer t = h.tracer(WallProperties{0.0, 1.0});
   RadiometerSpec spec;
   spec.position = Vector(0.1, 0.53, 0.53);

@@ -20,6 +20,7 @@ struct SingleLevelHarness {
   std::shared_ptr<Grid> grid;
   CCVariable<double> abskg, sig;
   CCVariable<CellType> ct;
+  PackedLevelField records;
   WallProperties walls;
 
   SingleLevelHarness(const RadiationProblem& prob, int n)
@@ -30,14 +31,14 @@ struct SingleLevelHarness {
         ct(grid->fineLevel().cells(), CellType::Flow),
         walls{prob.wallSigmaT4OverPi, prob.wallEmissivity} {
     initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
+    records.pack(RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                                     FieldView<double>::fromHost(sig),
+                                     FieldView<CellType>::fromHost(ct)});
   }
 
   Tracer makeTracer(const TraceConfig& cfg) const {
     TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                  RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                      FieldView<double>::fromHost(sig),
-                                      FieldView<CellType>::fromHost(ct)},
-                  grid->fineLevel().cells()};
+                  grid->fineLevel().cells(), records.view()};
     return Tracer({tl}, walls, cfg);
   }
 };
@@ -143,11 +144,12 @@ TEST(Tracer, RaySeesFarSideOfDomain) {
       sig[c] = 1.0;
     }
   }
-  TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<CellType>::fromHost(ct)});
+  TraceLevel tl{LevelGeom::from(grid->fineLevel()), grid->fineLevel().cells(),
+                records.view()};
   TraceConfig cfg;
   cfg.nDivQRays = 2000;
   Tracer tracer({tl}, WallProperties{0.0, 1.0}, cfg);
@@ -170,11 +172,12 @@ TEST(Tracer, WallCellsTerminateRays) {
       sig[c] = 2.0;  // hot interior wall
     }
   }
-  TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<CellType>::fromHost(ct)});
+  TraceLevel tl{LevelGeom::from(grid->fineLevel()), grid->fineLevel().cells(),
+                records.view()};
   TraceConfig cfg;
   cfg.nDivQRays = 500;
   Tracer tracer({tl}, WallProperties{0.0, 1.0}, cfg);

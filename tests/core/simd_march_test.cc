@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "core/problems.h"
+#include "core/radiometer.h"
 #include "core/ray_tracer.h"
 #include "grid/grid.h"
 #include "grid/operators.h"
@@ -75,12 +76,15 @@ TEST(UlpDistanceSelfCheck, BehavesLikeUlps) {
   EXPECT_GT(ulpDistance(1.0, 1.0 + 1e-9), 1000000u);
 }
 
-/// Owns the fields and grid behind a single-level tracer configuration.
+/// Owns the fields, records and grid behind a single-level tracer
+/// configuration. A test that edits the fields repacks before building
+/// its tracers.
 struct SingleLevelSetup {
   std::shared_ptr<Grid> grid;
   CCVariable<double> abskg;
   CCVariable<double> sig;
   CCVariable<CellType> ct;
+  PackedLevelField records;
   WallProperties walls;
 
   SingleLevelSetup(const RadiationProblem& prob, const IntVector& n)
@@ -90,15 +94,19 @@ struct SingleLevelSetup {
         ct(grid->fineLevel().cells(), CellType::Flow),
         walls{prob.wallSigmaT4OverPi, prob.wallEmissivity} {
     initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
+    pack();
+  }
+
+  void pack() {
+    records.pack(RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                                     FieldView<double>::fromHost(sig),
+                                     FieldView<CellType>::fromHost(ct)});
   }
 
   Tracer makeTracer(bool simd, TraceConfig cfg = TraceConfig{}) const {
     cfg.useSimd = simd;
     TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                  RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                      FieldView<double>::fromHost(sig),
-                                      FieldView<CellType>::fromHost(ct)},
-                  grid->fineLevel().cells()};
+                  grid->fineLevel().cells(), records.view()};
     return Tracer({tl}, walls, cfg);
   }
 };
@@ -199,6 +207,7 @@ TEST(SimdMarch, InteriorWallCellsRetireLanes) {
   SingleLevelSetup setup(uniformMedium(0.5, 1.0), IntVector(16));
   for (const auto& c : setup.ct.window())
     if (c.x() == 11) setup.ct[c] = CellType::Wall;
+  setup.pack();
   TraceConfig cfg;
   cfg.threshold = 1e-10;
   const Tracer simd = setup.makeTracer(true, cfg);
@@ -279,22 +288,28 @@ struct TwoLevelSetup {
       Vector(0.0), Vector(1.0), IntVector(16), IntVector(4), IntVector(16),
       IntVector(4));
   RadiationProblem prob = burnsChriston();
-  CCVariable<double> fAbs{grid->fineLevel().cells(), 0.0};
-  CCVariable<double> fSig{grid->fineLevel().cells(), 0.0};
-  CCVariable<CellType> fCt{grid->fineLevel().cells(), CellType::Flow};
-  CCVariable<double> cAbs{grid->coarseLevel().cells(), 0.0};
-  CCVariable<double> cSig{grid->coarseLevel().cells(), 0.0};
-  CCVariable<CellType> cCt{grid->coarseLevel().cells(), CellType::Flow};
+  PackedLevelField fineRecords, coarseRecords;
   CellRange roi;
 
   explicit TwoLevelSetup(int roiLow, int roiHigh)
       : roi(IntVector(roiLow), IntVector(roiHigh)) {
     const grid::Level& fine = grid->fineLevel();
     const grid::Level& coarse = grid->coarseLevel();
+    CCVariable<double> fAbs(fine.cells(), 0.0), fSig(fine.cells(), 0.0);
+    CCVariable<CellType> fCt(fine.cells(), CellType::Flow);
+    CCVariable<double> cAbs(coarse.cells(), 0.0), cSig(coarse.cells(), 0.0);
+    CCVariable<CellType> cCt(coarse.cells(), CellType::Flow);
     initializeProperties(fine, prob, fAbs, fSig, fCt);
     grid::coarsenAverage(fAbs, fine.refinementRatio(), cAbs, coarse.cells());
     grid::coarsenAverage(fSig, fine.refinementRatio(), cSig, coarse.cells());
     grid::coarsenCellType(fCt, fine.refinementRatio(), cCt, coarse.cells());
+    fineRecords.pack(RadiationFieldsView{FieldView<double>::fromHost(fAbs),
+                                         FieldView<double>::fromHost(fSig),
+                                         FieldView<CellType>::fromHost(fCt)});
+    coarseRecords.pack(
+        RadiationFieldsView{FieldView<double>::fromHost(cAbs),
+                            FieldView<double>::fromHost(cSig),
+                            FieldView<CellType>::fromHost(cCt)});
   }
 
   static TraceConfig config(bool simd) {
@@ -308,17 +323,10 @@ struct TwoLevelSetup {
   Tracer makeTracer(bool simd) const { return makeTracer(config(simd)); }
 
   Tracer makeTracer(const TraceConfig& cfg) const {
-    TraceLevel fineTL{LevelGeom::from(grid->fineLevel()),
-                      RadiationFieldsView{FieldView<double>::fromHost(fAbs),
-                                          FieldView<double>::fromHost(fSig),
-                                          FieldView<CellType>::fromHost(fCt)},
-                      roi};
-    TraceLevel coarseTL{
-        LevelGeom::from(grid->coarseLevel()),
-        RadiationFieldsView{FieldView<double>::fromHost(cAbs),
-                            FieldView<double>::fromHost(cSig),
-                            FieldView<CellType>::fromHost(cCt)},
-        grid->coarseLevel().cells()};
+    TraceLevel fineTL{LevelGeom::from(grid->fineLevel()), roi,
+                      fineRecords.view()};
+    TraceLevel coarseTL{LevelGeom::from(grid->coarseLevel()),
+                        grid->coarseLevel().cells(), coarseRecords.view()};
     return Tracer({fineTL, coarseTL},
                   WallProperties{prob.wallSigmaT4OverPi, prob.wallEmissivity},
                   cfg);
@@ -445,6 +453,7 @@ TEST(SimdMarch, Avx2AndAvx512InstancesAgreeBitwise) {
     SingleLevelSetup setup(uniformMedium(0.5, 1.0), IntVector(16));
     for (const auto& c : setup.ct.window())
       if (c.x() == 11) setup.ct[c] = CellType::Wall;
+    setup.pack();
     TraceConfig cfg;
     cfg.threshold = 1e-10;
     Tracer t = setup.makeTracer(true, cfg);
@@ -506,26 +515,25 @@ TEST(SimdMarch, BundleCompositionNeverChangesDivQ) {
 struct ThreeLevelSetup {
   struct Level {
     std::shared_ptr<Grid> grid;
-    CCVariable<double> abskg, sig;
-    CCVariable<CellType> ct;
+    PackedLevelField records;
     CellRange allowed;
 
     Level(int n, const CellRange& roi, const RadiationProblem& prob)
         : grid(Grid::makeSingleLevel(Vector(0.0), Vector(1.0), IntVector(n),
                                      IntVector(n))),
-          abskg(grid->fineLevel().cells(), 0.0),
-          sig(grid->fineLevel().cells(), 0.0),
-          ct(grid->fineLevel().cells(), CellType::Flow),
           allowed(roi) {
+      const CellRange cells = grid->fineLevel().cells();
+      CCVariable<double> abskg(cells, 0.0), sig(cells, 0.0);
+      CCVariable<CellType> ct(cells, CellType::Flow);
       initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
+      records.pack(RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                                       FieldView<double>::fromHost(sig),
+                                       FieldView<CellType>::fromHost(ct)});
     }
 
     TraceLevel traceLevel() const {
-      return TraceLevel{LevelGeom::from(grid->fineLevel()),
-                        RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                            FieldView<double>::fromHost(sig),
-                                            FieldView<CellType>::fromHost(ct)},
-                        allowed};
+      return TraceLevel{LevelGeom::from(grid->fineLevel()), allowed,
+                        records.view()};
     }
   };
 
@@ -583,6 +591,141 @@ TEST(SimdMarch, ThreeLevelHandoffParity) {
   EXPECT_LT(twoLevel.segmentCount(), scalar.segmentCount());
   if (std::string(Tracer::simdIsa()) == "avx512")
     expectInstancesBitwiseEqual(simd, origins, dirs);
+}
+
+/// Relative error a fan's mean may carry between the packet and scalar
+/// marches: kUlpTolerance ulps per ray (about 9.1e-13 of each positive
+/// intensity), plus the sum's rounding.
+constexpr double kFanRelTolerance = 1e-12;
+
+void expectFanParity(double packet, double scalar, const std::string& what) {
+  EXPECT_LE(std::abs(packet - scalar), kFanRelTolerance * std::abs(scalar))
+      << what << ": packet " << packet << " vs scalar " << scalar;
+}
+
+TEST(SimdMarch, FluxAndRadiometerFansMatchScalar) {
+  // The fine ROI is the domain's low corner, [0, 10)^3 of 16^3: the flux
+  // faces on the x, y and z = 0 walls start inside it, the radiometers
+  // sit inside it, and most of their rays hand off to the coarse level's
+  // pass. Both fans trace through the divQ bundle routine, so the packet
+  // march must match the scalar one per ray, and the segment counts must
+  // match exactly (no Burns-Christon ray extinguishes).
+  const TwoLevelSetup setup(0, 10);
+  const std::vector<std::pair<IntVector, IntVector>> faces{
+      {IntVector(0, 4, 5), IntVector(-1, 0, 0)},
+      {IntVector(6, 0, 2), IntVector(0, -1, 0)},
+      {IntVector(3, 7, 0), IntVector(0, 0, -1)}};
+  std::vector<RadiometerSpec> radiometers(3);
+  radiometers[0].position = Vector(0.3, 0.3, 0.3);
+  radiometers[0].viewDirection = Vector(1.0, 1.0, 1.0);
+  radiometers[0].halfAngleRadians = 0.4;
+  radiometers[0].nRays = 700;
+  radiometers[1].position = Vector(0.1, 0.5, 0.2);
+  radiometers[1].viewDirection = Vector(1.0, 0.2, 0.5);
+  radiometers[1].nRays = 300;
+  radiometers[2].position = Vector(0.55, 0.1, 0.45);
+  radiometers[2].viewDirection = Vector(0.0, 1.0, 0.0);
+  radiometers[2].halfAngleRadians = 1.2;
+  radiometers[2].nRays = 900;
+  const auto fans = [&](const Tracer& t) {
+    std::vector<double> values;
+    for (const auto& [cell, face] : faces)
+      values.push_back(t.boundaryFlux(cell, face, 257));
+    for (const RadiometerSpec& spec : radiometers)
+      values.push_back(evaluateRadiometer(t, spec).meanIntensity);
+    return values;
+  };
+
+  Tracer packet = setup.makeTracer(true);
+  const Tracer scalar = setup.makeTracer(false);
+  const std::vector<double> vPacket = fans(packet), vScalar = fans(scalar);
+  for (std::size_t i = 0; i < vScalar.size(); ++i)
+    expectFanParity(vPacket[i], vScalar[i],
+                    (i < faces.size() ? "flux face " : "radiometer ") +
+                        std::to_string(i));
+  EXPECT_EQ(packet.segmentCount(), scalar.segmentCount());
+
+  // The coarse level is marched: without it the same fans cross fewer
+  // cells.
+  const Tracer fineOnly(
+      {TraceLevel{LevelGeom::from(setup.grid->fineLevel()), setup.roi,
+                  setup.fineRecords.view()}},
+      WallProperties{setup.prob.wallSigmaT4OverPi, setup.prob.wallEmissivity},
+      TwoLevelSetup::config(false));
+  fans(fineOnly);
+  EXPECT_LT(fineOnly.segmentCount(), scalar.segmentCount());
+
+  if (std::string(Tracer::simdIsa()) != "avx512") return;
+  std::vector<double> wide, narrow;
+  std::uint64_t wideSegs = 0, narrowSegs = 0;
+  {
+    const ForceAvx2 env(false);
+    packet.resetSegmentCount();
+    wide = fans(packet);
+    wideSegs = packet.segmentCount();
+  }
+  {
+    const ForceAvx2 env(true);
+    packet.resetSegmentCount();
+    narrow = fans(packet);
+    narrowSegs = packet.segmentCount();
+  }
+  EXPECT_EQ(wideSegs, narrowSegs);
+  for (std::size_t i = 0; i < wide.size(); ++i)
+    EXPECT_EQ(std::memcmp(&wide[i], &narrow[i], sizeof(double)), 0)
+        << "fan " << i << ": avx512 " << wide[i] << " vs avx2 " << narrow[i];
+}
+
+TEST(SimdMarch, LongFansCrossRunBoundaries) {
+  // 10,000 rays span three bundle runs of at most 4,096. On the scalar
+  // march a radiometer must be bitwise the in-order sum of public
+  // traceRay over its sequential directions, so a run boundary never
+  // reorders or drops a ray; on the packet march a flux fan that long
+  // must stay within tolerance of scalar.
+  const TwoLevelSetup setup(0, 10);
+  Tracer scalar = setup.makeTracer(false);
+  RadiometerSpec spec;
+  spec.position = Vector(0.3, 0.35, 0.3);
+  spec.viewDirection = Vector(1.0, 0.5, 0.25);
+  spec.halfAngleRadians = 0.5;
+  spec.nRays = 10000;
+
+  // The reference: the cap sampling written out, one Rng(seed ^ "RADI")
+  // stream in ray order, each ray traced on its own.
+  const Vector w = spec.viewDirection.normalized();
+  const Vector ref =
+      std::abs(w.x()) < 0.9 ? Vector(1, 0, 0) : Vector(0, 1, 0);
+  const Vector u = Vector(w.y() * ref.z() - w.z() * ref.y(),
+                          w.z() * ref.x() - w.x() * ref.z(),
+                          w.x() * ref.y() - w.y() * ref.x())
+                       .normalized();
+  const Vector v(w.y() * u.z() - w.z() * u.y(), w.z() * u.x() - w.x() * u.z(),
+                 w.x() * u.y() - w.y() * u.x());
+  const double cosMax = std::cos(spec.halfAngleRadians);
+  Rng rng(scalar.config().seed ^ 0x52414449ull);
+  double sum = 0.0;
+  for (int r = 0; r < spec.nRays; ++r) {
+    const double cosT = cosMax + (1.0 - cosMax) * rng.nextDouble();
+    const double sinT = std::sqrt(std::max(0.0, 1.0 - cosT * cosT));
+    const double phi = 2.0 * M_PI * rng.nextDouble();
+    sum += scalar.traceRay(spec.position, u * (sinT * std::cos(phi)) +
+                                              v * (sinT * std::sin(phi)) +
+                                              w * cosT);
+  }
+  const double expected = sum / spec.nRays;
+  const std::uint64_t expectedSegments = scalar.segmentCount();
+
+  scalar.resetSegmentCount();
+  const RadiometerReading reading = evaluateRadiometer(scalar, spec);
+  EXPECT_EQ(std::memcmp(&reading.meanIntensity, &expected, sizeof(double)), 0)
+      << "radiometer " << reading.meanIntensity << " vs per-ray sum "
+      << expected;
+  EXPECT_EQ(scalar.segmentCount(), expectedSegments);
+
+  const Tracer packet = setup.makeTracer(true);
+  const IntVector cell(0, 4, 5), face(-1, 0, 0);
+  expectFanParity(packet.boundaryFlux(cell, face, 10000),
+                  scalar.boundaryFlux(cell, face, 10000), "flux");
 }
 
 TEST(SimdMarch, ScalarPathUnchangedByDispatchMachinery) {

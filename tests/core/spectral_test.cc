@@ -25,6 +25,7 @@ struct SpectralHarness {
   std::shared_ptr<Grid> grid;
   CCVariable<double> abskg, sig;
   CCVariable<CellType> ct;
+  PackedLevelField records;
   WallProperties walls;
 
   explicit SpectralHarness(const RadiationProblem& prob, int n = 12)
@@ -35,15 +36,14 @@ struct SpectralHarness {
         ct(grid->fineLevel().cells(), CellType::Flow),
         walls{prob.wallSigmaT4OverPi, prob.wallEmissivity} {
     initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
+    records.pack(RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                                     FieldView<double>::fromHost(sig),
+                                     FieldView<CellType>::fromHost(ct)});
   }
 
   std::vector<TraceLevel> levels() const {
     return {TraceLevel{LevelGeom::from(grid->fineLevel()),
-                       RadiationFieldsView{
-                           FieldView<double>::fromHost(abskg),
-                           FieldView<double>::fromHost(sig),
-                           FieldView<CellType>::fromHost(ct)},
-                       grid->fineLevel().cells()}};
+                       grid->fineLevel().cells(), records.view()}};
   }
 
   /// divQ over \p cells traced with \p cfg (its band model included).

@@ -32,11 +32,12 @@ TEST(TracerEdge, AnisotropicCellsPreserveEquilibrium) {
   CCVariable<CellType> ct(grid->fineLevel().cells(), CellType::Flow);
   initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
 
-  TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<CellType>::fromHost(ct)});
+  TraceLevel tl{LevelGeom::from(grid->fineLevel()), grid->fineLevel().cells(),
+                records.view()};
   TraceConfig cfg;
   cfg.nDivQRays = 16;
   cfg.threshold = 1e-12;
@@ -55,11 +56,12 @@ TEST(TracerEdge, AxisAlignedRaysHaveZeroComponents) {
   CCVariable<double> abskg(grid->fineLevel().cells(), 2.0);
   CCVariable<double> sig(grid->fineLevel().cells(), 0.0);
   CCVariable<CellType> ct(grid->fineLevel().cells(), CellType::Flow);
-  TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<CellType>::fromHost(ct)});
+  TraceLevel tl{LevelGeom::from(grid->fineLevel()), grid->fineLevel().cells(),
+                records.view()};
   TraceConfig cfg;
   cfg.threshold = 1e-14;
   Tracer tracer({tl}, WallProperties{1.0 / M_PI, 1.0}, cfg);
@@ -84,11 +86,12 @@ TEST(TracerEdge, DomainNotAnchoredAtOrigin) {
   CCVariable<double> sig(grid->fineLevel().cells(), 0.0);
   CCVariable<CellType> ct(grid->fineLevel().cells(), CellType::Flow);
   initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
-  TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<CellType>::fromHost(ct)});
+  TraceLevel tl{LevelGeom::from(grid->fineLevel()), grid->fineLevel().cells(),
+                records.view()};
   TraceConfig cfg;
   cfg.nDivQRays = 8;
   cfg.threshold = 1e-12;
@@ -107,11 +110,12 @@ TEST(TracerEdge, CellCenterEmissionModeIsDeterministic) {
   CCVariable<double> sig(grid->fineLevel().cells(), 0.0);
   CCVariable<CellType> ct(grid->fineLevel().cells(), CellType::Flow);
   initializeProperties(grid->fineLevel(), prob, abskg, sig, ct);
-  TraceLevel tl{LevelGeom::from(grid->fineLevel()),
-                RadiationFieldsView{FieldView<double>::fromHost(abskg),
-                                    FieldView<double>::fromHost(sig),
-                                    FieldView<CellType>::fromHost(ct)},
-                grid->fineLevel().cells()};
+  const PackedLevelField records(
+      RadiationFieldsView{FieldView<double>::fromHost(abskg),
+                          FieldView<double>::fromHost(sig),
+                          FieldView<CellType>::fromHost(ct)});
+  TraceLevel tl{LevelGeom::from(grid->fineLevel()), grid->fineLevel().cells(),
+                records.view()};
   TraceConfig cfg;
   cfg.nDivQRays = 10;
   cfg.jitterRayOrigin = false;
